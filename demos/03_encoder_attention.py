@@ -57,11 +57,12 @@ print("both terms disabled, row 0:", np.round(record[(0, 0)][0], 3))
 
 # the factored head equals a dense head whose weight matrices are block
 # sparse, with the 2^(1/4) rescaling folded in
-head = enc.layers[0].heads[0]
+layer = enc.layers[0]
 positions = ad.take_rows(enc.position_table.tensor, np.arange(T))
 x = compose_input(content, positions, cfg.variant)
-out = head.forward(x, positions, None, False, False, False, None, 0.0)
-dense = assemble_block_sparse(head)
+out = layer.attn.head_outputs(x, positions, None, False, False, False, None,
+                              0.0)
+dense = assemble_block_sparse(layer, 0)
 xd = x.data
 logits = (xd @ dense["w_q"]) @ (xd @ dense["w_k"]).T / math.sqrt(cfg.d_k)
 logits -= logits.max(axis=1, keepdims=True)
@@ -69,4 +70,4 @@ p = np.exp(logits)
 p /= p.sum(axis=1, keepdims=True)
 ref = p @ (xd @ dense["w_v"]) @ dense["w_o"]
 print("factored vs assembled dense head, max |diff|:",
-      np.abs(out.data - ref).max())
+      np.abs(out.data[0] - ref).max())

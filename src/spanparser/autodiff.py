@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Just enough of a tensor library for this parser: 2-d matrices plus scalars,
-the primitives the encoder/decoder expressions need, and exact gradient
-accumulation.  Everything is float64 and single threaded; determinism and
+per-head [H, T, d] stacks for batched attention, the primitives the
+encoder/decoder expressions need, and exact gradient accumulation.
+Everything is float64 and single threaded; determinism and
 finite-difference-tight gradients matter more than speed at this scale.
 
 Broadcasting is deliberately limited to the cases the model uses (a 1-d bias
@@ -11,6 +12,8 @@ DimensionError naming the operation and the offending shapes.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -77,7 +80,25 @@ def tensor(data, requires_grad=False):
     return Tensor(data, requires_grad=requires_grad)
 
 
+class _GradMode:
+    enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: every primitive returns a plain
+    tensor without parents or backward closure, so intermediate arrays are
+    freed as soon as the forward pass drops them.  Values are unchanged."""
+    was, _GradMode.enabled = _GradMode.enabled, False
+    try:
+        yield
+    finally:
+        _GradMode.enabled = was
+
+
 def _result(data, parents, grad_fn):
+    if not _GradMode.enabled:
+        return Tensor(data)
     needs = any(p.requires_grad for p in parents)
     return Tensor(data, parents=parents, grad_fn=grad_fn if needs else None)
 
@@ -140,10 +161,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                    lambda g: (g @ b.data.T, a.data.T @ g))
 
 
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product of [H, m, k] and [H, k, n] stacks."""
+    if (a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]
+            or a.shape[2] != b.shape[1]):
+        raise _dimerr("bmm", a.shape, b.shape)
+    return _result(a.data @ b.data, (a, b),
+                   lambda g: (g @ b.data.swapaxes(1, 2),
+                              a.data.swapaxes(1, 2) @ g))
+
+
 def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
+    """Swap the last two axes of a matrix or of an [H, m, n] stack."""
+    if x.data.ndim not in (2, 3):
         raise _dimerr("transpose", x.shape)
-    return _result(x.data.T, (x,), lambda g: (g.T,))
+    return _result(x.data.swapaxes(-1, -2), (x,),
+                   lambda g: (g.swapaxes(-1, -2),))
+
+
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """[T, heads * d] -> [heads, T, d]: column block h becomes head h."""
+    if x.data.ndim != 2 or heads < 1 or x.shape[1] % heads != 0:
+        raise _dimerr("split_heads(%d)" % heads, x.shape)
+    T, width = x.shape
+    out = x.data.reshape(T, heads, width // heads).transpose(1, 0, 2)
+    return _result(out, (x,), lambda g: (_merge(g),))
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """[heads, T, d] -> [T, heads * d], the inverse of split_heads."""
+    if x.data.ndim != 3:
+        raise _dimerr("merge_heads", x.shape)
+    heads, T, d = x.shape
+    return _result(_merge(x.data), (x,),
+                   lambda g: (g.reshape(T, heads, d).transpose(1, 0, 2),))
+
+
+def _merge(stack):
+    heads, T, d = stack.shape
+    return stack.transpose(1, 0, 2).reshape(T, heads * d)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

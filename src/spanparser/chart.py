@@ -15,6 +15,8 @@ v = [fwd_j - fwd_i ; bwd_{j+1} - bwd_{i+1}].
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import autodiff as ad
@@ -23,6 +25,10 @@ from .optim import ParameterStore, glorot_uniform
 from .trees import BinaryTree, gold_spans
 
 NULL_ID = 0  # LabelInventory reserves id 0 for the dummy label
+
+
+class NonFiniteScoreError(ValueError):
+    """A chart to decode holds a NaN or infinite score."""
 
 
 def all_spans(n: int):
@@ -79,13 +85,13 @@ class SpanScorer:
         if num_labels < 2:
             raise ValueError("need at least one real label besides the dummy")
         self.num_labels = num_labels
-        self.m1 = store.add("scorer.m1", glorot_uniform(rng, (d_model, hidden)))
-        self.c1 = store.add("scorer.c1", np.zeros(hidden))
-        self.ln_gain = store.add("scorer.ln.gain", np.ones(hidden))
-        self.ln_bias = store.add("scorer.ln.bias", np.zeros(hidden))
-        self.m2 = store.add("scorer.m2",
-                            glorot_uniform(rng, (hidden, num_labels - 1)))
-        self.c2 = store.add("scorer.c2", np.zeros(num_labels - 1))
+        glorot = partial(glorot_uniform, rng)
+        self.m1 = store.add("scorer.m1", (d_model, hidden), glorot)
+        self.c1 = store.add("scorer.c1", (hidden,), np.zeros)
+        self.ln_gain = store.add("scorer.ln.gain", (hidden,), np.ones)
+        self.ln_bias = store.add("scorer.ln.bias", (hidden,), np.zeros)
+        self.m2 = store.add("scorer.m2", (hidden, num_labels - 1), glorot)
+        self.c2 = store.add("scorer.c2", (num_labels - 1,), np.zeros)
 
     def forward(self, v: Tensor) -> Tensor:
         h = ad.layer_norm(ad.add(ad.matmul(v, self.m1.tensor), self.c1.tensor),
@@ -126,11 +132,18 @@ def cky_decode(chart: np.ndarray, sentence=None):
 
     Any span may take the dummy label except the root.  Ties break toward
     the lowest split index, then the lowest label id.  ``sentence`` is an
-    optional list of (word, tag) pairs copied onto the leaves.
+    optional list of (word, tag) pairs copied onto the leaves.  A NaN or
+    infinite chart entry raises NonFiniteScoreError.
     """
     n = chart.shape[0] - 1
     if n == 0:
         raise ValueError("cannot decode an empty sentence")
+    bad = ~np.isfinite(chart)
+    if bad.any():
+        i, j, l = (int(v) for v in np.argwhere(bad)[0])
+        raise NonFiniteScoreError(
+            "non-finite chart score %r at span (%d, %d) label %d"
+            % (float(chart[i, j, l]), i, j, l))
     best = np.zeros((n + 1, n + 1))
     best_label = np.zeros((n + 1, n + 1), dtype=int)
     best_split = np.zeros((n + 1, n + 1), dtype=int)

@@ -12,13 +12,14 @@ Byte layout (all integers little-endian):
 The header records both model configs, the vocabulary, the label inventory,
 the construction seed, and for every parameter its name and shape, so a
 checkpoint is self-describing: loading rebuilds the model from the header
-and then overwrites its parameters from the payload.
+with the payload as its parameters.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -29,10 +30,15 @@ from .model import SpanParser
 from .vocab import LabelInventory, Vocabulary
 
 MAGIC = b"SPANCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_PREAMBLE = 20  # magic, version, header length
 
 
 def save_checkpoint(model: SpanParser, path) -> None:
+    """Write ``model`` to ``path`` atomically: the bytes go to a temporary
+    file in the same directory, which then replaces ``path``, so a save
+    that fails or is killed part-way leaves the previous file whole (the
+    file is not fsynced, so this does not cover a power loss)."""
     params = [{"name": name, "shape": list(p.data.shape)}
               for name, p in model.store.items()]
     header = {
@@ -45,58 +51,72 @@ def save_checkpoint(model: SpanParser, path) -> None:
         "params": params,
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, p in model.store.items():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    tmp = "%s.%s.tmp" % (os.fspath(path), os.urandom(6).hex())
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for _, p in model.store.items():
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> SpanParser:
+    """Rebuild the model a checkpoint describes.  The payload is read once
+    into one float64 buffer and every parameter is a view of it; no random
+    initialization is drawn."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != MAGIC:
-        raise ValueError("%s is not a checkpoint file (bad magic)" % path)
-    (version,) = struct.unpack_from("<I", raw, 8)
-    if version != FORMAT_VERSION:
-        raise ValueError("checkpoint format version %d is not supported "
-                         "(expected %d)" % (version, FORMAT_VERSION))
-    (header_len,) = struct.unpack_from("<Q", raw, 12)
-    header_end = 20 + header_len
-    header = json.loads(raw[20:header_end].decode("utf-8"))
+        preamble = fh.read(_PREAMBLE)
+        if preamble[:8] != MAGIC:
+            raise ValueError("%s is not a checkpoint file (bad magic)" % path)
+        if len(preamble) < _PREAMBLE:
+            raise ValueError("checkpoint %s is truncated in its preamble"
+                             % path)
+        (version,) = struct.unpack_from("<I", preamble, 8)
+        if version != FORMAT_VERSION:
+            raise ValueError("checkpoint format version %d is not supported "
+                             "(expected %d)" % (version, FORMAT_VERSION))
+        (header_len,) = struct.unpack_from("<Q", preamble, 12)
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+        payload_bytes = os.fstat(fh.fileno()).st_size - _PREAMBLE - header_len
 
-    model = SpanParser(
-        EncoderConfig(**header["encoder_config"]),
-        LexicalConfig(**header["lexical_config"]),
-        Vocabulary.from_dict(header["vocab"]),
-        LabelInventory.from_dict(header["labels"]),
-        seed=header.get("seed", 0),
-    )
-    recorded = header["params"]
-    if len(recorded) != len(model.store):
-        raise ValueError("checkpoint lists %d parameters but the model has "
-                         "%d" % (len(recorded), len(model.store)))
-    offset = header_end
-    for entry in recorded:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in model.store:
+        recorded = header["params"]
+        offsets, total = [], 0
+        for entry in recorded:
+            count = int(np.prod(entry["shape"], dtype=np.int64))
+            offsets.append((entry, total, total + count))
+            total += count
+            if 8 * total > payload_bytes:
+                raise ValueError("checkpoint payload is truncated at %r"
+                                 % entry["name"])
+        buffer = np.empty(total, dtype="<f8")
+        arrays = {entry["name"]: buffer[start:end].reshape(entry["shape"])
+                  for entry, start, end in offsets}
+        if len(arrays) != len(offsets):
+            raise ValueError("checkpoint lists a parameter name twice")
+
+        model = SpanParser(
+            EncoderConfig(**header["encoder_config"]),
+            LexicalConfig(**header["lexical_config"]),
+            Vocabulary.from_dict(header["vocab"]),
+            LabelInventory.from_dict(header["labels"]),
+            seed=header.get("seed", 0),
+            preset=arrays,
+        )
+        unused = [name for name in arrays if name not in model.store]
+        if unused:
             raise ValueError("checkpoint parameter %r does not exist in the "
-                             "rebuilt model" % name)
-        param = model.store[name]
-        if param.data.shape != shape:
-            raise ValueError("checkpoint parameter %r has shape %s but the "
-                             "model expects %s"
-                             % (name, shape, param.data.shape))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * count
-        if end > len(raw):
-            raise ValueError("checkpoint payload is truncated at %r" % name)
-        param.tensor.data = np.frombuffer(
-            raw[offset:end], dtype="<f8").reshape(shape).astype(np.float64)
-        offset = end
-    if offset != len(raw):
-        raise ValueError("checkpoint has %d trailing bytes"
-                         % (len(raw) - offset))
+                             "rebuilt model" % unused[0])
+
+        if fh.readinto(memoryview(buffer).cast("B")) != buffer.nbytes:
+            raise ValueError("checkpoint payload is truncated")
+        trailing = payload_bytes - buffer.nbytes
+        if trailing:
+            raise ValueError("checkpoint has %d trailing bytes" % trailing)
     return model

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -176,89 +177,116 @@ def compose_input(content: Tensor, position: Tensor, variant: str) -> Tensor:
     return ad.add(content, position)
 
 
-def _weight(rng, shape, scheme):
+def _weight(rng, shape, scheme, fans=None):
     if scheme == "normal":
         return rng.standard_normal(shape) * 0.02
-    return glorot_uniform(rng, shape)
+    return glorot_uniform(rng, shape, fans)
 
 
-class AttentionHead:
-    """One attention head; handles the standard and the factored forms."""
+class MultiHeadAttention:
+    """All heads of one layer's attention sublayer, computed together.
+
+    Each stream projects once into every head's columns, attends through
+    batched [H, T, T] products, and one output product over the merged
+    heads sums the heads.  Factored variants run a content and a position
+    stream on the two halves of the model dimension, whose logits add up
+    before a shared softmax; unfactored variants run one full-width stream,
+    position-only taking its queries and keys from the position embeddings.
+    """
 
     def __init__(self, store: ParameterStore, prefix: str,
-                 config: EncoderConfig, rng, factored: bool,
-                 position_queries: bool = False):
-        self.factored = factored
-        self.position_queries = position_queries
-        self.d_k = config.d_k
-        self.d_v = config.d_v
+                 config: EncoderConfig, rng):
+        self.factored = config.variant in FACTORED_VARIANTS
+        self.position_queries = config.variant == "position-only"
+        self.num_heads = heads = config.num_heads
         d = config.d_model
-        scheme = config.init_scheme
-        if factored:
-            dh, kh, vh = d // 2, config.d_k // 2, config.d_v // 2
-            self.w_qc = store.add(prefix + ".w_qc", _weight(rng, (dh, kh), scheme))
-            self.w_kc = store.add(prefix + ".w_kc", _weight(rng, (dh, kh), scheme))
-            self.w_vc = store.add(prefix + ".w_vc", _weight(rng, (dh, vh), scheme))
-            self.w_oc = store.add(prefix + ".w_oc", _weight(rng, (vh, dh), scheme))
-            self.w_qp = store.add(prefix + ".w_qp", _weight(rng, (dh, kh), scheme))
-            self.w_kp = store.add(prefix + ".w_kp", _weight(rng, (dh, kh), scheme))
-            self.w_vp = store.add(prefix + ".w_vp", _weight(rng, (dh, vh), scheme))
-            self.w_op = store.add(prefix + ".w_op", _weight(rng, (vh, dh), scheme))
+        if self.factored:
+            suffixes, d_io = ("c", "p"), d // 2
+            d_k, d_v = config.d_k // 2, config.d_v // 2
         else:
-            qk_in = d
-            self.w_q = store.add(prefix + ".w_q", _weight(rng, (qk_in, config.d_k), scheme))
-            self.w_k = store.add(prefix + ".w_k", _weight(rng, (qk_in, config.d_k), scheme))
-            self.w_v = store.add(prefix + ".w_v", _weight(rng, (d, config.d_v), scheme))
-            self.w_o = store.add(prefix + ".w_o", _weight(rng, (config.d_v, d), scheme))
+            suffixes, d_io, d_k, d_v = ("",), d, config.d_k, config.d_v
+        self.d_k = d_k
+        weight = functools.partial(_weight, rng, scheme=config.init_scheme)
+        # one dict per stream: "w_q"/"w_k"/"w_v" are [d_in, H * d_k] with
+        # head h in column block h, "w_o" is [H * d_v, d_out] with head h in
+        # row block h; each block is drawn with its own per-head fans
+        self.streams = []
+        for suffix in suffixes:
+            stream = {}
+            for role, shape, fans in (
+                    ("w_q", (d_io, heads * d_k), (d_io, d_k)),
+                    ("w_k", (d_io, heads * d_k), (d_io, d_k)),
+                    ("w_v", (d_io, heads * d_v), (d_io, d_v)),
+                    ("w_o", (heads * d_v, d_io), (d_v, d_io))):
+                stream[role] = store.add(
+                    "%s.%s%s" % (prefix, role, suffix), shape,
+                    functools.partial(weight, fans=fans))
+            self.streams.append(stream)
 
     def forward(self, x: Tensor, positions: Tensor, penalty,
                 disable_content: bool, disable_position: bool,
                 train: bool, rng, dropout_p: float, record=None) -> Tensor:
-        """Return this head's contribution, shape [T, d_model].
+        """Sum of every head's contribution, shape [T, d_model].
 
         ``penalty`` is an additive logit mask (0 where allowed) or None.
         ``positions`` carries the original position embeddings for
-        position-only queries; ignored otherwise.
+        position-only queries; ignored otherwise.  ``record``, if a list,
+        receives the [H, T, T] attention probabilities before dropout.
         """
+        contexts = self._contexts(x, positions, penalty, disable_content,
+                                  disable_position, train, rng, dropout_p,
+                                  record)
+        outs = [ad.matmul(ad.merge_heads(ctx), stream["w_o"].tensor)
+                for ctx, stream in zip(contexts, self.streams)]
+        return outs[0] if len(outs) == 1 else ad.concat(outs, axis=1)
+
+    def head_outputs(self, x: Tensor, positions: Tensor, penalty,
+                     disable_content: bool, disable_position: bool,
+                     train: bool, rng, dropout_p: float) -> Tensor:
+        """Each head's own contribution, shape [H, T, d_model]; these sum
+        to :meth:`forward`."""
+        contexts = self._contexts(x, positions, penalty, disable_content,
+                                  disable_position, train, rng, dropout_p)
+        outs = []
+        for ctx, stream in zip(contexts, self.streams):
+            w_o = stream["w_o"].tensor
+            per_head = ad.reshape(w_o, (self.num_heads, -1, w_o.shape[1]))
+            outs.append(ad.bmm(ctx, per_head))
+        return outs[0] if len(outs) == 1 else ad.concat(outs, axis=2)
+
+    def _contexts(self, x, positions, penalty, disable_content,
+                  disable_position, train, rng, dropout_p, record=None):
+        """Per stream, the [H, T, d_v] attention-weighted values."""
+        heads = self.num_heads
         if self.factored:
             half = x.shape[1] // 2
-            xc = ad.slice_cols(x, 0, half)
-            xp = ad.slice_cols(x, half, 2 * half)
-            inv = 1.0 / math.sqrt(self.d_k / 2.0)
-            logits = None
-            if not disable_content:
-                qc = ad.matmul(xc, self.w_qc.tensor)
-                kc = ad.matmul(xc, self.w_kc.tensor)
-                logits = ad.scale(ad.matmul(qc, ad.transpose(kc)), inv)
-            if not disable_position:
-                qp = ad.matmul(xp, self.w_qp.tensor)
-                kp = ad.matmul(xp, self.w_kp.tensor)
-                pos_logits = ad.scale(ad.matmul(qp, ad.transpose(kp)), inv)
-                logits = pos_logits if logits is None else ad.add(logits, pos_logits)
-            if logits is None:
-                logits = Tensor(np.zeros((x.shape[0], x.shape[0])))
-            probs = self._probs(logits, penalty, train, rng, dropout_p, record)
-            vc = ad.matmul(xc, self.w_vc.tensor)
-            vp = ad.matmul(xp, self.w_vp.tensor)
-            out_c = ad.matmul(ad.matmul(probs, vc), self.w_oc.tensor)
-            out_p = ad.matmul(ad.matmul(probs, vp), self.w_op.tensor)
-            return ad.concat([out_c, out_p], axis=1)
-
-        source = positions if self.position_queries else x
-        q = ad.matmul(source, self.w_q.tensor)
-        k = ad.matmul(source, self.w_k.tensor)
-        logits = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(self.d_k))
-        probs = self._probs(logits, penalty, train, rng, dropout_p, record)
-        v = ad.matmul(x, self.w_v.tensor)
-        return ad.matmul(ad.matmul(probs, v), self.w_o.tensor)
-
-    def _probs(self, logits, penalty, train, rng, dropout_p, record):
+            inputs = [ad.slice_cols(x, 0, half),
+                      ad.slice_cols(x, half, 2 * half)]
+            active = [not disable_content, not disable_position]
+        else:
+            inputs, active = [x], [True]
+        sources = [positions] if self.position_queries else inputs
+        inv = 1.0 / math.sqrt(self.d_k)
+        logits = None
+        for source, stream, on in zip(sources, self.streams, active):
+            if not on:
+                continue
+            q = ad.split_heads(ad.matmul(source, stream["w_q"].tensor), heads)
+            k = ad.split_heads(ad.matmul(source, stream["w_k"].tensor), heads)
+            term = ad.scale(ad.bmm(q, ad.transpose(k)), inv)
+            logits = term if logits is None else ad.add(logits, term)
+        if logits is None:
+            T = x.shape[0]
+            logits = Tensor(np.zeros((heads, T, T)))
         if penalty is not None:
             logits = ad.add_const(logits, penalty)
         probs = ad.softmax(logits)
         if record is not None:
-            record.append(probs.data.copy())
-        return ad.dropout(probs, dropout_p, rng, train)
+            record.append(probs.data)
+        probs = ad.dropout(probs, dropout_p, rng, train)
+        return [ad.bmm(probs, ad.split_heads(
+                    ad.matmul(inp, stream["w_v"].tensor), heads))
+                for inp, stream in zip(inputs, self.streams)]
 
 
 class FeedForward:
@@ -267,22 +295,22 @@ class FeedForward:
     def __init__(self, store, prefix, config: EncoderConfig, rng, factored: bool):
         self.factored = factored
         d, dff = config.d_model, config.d_ff
-        scheme = config.init_scheme
+        weight = functools.partial(_weight, rng, scheme=config.init_scheme)
         if factored:
             dh, fh = d // 2, dff // 2
-            self.w1c = store.add(prefix + ".w1c", _weight(rng, (dh, fh), scheme))
-            self.b1c = store.add(prefix + ".b1c", np.zeros(fh))
-            self.w2c = store.add(prefix + ".w2c", _weight(rng, (fh, dh), scheme))
-            self.b2c = store.add(prefix + ".b2c", np.zeros(dh))
-            self.w1p = store.add(prefix + ".w1p", _weight(rng, (dh, fh), scheme))
-            self.b1p = store.add(prefix + ".b1p", np.zeros(fh))
-            self.w2p = store.add(prefix + ".w2p", _weight(rng, (fh, dh), scheme))
-            self.b2p = store.add(prefix + ".b2p", np.zeros(dh))
+            self.w1c = store.add(prefix + ".w1c", (dh, fh), weight)
+            self.b1c = store.add(prefix + ".b1c", (fh,), np.zeros)
+            self.w2c = store.add(prefix + ".w2c", (fh, dh), weight)
+            self.b2c = store.add(prefix + ".b2c", (dh,), np.zeros)
+            self.w1p = store.add(prefix + ".w1p", (dh, fh), weight)
+            self.b1p = store.add(prefix + ".b1p", (fh,), np.zeros)
+            self.w2p = store.add(prefix + ".w2p", (fh, dh), weight)
+            self.b2p = store.add(prefix + ".b2p", (dh,), np.zeros)
         else:
-            self.w1 = store.add(prefix + ".w1", _weight(rng, (d, dff), scheme))
-            self.b1 = store.add(prefix + ".b1", np.zeros(dff))
-            self.w2 = store.add(prefix + ".w2", _weight(rng, (dff, d), scheme))
-            self.b2 = store.add(prefix + ".b2", np.zeros(d))
+            self.w1 = store.add(prefix + ".w1", (d, dff), weight)
+            self.b1 = store.add(prefix + ".b1", (dff,), np.zeros)
+            self.w2 = store.add(prefix + ".w2", (dff, d), weight)
+            self.b2 = store.add(prefix + ".b2", (d,), np.zeros)
 
     def forward(self, x: Tensor, train: bool, rng, relu_p: float) -> Tensor:
         if self.factored:
@@ -303,35 +331,22 @@ class FeedForward:
 
 class EncoderLayer:
     def __init__(self, store, prefix, config: EncoderConfig, rng):
-        factored = config.variant in FACTORED_VARIANTS
         self.config = config
-        self.heads = [
-            AttentionHead(store, "%s.head%d" % (prefix, h), config, rng,
-                          factored=factored,
-                          position_queries=(config.variant == "position-only"))
-            for h in range(config.num_heads)
-        ]
-        self.ffn = FeedForward(store, prefix + ".ffn", config, rng, factored)
+        self.attn = MultiHeadAttention(store, prefix + ".attn", config, rng)
+        self.ffn = FeedForward(store, prefix + ".ffn", config, rng,
+                               self.attn.factored)
         d = config.d_model
-        self.ln1_gain = store.add(prefix + ".ln1.gain", np.ones(d))
-        self.ln1_bias = store.add(prefix + ".ln1.bias", np.zeros(d))
-        self.ln2_gain = store.add(prefix + ".ln2.gain", np.ones(d))
-        self.ln2_bias = store.add(prefix + ".ln2.bias", np.zeros(d))
+        self.ln1_gain = store.add(prefix + ".ln1.gain", (d,), np.ones)
+        self.ln1_bias = store.add(prefix + ".ln1.bias", (d,), np.zeros)
+        self.ln2_gain = store.add(prefix + ".ln2.gain", (d,), np.ones)
+        self.ln2_bias = store.add(prefix + ".ln2.bias", (d,), np.zeros)
 
     def forward(self, x, positions, penalty, disable_content,
                 disable_position, train, rng, record=None):
         cfg = self.config
-        head_outs = []
-        for h, head in enumerate(self.heads):
-            head_record = None
-            if record is not None:
-                head_record = record.setdefault(h, [])
-            head_outs.append(head.forward(
-                x, positions, penalty, disable_content, disable_position,
-                train, rng, cfg.attention_dropout, head_record))
-        attn = head_outs[0]
-        for extra in head_outs[1:]:
-            attn = ad.add(attn, extra)
+        attn = self.attn.forward(x, positions, penalty, disable_content,
+                                 disable_position, train, rng,
+                                 cfg.attention_dropout, record)
         attn = ad.dropout(attn, cfg.residual_dropout, rng, train)
         x = ad.layer_norm(ad.add(x, attn), self.ln1_gain.tensor,
                           self.ln1_bias.tensor)
@@ -349,8 +364,8 @@ class Encoder:
         self.config = config
         self.position_table = store.add(
             "encoder.positions",
-            embedding_init(rng, (config.max_sentence_length,
-                                 config.position_dim)))
+            (config.max_sentence_length, config.position_dim),
+            functools.partial(embedding_init, rng))
         self.layers = [EncoderLayer(store, "encoder.layer%d" % i, config, rng)
                        for i in range(config.num_layers)]
 
@@ -391,15 +406,12 @@ class Encoder:
                     disable_c = bool(control.disable_content[i])
                 if control.disable_position is not None:
                     disable_p = bool(control.disable_position[i])
-            layer_record = None
-            if record is not None:
-                by_head = {}
-                layer_record = by_head
+            layer_record = [] if record is not None else None
             x = layer.forward(x, positions, penalty, disable_c, disable_p,
                               train, rng, layer_record)
             if record is not None:
-                for h, probs_list in layer_record.items():
-                    record[(i, h)] = probs_list[0]
+                for h, probs in enumerate(layer_record[0]):
+                    record[(i, h)] = probs
         return x
 
     def _window_penalty(self, T, control):
@@ -420,27 +432,41 @@ class Encoder:
         return np.where(allow, 0.0, MASK_PENALTY)
 
 
-def assemble_block_sparse(head: AttentionHead) -> dict:
-    """Pack a factored head's eight blocks into standard dense projections.
+def assemble_block_sparse(layer: EncoderLayer, head: int) -> dict:
+    """Pack one factored head's eight blocks, cut from the layer's stacked
+    weights, into standard dense projections.
 
     The factored head scales each half's logits by 1/sqrt(d_k/2) while a
     standard head scales the joint product by 1/sqrt(d_k); folding
     (d_k / (d_k/2)) ** 0.25 = 2 ** 0.25 into both query and key blocks makes
     the dense head reproduce the factored one exactly.
     """
-    if not head.factored:
-        raise ValueError("head is not factored")
+    attn = layer.attn
+    if not attn.factored:
+        raise ValueError("layer attention is not factored")
+    if not 0 <= head < attn.num_heads:
+        raise ValueError("head %d out of range for %d heads"
+                         % (head, attn.num_heads))
     alpha = 2.0 ** 0.25
 
-    def blockdiag(a, b):
+    def block(stream, name):
+        w = stream[name].data
+        if name == "w_o":
+            rows = w.shape[0] // attn.num_heads
+            return w[head * rows:(head + 1) * rows]
+        cols = w.shape[1] // attn.num_heads
+        return w[:, head * cols:(head + 1) * cols]
+
+    def blockdiag(name, scale=1.0):
+        a, b = (scale * block(stream, name) for stream in attn.streams)
         out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
         out[:a.shape[0], :a.shape[1]] = a
         out[a.shape[0]:, a.shape[1]:] = b
         return out
 
     return {
-        "w_q": blockdiag(alpha * head.w_qc.data, alpha * head.w_qp.data),
-        "w_k": blockdiag(alpha * head.w_kc.data, alpha * head.w_kp.data),
-        "w_v": blockdiag(head.w_vc.data, head.w_vp.data),
-        "w_o": blockdiag(head.w_oc.data, head.w_op.data),
+        "w_q": blockdiag("w_q", alpha),
+        "w_k": blockdiag("w_k", alpha),
+        "w_v": blockdiag("w_v"),
+        "w_o": blockdiag("w_o"),
     }

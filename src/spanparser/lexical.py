@@ -18,6 +18,7 @@ since pretrained files only cover real tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -88,9 +89,9 @@ class CharConcat:
                 "but the content slot is %d wide; adjust char_embedding_dim "
                 "or d_model" % (self.prefix, self.suffix, self.char_dim,
                                 width, slot_dim))
-        self.char_emb = store.add(
-            "lexical.char_emb",
-            embedding_init(rng, (len(vocab.chars), self.char_dim)))
+        self.char_emb = store.add("lexical.char_emb",
+                                  (len(vocab.chars), self.char_dim),
+                                  partial(embedding_init, rng))
 
     def positions(self, word: str) -> np.ndarray:
         """Char ids for one word: prefix letters padded right, suffix
@@ -125,23 +126,24 @@ class CharLSTM:
         self.char_dim = config.resolved_char_dim()
         self.hidden = config.char_lstm_hidden
         self.char_dropout = config.char_dropout
-        self.char_emb = store.add(
-            "lexical.char_emb",
-            embedding_init(rng, (len(vocab.chars), self.char_dim)))
+        glorot = partial(glorot_uniform, rng)
+        self.char_emb = store.add("lexical.char_emb",
+                                  (len(vocab.chars), self.char_dim),
+                                  partial(embedding_init, rng))
         self.dirs = {}
         for tag in ("fwd", "bwd"):
             self.dirs[tag] = {
                 "w_x": store.add("lexical.char_lstm.%s.w_x" % tag,
-                                 glorot_uniform(rng, (self.char_dim, 4 * self.hidden))),
+                                 (self.char_dim, 4 * self.hidden), glorot),
                 "w_h": store.add("lexical.char_lstm.%s.w_h" % tag,
-                                 glorot_uniform(rng, (self.hidden, 4 * self.hidden))),
+                                 (self.hidden, 4 * self.hidden), glorot),
                 "b": store.add("lexical.char_lstm.%s.b" % tag,
-                               np.zeros(4 * self.hidden)),
+                               (4 * self.hidden,), np.zeros),
             }
         self.proj = store.add("lexical.char_lstm.proj",
-                              glorot_uniform(rng, (2 * self.hidden, slot_dim)))
+                              (2 * self.hidden, slot_dim), glorot)
         self.proj_bias = store.add("lexical.char_lstm.proj_bias",
-                                   np.zeros(slot_dim))
+                                   (slot_dim,), np.zeros)
 
     def _run_direction(self, ids: np.ndarray, mask: np.ndarray, weights,
                        train: bool, rng) -> Tensor:
@@ -199,24 +201,24 @@ class LexicalModel:
         mode = config.mode
         if mode == "tags" or (mode in ("char-lstm", "char-concat")
                               and config.use_word_embeddings):
-            self.word_emb = store.add(
-                "lexical.word_emb",
-                embedding_init(rng, (len(vocab.words), slot_dim)))
+            self.word_emb = store.add("lexical.word_emb",
+                                      (len(vocab.words), slot_dim),
+                                      partial(embedding_init, rng))
         if mode == "tags":
-            self.tag_emb = store.add(
-                "lexical.tag_emb",
-                embedding_init(rng, (len(vocab.tags), slot_dim)))
+            self.tag_emb = store.add("lexical.tag_emb",
+                                     (len(vocab.tags), slot_dim),
+                                     partial(embedding_init, rng))
         elif mode == "char-lstm":
             self.chars = CharLSTM(store, vocab, config, slot_dim, rng)
         elif mode == "char-concat":
             self.chars = CharConcat(store, vocab, config, slot_dim, rng)
         elif mode == "external":
             self.external_proj = store.add(
-                "lexical.external_proj",
-                glorot_uniform(rng, (config.external_dim, slot_dim)))
+                "lexical.external_proj", (config.external_dim, slot_dim),
+                partial(glorot_uniform, rng))
             self.external_boundaries = store.add(
-                "lexical.external_boundaries",
-                embedding_init(rng, (2, slot_dim)))
+                "lexical.external_boundaries", (2, slot_dim),
+                partial(embedding_init, rng))
 
     def content_vectors(self, sentence, train: bool = False, rng=None,
                         external: np.ndarray = None) -> Tensor:

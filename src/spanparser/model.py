@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from .chart import (SpanScorer, build_chart, cky_decode, hinge_loss,
                     span_vectors)
 from .encoder import Encoder, EncoderConfig
@@ -19,11 +20,13 @@ class SpanParser:
 
     Construction is deterministic in ``seed``; two parsers built from equal
     configs, vocabularies, and seeds are identical parameter for parameter.
+    ``preset`` (parameter name -> array, as a checkpoint loader supplies)
+    replaces the random initialization, which is then never drawn.
     """
 
     def __init__(self, encoder_config: EncoderConfig,
                  lexical_config: LexicalConfig, vocab: Vocabulary,
-                 labels: LabelInventory, seed: int = 0):
+                 labels: LabelInventory, seed: int = 0, preset: dict = None):
         if len(labels) < 2:
             raise ValueError("label inventory has no real labels")
         self.encoder_config = encoder_config.validate()
@@ -32,7 +35,7 @@ class SpanParser:
         self.labels = labels
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.store = ParameterStore()
+        self.store = ParameterStore(preset)
         self.lexical = LexicalModel(self.store, vocab, lexical_config,
                                     encoder_config.content_dim, rng)
         self.encoder = Encoder(self.store, encoder_config, rng)
@@ -54,8 +57,10 @@ class SpanParser:
         return self.scorer.forward(v)
 
     def score_chart(self, sentence, control=None, external=None, record=None):
-        scores = self.span_score_tensor(sentence, control=control,
-                                        external=external, record=record)
+        """The [n+1, n+1, num_labels] chart; builds no autodiff graph."""
+        with ad.no_grad():
+            scores = self.span_score_tensor(sentence, control=control,
+                                            external=external, record=record)
         return build_chart(scores.data, len(sentence))
 
     def parse(self, sentence, control=None, external=None, record=None) -> Tree:

@@ -43,14 +43,35 @@ class Parameter:
 
 class ParameterStore:
     """Ordered registry of parameters; insertion order defines checkpoint
-    layout, so construction must be deterministic."""
+    layout, so construction must be deterministic.
 
-    def __init__(self):
+    ``preset``, when given, maps every parameter name to its array (a
+    loaded checkpoint's payload): parameters added with an ``init`` then
+    take their preset array and draw nothing.
+    """
+
+    def __init__(self, preset: dict = None):
         self._params = {}
+        self._preset = preset
 
-    def add(self, name: str, data) -> Parameter:
+    def add(self, name: str, data, init=None) -> Parameter:
+        """Register a parameter.  ``data`` is its array, or its shape when
+        ``init`` is given; ``init(shape)`` then builds the array, unless a
+        preset replaces it."""
         if name in self._params:
             raise ValueError("duplicate parameter name %r" % name)
+        if init is not None:
+            shape = tuple(data)
+            if self._preset is None:
+                data = init(shape)
+            elif name not in self._preset:
+                raise ValueError("no preset array for parameter %r" % name)
+            else:
+                data = self._preset[name]
+                if data.shape != shape:
+                    raise ValueError("preset for parameter %r has shape %s "
+                                     "but the model expects %s"
+                                     % (name, data.shape, shape))
         p = Parameter(name, data)
         self._params[name] = p
         return p
@@ -81,9 +102,11 @@ class ParameterStore:
             p.tensor.data = snap[name].copy()
 
 
-def glorot_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    """Glorot/Xavier uniform init for weight matrices."""
-    fan_in, fan_out = shape[0], shape[-1]
+def glorot_uniform(rng: np.random.Generator, shape, fans=None) -> np.ndarray:
+    """Glorot/Xavier uniform init for weight matrices.  ``fans`` overrides
+    (fan_in, fan_out), so a stack of per-head blocks keeps each block's own
+    limit."""
+    fan_in, fan_out = fans if fans is not None else (shape[0], shape[-1])
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward
+from .chart import NonFiniteScoreError
 from .evaluation import score
 from .optim import adam_step
 
@@ -129,8 +130,14 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
             batch_value = 0.0
             for idx in batch:
                 sentence, gold, ext = data[idx]
-                result = model.sentence_loss(sentence, gold, train=True,
-                                             rng=rng, external=ext)
+                try:
+                    result = model.sentence_loss(sentence, gold, train=True,
+                                                 rng=rng, external=ext)
+                except NonFiniteScoreError as exc:
+                    raise RuntimeError(
+                        "non-finite training loss (epoch %d, batch at "
+                        "sentence %d, lr %g): %s"
+                        % (epoch, start, state.lr, exc)) from exc
                 batch_value += result.value
                 if result.violator is not None:
                     batch_tensors.append(result.loss)

@@ -183,11 +183,11 @@ def test_factored_head_matches_assembled_dense_head():
         content = ad.tensor(rng.standard_normal((T, cfg.content_dim)))
         positions = ad.take_rows(enc.position_table.tensor, np.arange(T))
         x = compose_input(content, positions, cfg.variant)
-        head = enc.layers[0].heads[0]
-        out = head.forward(x, positions, None, False, False, False, None,
-                           0.0)
+        layer = enc.layers[0]
+        out = layer.attn.head_outputs(x, positions, None, False, False,
+                                      False, None, 0.0)
 
-        dense = assemble_block_sparse(head)
+        dense = assemble_block_sparse(layer, 0)
         xd = x.data
         logits = (xd @ dense["w_q"]) @ (xd @ dense["w_k"]).T
         logits /= math.sqrt(cfg.d_k)
@@ -195,7 +195,7 @@ def test_factored_head_matches_assembled_dense_head():
         probs = np.exp(logits)
         probs /= probs.sum(axis=1, keepdims=True)
         ref = probs @ (xd @ dense["w_v"]) @ dense["w_o"]
-        assert np.abs(out.data - ref).max() < 1e-10
+        assert np.abs(out.data[0] - ref).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -210,3 +210,41 @@ def test_mul_const_and_add_const_shapes():
     check(lambda: ad.sum_all(ad.add_const(x, mask)), [x])
     out = ad.add_const(x, 2.0)
     assert np.allclose(out.data, x.data + 2.0)
+
+
+def test_batched_heads_gradients():
+    rng = np.random.default_rng(12)
+    a = leaf(rng, 3, 4, 5)
+    b = leaf(rng, 3, 5, 2)
+    x = leaf(rng, 4, 6)
+    out = ad.bmm(a, b)
+    assert np.allclose(out.data[1], a.data[1] @ b.data[1])
+    check(lambda: ad.sum_all(ad.mul(ad.bmm(a, b), ad.bmm(a, b))), [a, b])
+    check(lambda: ad.sum_all(ad.mul(
+        ad.bmm(a, ad.transpose(a)), ad.bmm(a, ad.transpose(a)))), [a])
+    heads = ad.split_heads(x, 3)
+    assert heads.shape == (3, 4, 2)
+    assert np.array_equal(heads.data[1], x.data[:, 2:4])
+    assert np.array_equal(ad.merge_heads(heads).data, x.data)
+    w = tensor(rng.standard_normal((4, 12)))
+    check(lambda: ad.sum_all(ad.mul(ad.merge_heads(ad.bmm(
+        ad.split_heads(x, 3), ad.transpose(ad.split_heads(x, 3)))), w)), [x])
+    with pytest.raises(DimensionError):
+        ad.bmm(a, a)
+    with pytest.raises(DimensionError):
+        ad.split_heads(x, 4)
+    with pytest.raises(DimensionError):
+        ad.matmul(a, b)
+
+
+def test_no_grad_builds_no_graph_and_restores_on_error():
+    rng = np.random.default_rng(13)
+    x = leaf(rng, 3, 3)
+    with ad.no_grad():
+        y = ad.relu(ad.matmul(x, x))
+    assert y._grad_fn is None and not y.requires_grad and y._parents == ()
+    assert np.array_equal(y.data, ad.relu(ad.matmul(x, x)).data)
+    with pytest.raises(DimensionError):
+        with ad.no_grad():
+            ad.matmul(x, leaf(rng, 2, 2))
+    assert ad.matmul(x, x)._grad_fn is not None

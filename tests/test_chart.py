@@ -155,6 +155,16 @@ def test_cky_rejects_empty_sentence():
         cky_decode(np.zeros((1, 1, 2)))
 
 
+def test_cky_rejects_non_finite_scores():
+    rng = np.random.default_rng(6)
+    for bad in (np.nan, np.inf, -np.inf):
+        chart = random_chart(rng, 4, 3)
+        chart[1, 3, 2] = bad
+        with pytest.raises(ValueError) as e:
+            cky_decode(chart)
+        assert "(1, 3)" in str(e.value)
+
+
 def test_cky_tie_breaking_lowest_split_then_label():
     chart = np.zeros((4, 4, 3))
     tree, value = cky_decode(chart)

@@ -123,3 +123,32 @@ def test_shape_mismatch_rejected(tmp_path):
     with pytest.raises(ValueError) as e:
         load_checkpoint(path)
     assert "shape" in str(e.value)
+
+
+def test_failed_save_leaves_previous_file(tmp_path):
+    model = trained_like_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    before = path.read_bytes()
+    model.store["scorer.m1"].tensor.data = np.array(["not a number"])
+    with pytest.raises(ValueError):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_load_draws_no_init_and_shares_one_buffer(tmp_path, monkeypatch):
+    model = trained_like_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError("loading drew a random initialization")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
+    again = load_checkpoint(path)
+    base = next(iter(again.store)).data.base
+    assert base is not None
+    assert all(p.data.base is base and p.data.flags.writeable
+               for p in again.store)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spanparser.checkpoint import load_checkpoint, save_checkpoint
 from spanparser.cli import main, parse_disable_spec
 from spanparser.config import ConfigError
 from spanparser.lexical import write_vector_file
@@ -128,6 +129,20 @@ def test_parse_records_failures_without_aborting(workdir, tmp_path):
     assert lines[0].startswith("(")
     assert lines[1].startswith("#PARSE-ERROR 1 ")
     assert lines[2].startswith("(")
+
+
+def test_parse_records_non_finite_scores_as_failures(workdir, tmp_path):
+    model = load_checkpoint(workdir / "model.ckpt")
+    model.store["scorer.c2"].tensor.data[0] = np.nan
+    save_checkpoint(model, tmp_path / "nan.ckpt")
+    out_path = tmp_path / "out.txt"
+    code = main(["parse", str(tmp_path / "nan.ckpt"),
+                 str(workdir / "dev.tagged"), "--out", str(out_path)])
+    assert code == 0
+    lines = out_path.read_text().strip().splitlines()
+    assert len(lines) == 5
+    assert all(l.startswith("#PARSE-ERROR %d non-finite" % k)
+               for k, l in enumerate(lines))
 
 
 def test_eval_reports_and_tsv(workdir, tmp_path, capsys):

@@ -203,10 +203,11 @@ def test_factored_head_equals_assembled_dense_head():
     content = rand_content(rng, 5, cfg)
     positions = ad.take_rows(enc.position_table.tensor, np.arange(5))
     x = compose_input(content, positions, cfg.variant)
-    head = enc.layers[0].heads[0]
-    out = head.forward(x, positions, None, False, False, False, None, 0.0)
+    layer = enc.layers[0]
+    out = layer.attn.head_outputs(x, positions, None, False, False, False,
+                                  None, 0.0)
 
-    dense = assemble_block_sparse(head)
+    dense = assemble_block_sparse(layer, 0)
     xd = x.data
     q = xd @ dense["w_q"]
     k = xd @ dense["w_k"]
@@ -215,13 +216,13 @@ def test_factored_head_equals_assembled_dense_head():
     probs = np.exp(logits)
     probs /= probs.sum(axis=1, keepdims=True)
     ref = probs @ (xd @ dense["w_v"]) @ dense["w_o"]
-    assert np.abs(out.data - ref).max() < 1e-10
+    assert np.abs(out.data[0] - ref).max() < 1e-10
 
 
 def test_assemble_rejects_unfactored_heads():
     enc, _, _ = tiny_encoder("additive-unfactored")
     with pytest.raises(ValueError):
-        assemble_block_sparse(enc.layers[0].heads[0])
+        assemble_block_sparse(enc.layers[0], 0)
 
 
 def test_factored_has_fewer_parameters_than_unfactored():
@@ -268,9 +269,46 @@ def test_encoder_gradcheck_small():
     def loss():
         return ad.sum_all(ad.mul(enc.encode(content), tensor(w)))
 
-    names = ["encoder.positions", "encoder.layer0.head0.w_qc",
-             "encoder.layer0.head0.w_op", "encoder.layer0.ffn.w1c",
+    names = ["encoder.positions", "encoder.layer0.attn.w_qc",
+             "encoder.layer0.attn.w_op", "encoder.layer0.ffn.w1c",
              "encoder.layer0.ln1.gain", "encoder.layer0.ln2.bias"]
     err = gradcheck(loss, [store[n] for n in names],
                     np.random.default_rng(0), coords=5)
     assert err < 1e-5
+
+
+@pytest.mark.parametrize("variant", [
+    "additive-unfactored", "concatenative-unfactored", "factored",
+    "position-only", "block-sparse-additive"])
+def test_stacked_attention_gradcheck_every_variant(variant):
+    enc, store, cfg = tiny_encoder(variant, num_layers=1, d_model=8,
+                                   num_heads=2, d_k=4, d_v=4, d_ff=8)
+    rng = np.random.default_rng(15)
+    content = tensor(rng.standard_normal((3, cfg.content_dim)))
+    w = rng.standard_normal((3, cfg.d_model))
+
+    def loss():
+        return ad.sum_all(ad.mul(enc.encode(content), tensor(w)))
+
+    attn = [p for name, p in store.items() if ".attn." in name]
+    assert len(attn) == (8 if variant in ("factored",
+                                          "block-sparse-additive") else 4)
+    err = gradcheck(loss, attn, np.random.default_rng(0), coords=5)
+    assert err < 1e-5
+
+
+@pytest.mark.parametrize("variant", ["factored", "additive-unfactored"])
+def test_record_holds_one_distribution_per_layer_and_head(variant):
+    enc, _, cfg = tiny_encoder(variant, num_heads=3)
+    rng = np.random.default_rng(16)
+    T = 6
+    record = {}
+    enc.encode(rand_content(rng, T, cfg), record=record,
+               control=AttentionControl(window=(2, "strict")))
+    assert sorted(record) == [(i, h) for i in range(cfg.num_layers)
+                              for h in range(cfg.num_heads)]
+    for probs in record.values():
+        assert probs.shape == (T, T)
+        assert np.allclose(probs.sum(axis=1), 1.0)
+        assert probs[0, T - 1] == 0.0
+    assert not np.array_equal(record[(0, 0)], record[(0, 1)])

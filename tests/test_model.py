@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import spanparser.autodiff as ad
-from spanparser.autodiff import backward
+from spanparser.autodiff import Tensor, backward
+from spanparser.chart import build_chart
 from spanparser.encoder import AttentionControl, EncoderConfig
 from spanparser.lexical import LexicalConfig
 from spanparser.model import SpanParser
@@ -102,7 +103,7 @@ def test_model_gradcheck_end_to_end():
         return model.sentence_loss(sent, gb, train=False).loss
 
     names = ["lexical.word_emb", "lexical.tag_emb", "encoder.positions",
-             "encoder.layer0.head0.w_qc", "encoder.layer0.ffn.w2p",
+             "encoder.layer0.attn.w_qc", "encoder.layer0.ffn.w2p",
              "encoder.layer0.ln1.gain", "scorer.m1", "scorer.m2", "scorer.c2"]
     err = gradcheck(loss, [model.store[n] for n in names],
                     np.random.default_rng(0), coords=4)
@@ -141,6 +142,33 @@ def test_attention_control_plumbs_through_parse():
     for probs in record.values():
         assert probs.shape == (T, T)
         assert probs[0, T - 1] == 0.0  # outside the strict band
+
+
+def test_parse_runs_without_graph_and_matches_scores(monkeypatch):
+    model = tiny_model(TREES)
+    sent = TREES[0].sentence()
+    reference = build_chart(model.span_score_tensor(sent).data, len(sent))
+    graph = []
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        graph.append(self._grad_fn is not None)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    chart = model.score_chart(sent)
+    model.parse(sent)
+    assert graph and not any(graph)
+    assert np.array_equal(chart, reference)
+
+
+def test_failed_parse_restores_gradient_tracking():
+    model = tiny_model(TREES)
+    too_long = [("w", "NN")] * 30  # beyond max_sentence_length 24
+    with pytest.raises(ValueError):
+        model.parse(too_long)
+    scores = model.span_score_tensor(TREES[1].sentence())
+    assert scores._grad_fn is not None
 
 
 def test_num_parameters_counts_every_value():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spanparser.checkpoint import save_checkpoint
 from spanparser.training import (
     TrainConfig, TrainState, lr_schedule, train,
 )
@@ -146,7 +147,7 @@ def test_training_is_deterministic_in_seed():
                for (_, pa), (_, pc) in zip(a.store.items(), c.store.items()))
 
 
-def test_dropout_rng_is_the_shuffle_rng():
+def test_dropout_rng_is_the_shuffle_rng(tmp_path):
     # with dropout on, results still reproduce exactly for a fixed seed
     a = tiny_model(TREES, num_layers=1)
     b = tiny_model(TREES, num_layers=1)
@@ -154,6 +155,9 @@ def test_dropout_rng_is_the_shuffle_rng():
     train(b, TREES, TREES[:2], cfg(max_epochs=1), eval_fn=lambda m, d: 0.0)
     for (name, pa), (_, pb) in zip(a.store.items(), b.store.items()):
         assert np.array_equal(pa.data, pb.data), name
+    save_checkpoint(a, tmp_path / "a.ckpt")
+    save_checkpoint(b, tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_empty_treebank_rejected():
