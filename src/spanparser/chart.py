@@ -10,12 +10,20 @@ corresponds to position k of [start, w_1 .. w_n, stop].  The forward
 annotation for fencepost k is the even coordinates of row k (k = 0..n), the
 backward annotation the odd coordinates of row k+1 (so the stop row serves
 fencepost n).  A span (i, j) is represented as
-v = [fwd_j - fwd_i ; bwd_{j+1} - bwd_{i+1}].
+v = [fwd_j - fwd_i ; bwd_{j+1} - bwd_{i+1}] = u_j - u_i, where the fencepost
+row u_k = [fwd_k ; bwd_{k+1}] (k = 0..n).
+
+The scorer's first layer M_1 is linear, so M_1 v = u_j M_1 - u_i M_1: the
+n+1 fencepost rows are projected once (``SpanScorer.project``) and the span
+rows are gathered as differences of projected rows (``span_vectors``), so no
+[num_spans, d_model] array is ever built.  Chart assembly, CKY and the
+loss-augmented increments work on whole arrays indexed by per-length span
+index arrays; CKY runs one numpy pass per span width.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -37,6 +45,19 @@ def all_spans(n: int):
     return [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
 
 
+@lru_cache(maxsize=512)
+def span_index(n: int):
+    """Read-only (starts, ends) index arrays of all_spans(n), in its order."""
+    starts, ends = np.triu_indices(n + 1, k=1)
+    starts.flags.writeable = ends.flags.writeable = False
+    return starts, ends
+
+
+def span_row(i, j, n: int):
+    """Row of span (i, j) in all_spans(n) order; works on index arrays."""
+    return i * n - i * (i - 1) // 2 + (j - i - 1)
+
+
 def directional_split(y: Tensor):
     """Split encoder output columns into forward (even) and backward (odd)
     annotation halves."""
@@ -50,7 +71,8 @@ def directional_split(y: Tensor):
 
 def span_vector(i: int, j: int, fwd: Tensor, bwd: Tensor) -> Tensor:
     """The [1, d_model] vector for one span; ``fwd``/``bwd`` come from
-    directional_split of an encoder output with boundary rows."""
+    directional_split of an encoder output with boundary rows.  The
+    reference for fenceposts and span_vectors."""
     n = fwd.shape[0] - 2
     if not 0 <= i < j <= n:
         raise ValueError("span (%d, %d) out of range for %d words" % (i, j, n))
@@ -59,25 +81,34 @@ def span_vector(i: int, j: int, fwd: Tensor, bwd: Tensor) -> Tensor:
     return ad.concat([f, b], axis=1)
 
 
-def span_vectors(y: Tensor, n: int) -> Tensor:
-    """Vectors for all_spans(n) as one [S, d_model] tensor."""
-    if y.shape[0] != n + 2:
-        raise ValueError("encoder output has %d rows, expected %d words plus "
-                         "boundaries" % (y.shape[0], n))
+def fenceposts(y: Tensor) -> Tensor:
+    """The fencepost rows u_k = [fwd_k ; bwd_{k+1}], k = 0..n, of an
+    encoder output with boundary rows: [n+1, d_model]."""
     fwd, bwd = directional_split(y)
-    spans = all_spans(n)
-    i_idx = np.array([i for i, _ in spans], dtype=np.intp)
-    j_idx = np.array([j for _, j in spans], dtype=np.intp)
-    f = ad.sub(ad.take_rows(fwd, j_idx), ad.take_rows(fwd, i_idx))
-    b = ad.sub(ad.take_rows(bwd, j_idx + 1), ad.take_rows(bwd, i_idx + 1))
-    return ad.concat([f, b], axis=1)
+    k = np.arange(y.shape[0] - 1)
+    return ad.concat([ad.take_rows(fwd, k), ad.take_rows(bwd, k + 1)],
+                     axis=1)
+
+
+def span_vectors(rows: Tensor, n: int) -> Tensor:
+    """rows[j] - rows[i] for every span of all_spans(n), as one [S, width]
+    tensor.  ``rows`` holds one row per fencepost: fenceposts(y) gives the
+    span vectors, its projection SpanScorer.project gives M_1 v."""
+    if rows.shape[0] != n + 1:
+        raise ValueError("got %d fencepost rows, expected %d for %d words"
+                         % (rows.shape[0], n + 1, n))
+    starts, ends = span_index(n)
+    return ad.sub(ad.take_rows(rows, ends), ad.take_rows(rows, starts))
 
 
 class SpanScorer:
     """s(i,j,.) = M_2 relu(LayerNorm(M_1 v + c_1)) + c_2 over real labels.
 
-    The dummy label is never parameterized; its score is the constant 0
-    added when the chart is assembled.
+    ``project`` applies M_1 to fencepost rows and ``forward`` the rest to
+    the differences of projected rows, so a sentence's scores are
+    ``forward(span_vectors(project(fenceposts(y)), n))``.  The dummy label
+    is never parameterized; its score is the constant 0 added when the
+    chart is assembled.
     """
 
     def __init__(self, store: ParameterStore, d_model: int, hidden: int,
@@ -93,8 +124,13 @@ class SpanScorer:
         self.m2 = store.add("scorer.m2", (hidden, num_labels - 1), glorot)
         self.c2 = store.add("scorer.c2", (num_labels - 1,), np.zeros)
 
-    def forward(self, v: Tensor) -> Tensor:
-        h = ad.layer_norm(ad.add(ad.matmul(v, self.m1.tensor), self.c1.tensor),
+    def project(self, rows: Tensor) -> Tensor:
+        """[k, d_model] rows times M_1: [k, hidden]."""
+        return ad.matmul(rows, self.m1.tensor)
+
+    def forward(self, mv: Tensor) -> Tensor:
+        """[S, num_labels-1] real-label scores from [S, hidden] rows M_1 v."""
+        h = ad.layer_norm(ad.add(mv, self.c1.tensor),
                           self.ln_gain.tensor, self.ln_bias.tensor)
         h = ad.relu(h)
         return ad.add(ad.matmul(h, self.m2.tensor), self.c2.tensor)
@@ -103,13 +139,12 @@ class SpanScorer:
 def build_chart(scores: np.ndarray, n: int) -> np.ndarray:
     """Arrange [S, num_labels-1] real-label scores into a dense chart
     [n+1, n+1, num_labels] with the dummy label fixed at 0."""
-    spans = all_spans(n)
-    if scores.shape[0] != len(spans):
+    starts, ends = span_index(n)
+    if scores.shape[0] != len(starts):
         raise ValueError("got %d score rows for %d spans"
-                         % (scores.shape[0], len(spans)))
+                         % (scores.shape[0], len(starts)))
     chart = np.zeros((n + 1, n + 1, scores.shape[1] + 1))
-    for row, (i, j) in enumerate(spans):
-        chart[i, j, 1:] = scores[row]
+    chart[starts, ends, 1:] = scores
     return chart
 
 
@@ -144,28 +179,27 @@ def cky_decode(chart: np.ndarray, sentence=None):
         raise NonFiniteScoreError(
             "non-finite chart score %r at span (%d, %d) label %d"
             % (float(chart[i, j, l]), i, j, l))
-    best = np.zeros((n + 1, n + 1))
-    best_label = np.zeros((n + 1, n + 1), dtype=int)
-    best_split = np.zeros((n + 1, n + 1), dtype=int)
-    for width in range(1, n + 1):
-        for i in range(0, n - width + 1):
-            j = i + width
-            if i == 0 and j == n:
-                label = 1 + int(np.argmax(chart[i, j, 1:]))
-            else:
-                label = int(np.argmax(chart[i, j]))
-            value = chart[i, j, label]
-            if width > 1:
-                split = i + 1
-                sub = best[i, i + 1] + best[i + 1, j]
-                for k in range(i + 2, j):
-                    cand = best[i, k] + best[k, j]
-                    if cand > sub:
-                        sub, split = cand, k
-                best_split[i, j] = split
-                value += sub
-            best[i, j] = value
-            best_label[i, j] = label
+    best_label = chart.argmax(axis=2)
+    best_label[0, n] = 1 + int(np.argmax(chart[0, n, 1:]))
+    label_score = np.take_along_axis(chart, best_label[:, :, None],
+                                     axis=2)[:, :, 0]
+    # by_start[i, w] and by_end[j, w] hold the best subtree score of the
+    # width-w span starting at i and ending at j; split[i, w] the width of
+    # its best left child.
+    by_start = np.zeros((n + 1, n + 1))
+    by_end = np.zeros((n + 1, n + 1))
+    split = np.zeros((n + 1, n + 1), dtype=np.intp)
+    for w in range(1, n + 1):
+        count = n - w + 1
+        value = label_score.diagonal(w)
+        if w > 1:
+            # cand[i, t-1] = best[i, i+t] + best[i+t, i+w], t = 1..w-1
+            cand = by_start[:count, 1:w] + by_end[w:, w - 1:0:-1]
+            t = cand.argmax(axis=1)     # first maximum: lowest split
+            split[:count, w] = t + 1
+            value = value + cand[np.arange(count), t]
+        by_start[:count, w] = value
+        by_end[w:, w] = value
 
     def build(i, j):
         label = int(best_label[i, j])
@@ -174,10 +208,10 @@ def cky_decode(chart: np.ndarray, sentence=None):
             if sentence is not None:
                 word, tag = sentence[i]
             return BinaryTree(label, (i, j), word=word, tag=tag)
-        k = int(best_split[i, j])
+        k = i + int(split[i, j - i])
         return BinaryTree(label, (i, j), left=build(i, k), right=build(k, j))
 
-    return build(0, n), float(best[0, n])
+    return build(0, n), float(by_start[0, n])
 
 
 def hamming_delta(candidate, gold) -> int:
@@ -203,17 +237,15 @@ def loss_augmented_decode(chart: np.ndarray, gold, sentence=None):
     increments to the chart reduces the search to plain CKY.
     """
     gold_real = [(i, j, l) for i, j, l in gold if l != NULL_ID]
+    grid = {(i, j): l for i, j, l in gold_real}
+    starts, ends = span_index(chart.shape[0] - 1)
     aug = chart.copy()
-    grid = {}
-    for i, j, l in gold_real:
-        grid[(i, j)] = l
-    n = chart.shape[0] - 1
-    for i, j in all_spans(n):
-        gl = grid.get((i, j))
-        if gl is None:
-            aug[i, j, 1:] += 1.0
-        else:
-            aug[i, j, gl] -= 1.0
+    aug[starts, ends, 1:] += 1.0
+    if grid:
+        gi, gj = np.array(list(grid), dtype=np.intp).T
+        gl = np.fromiter(grid.values(), dtype=np.intp, count=len(grid))
+        aug[gi, gj, 1:] = chart[gi, gj, 1:]
+        aug[gi, gj, gl] -= 1.0
     tree, value = cky_decode(aug, sentence)
     return tree, value + len(gold_real)
 
@@ -246,13 +278,11 @@ def hinge_loss(scores: Tensor, n: int, gold: BinaryTree) -> HingeResult:
     if objective - s_gold <= 0.0:
         return HingeResult(Tensor(0.0), 0.0, 0, s_gold, None)
 
-    span_row = {span: r for r, span in enumerate(all_spans(n))}
-
     def gathered(triples):
-        real = [(i, j, l) for i, j, l in triples if l != NULL_ID]
-        rows = [span_row[(i, j)] for i, j, _ in real]
-        cols = [l - 1 for _, _, l in real]
-        return ad.sum_all(ad.gather_pairs(scores, rows, cols))
+        real = np.array([t for t in triples if t[2] != NULL_ID],
+                        dtype=np.intp).reshape(-1, 3)
+        rows = span_row(real[:, 0], real[:, 1], n)
+        return ad.sum_all(ad.gather_pairs(scores, rows, real[:, 2] - 1))
 
     viol_triples = gold_spans(violator)
     delta = hamming_delta(viol_triples, gold_triples)

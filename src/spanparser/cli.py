@@ -1,8 +1,9 @@
 """Command-line interface: train, parse, eval, and the analysis sweeps.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
-Every run is deterministic given the config, seed, and input files; all
-work is single-threaded for bit-reproducibility.
+Every run is deterministic given the config, seed, and input files; the
+checkpoint a training run writes is byte-identical with one and with two
+BLAS threads.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .chart import (SpanScorer, build_chart, cky_decode, hinge_loss,
-                    span_vectors)
+from .chart import (SpanScorer, build_chart, cky_decode, fenceposts,
+                    hinge_loss, span_vectors)
 from .encoder import Encoder, EncoderConfig
 from .lexical import LexicalConfig, LexicalModel
 from .optim import ParameterStore
@@ -53,8 +53,8 @@ class SpanParser:
             raise ValueError("cannot score an empty sentence")
         content = self.lexical.content_vectors(sentence, train, rng, external)
         y = self.encoder.encode(content, train, rng, control, record)
-        v = span_vectors(y, len(sentence))
-        return self.scorer.forward(v)
+        projected = self.scorer.project(fenceposts(y))
+        return self.scorer.forward(span_vectors(projected, len(sentence)))
 
     def score_chart(self, sentence, control=None, external=None, record=None):
         """The [n+1, n+1, num_labels] chart; builds no autodiff graph."""

@@ -122,7 +122,10 @@ def adam_step(params, lr: float,
 
     Parameters without gradients are treated as having zero gradient (their
     moments still decay).  Non-finite gradients abort before any state is
-    touched, so a failed step leaves the model unchanged.
+    touched, so a failed step leaves the model unchanged.  ``data``, ``m``
+    and ``v`` are updated in place, through two scratch buffers, with the
+    operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    data -= lr m_hat / (sqrt(v_hat) + eps) in that order.
     """
     params = list(params)
     b1, b2 = betas
@@ -131,12 +134,24 @@ def adam_step(params, lr: float,
         if g is not None and not np.all(np.isfinite(g)):
             raise OptimizerError(
                 "non-finite gradient for parameter %r" % p.name)
+    size = max((p.data.size for p in params), default=0)
+    scratch = np.empty(size), np.empty(size)
     for p in params:
         g = p.grad if p.grad is not None else 0.0
         p.steps += 1
-        p.m = b1 * p.m + (1.0 - b1) * g
-        p.v = b2 * p.v + (1.0 - b2) * np.square(g)
-        m_hat = p.m / (1.0 - b1 ** p.steps)
-        v_hat = p.v / (1.0 - b2 ** p.steps)
-        p.tensor.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        a, b = (buf[:p.data.size].reshape(p.data.shape) for buf in scratch)
+        np.multiply(p.m, b1, out=p.m)
+        np.multiply(g, 1.0 - b1, out=a)
+        np.add(p.m, a, out=p.m)
+        np.multiply(p.v, b2, out=p.v)
+        np.square(g, out=a)
+        np.multiply(a, 1.0 - b2, out=a)
+        np.add(p.v, a, out=p.v)
+        np.divide(p.m, 1.0 - b1 ** p.steps, out=a)   # m_hat
+        np.divide(p.v, 1.0 - b2 ** p.steps, out=b)   # v_hat
+        np.sqrt(b, out=b)
+        np.add(b, eps, out=b)
+        np.multiply(a, lr, out=a)
+        np.divide(a, b, out=a)
+        np.subtract(p.data, a, out=p.data)
         p.clear_grad()

@@ -150,6 +150,8 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
                 for extra in batch_tensors[1:]:
                     total_loss = total_loss + extra
                 backward(total_loss)
+            # free the batch's graph (and its gradients) before the update
+            total_loss = batch_tensors = result = None
             state.batches_seen += 1
             state.lr = lr_schedule(state.batches_seen, state, config)
             adam_step(model.store, state.lr)

@@ -13,6 +13,8 @@ and never participate in unary collapsing or span labeling.
 
 from __future__ import annotations
 
+import re
+
 NULL_LABEL = "∅"  # reserved label for nodes introduced by binarization
 DEFAULT_SEPARATOR = "+"
 
@@ -163,6 +165,36 @@ def parse_bracketed(text):
 
 
 def _parse_node(tokens, pos):
+    """Parse the constituent opening at tokens[pos]; returns (Tree, next
+    position).  Open constituents live on an explicit stack, so nesting
+    depth is not limited by the interpreter's recursion limit."""
+    stack = []  # (label, children) of the constituents still open
+    while True:
+        node, pos = _open_constituent(tokens, pos, stack)
+        while True:
+            if node is not None:
+                if not stack:
+                    return node, pos
+                stack[-1][1].append(node)
+            if pos >= len(tokens):
+                last_tok, last_line, last_col = tokens[-1]
+                raise ParseError("unbalanced parentheses: missing ')'",
+                                 last_line, last_col + len(last_tok))
+            tok, line, col = tokens[pos]
+            if tok == ")":
+                label, children = stack.pop()
+                node, pos = Tree(label, children), pos + 1
+                continue
+            if tok != "(":
+                raise ParseError("unexpected token %r inside constituent %r"
+                                 % (tok, stack[-1][0]), line, col)
+            break
+
+
+def _open_constituent(tokens, pos, stack):
+    """Read the '(' at tokens[pos] and its label.  A leaf "(TAG word)" is
+    read whole and returned; an internal node is pushed onto ``stack`` as
+    (label, []) and None is returned.  Either way with the next position."""
     open_tok, open_line, open_col = tokens[pos]
     pos += 1
     if pos >= len(tokens):
@@ -195,20 +227,8 @@ def _parse_node(tokens, pos):
             raise ParseError("expected ')' after leaf word, found %r" % tok, line, col)
         return Tree.leaf(word, label), pos + 1
 
-    children = []
-    while True:
-        if pos >= len(tokens):
-            last_tok, last_line, last_col = tokens[-1]
-            raise ParseError("unbalanced parentheses: missing ')'",
-                             last_line, last_col + len(last_tok))
-        tok, line, col = tokens[pos]
-        if tok == ")":
-            return Tree(label, children), pos + 1
-        if tok != "(":
-            raise ParseError("unexpected token %r inside constituent %r" % (tok, label),
-                             line, col)
-        child, pos = _parse_node(tokens, pos)
-        children.append(child)
+    stack.append((label, []))
+    return None, pos
 
 
 def render_bracketed(trees):
@@ -234,21 +254,24 @@ def parse_tagged(text):
     """Parse a sidecar tag file into sentences of (word, tag) pairs.
 
     Tokens are split on the last underscore, so words may contain
-    underscores but tags may not.
+    underscores but tags may not.  A token without a non-empty word and
+    tag raises ParseError with its line and column.
     """
     sentences = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
         sentence = []
-        for token in line.split():
+        for match in re.finditer(r"\S+", line):
+            token = match.group()
             word, sep, tag = token.rpartition("_")
-            if not sep:
-                raise ValueError(
-                    "line %d: token %r has no _tag suffix" % (lineno, token))
+            problem = ("has no _tag suffix" if not sep else
+                       "has an empty tag" if not tag else
+                       "has an empty word" if not word else None)
+            if problem:
+                raise ParseError("token %r %s" % (token, problem),
+                                 lineno, match.start() + 1)
             sentence.append((word, tag))
-        sentences.append(sentence)
+        if sentence:
+            sentences.append(sentence)
     return sentences
 
 

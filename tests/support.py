@@ -9,7 +9,7 @@ from spanparser.encoder import Encoder, EncoderConfig
 from spanparser.lexical import LexicalConfig
 from spanparser.model import SpanParser
 from spanparser.optim import ParameterStore
-from spanparser.trees import Tree
+from spanparser.trees import BinaryTree, Tree
 from spanparser.vocab import LabelInventory, Vocabulary
 
 
@@ -78,6 +78,49 @@ def random_chart(rng, n, num_labels):
         for j in range(i + 1, n + 1):
             chart[i, j, 1:] = rng.standard_normal(num_labels - 1)
     return chart
+
+
+def reference_cky(chart):
+    """The span-by-span loop CKY that chart.cky_decode vectorises; returns
+    (BinaryTree, score) with the same tie-breaks (lowest split, then lowest
+    label) and the same order of float additions."""
+    n = chart.shape[0] - 1
+    best = np.zeros((n + 1, n + 1))
+    best_label = np.zeros((n + 1, n + 1), dtype=int)
+    best_split = np.zeros((n + 1, n + 1), dtype=int)
+    for width in range(1, n + 1):
+        for i in range(0, n - width + 1):
+            j = i + width
+            if i == 0 and j == n:
+                label = 1 + int(np.argmax(chart[i, j, 1:]))
+            else:
+                label = int(np.argmax(chart[i, j]))
+            value = chart[i, j, label]
+            if width > 1:
+                split = i + 1
+                sub = best[i, i + 1] + best[i + 1, j]
+                for k in range(i + 2, j):
+                    cand = best[i, k] + best[k, j]
+                    if cand > sub:
+                        sub, split = cand, k
+                best_split[i, j] = split
+                value += sub
+            best[i, j] = value
+            best_label[i, j] = label
+
+    def build(i, j):
+        label = int(best_label[i, j])
+        if j - i == 1:
+            return BinaryTree(label, (i, j))
+        k = int(best_split[i, j])
+        return BinaryTree(label, (i, j), left=build(i, k), right=build(k, j))
+
+    return build(0, n), float(best[0, n])
+
+
+def tree_triples(tree):
+    """A BinaryTree's (i, j, label) triples in node order."""
+    return [(node.span[0], node.span[1], node.label) for node in tree.nodes()]
 
 
 def brute_best(chart):

@@ -5,8 +5,8 @@ import spanparser.autodiff as ad
 from spanparser.autodiff import Tensor, backward, tensor
 from spanparser.chart import (
     SpanScorer, all_spans, build_chart, cky_decode, directional_split,
-    hamming_delta, hinge_loss, loss_augmented_decode, span_vector,
-    span_vectors, tree_score,
+    fenceposts, hamming_delta, hinge_loss, loss_augmented_decode, span_index,
+    span_row, span_vector, span_vectors, tree_score,
 )
 from spanparser.optim import ParameterStore
 from spanparser.trees import binarize, collapse_unary, gold_spans, parse_bracketed
@@ -14,6 +14,7 @@ from spanparser.vocab import LabelInventory
 
 from support import (
     brute_augmented, brute_best, leaf_gradcheck, random_chart, random_ntree,
+    reference_cky, tree_triples,
 )
 
 
@@ -61,19 +62,19 @@ def test_span_vectors_batch_matches_singles():
     rng = np.random.default_rng(1)
     n = 4
     y = tensor(rng.standard_normal((n + 2, 8)))
-    batch = span_vectors(y, n)
+    batch = span_vectors(fenceposts(y), n)
     fwd, bwd = directional_split(y)
     for row, (i, j) in enumerate(all_spans(n)):
         assert np.allclose(batch.data[row], span_vector(i, j, fwd, bwd).data[0])
     with pytest.raises(ValueError):
-        span_vectors(y, n + 1)
+        span_vectors(fenceposts(y), n + 1)
 
 
 def test_span_vectors_are_additive_along_splits():
     rng = np.random.default_rng(2)
     n = 5
     y = tensor(rng.standard_normal((n + 2, 10)))
-    batch = span_vectors(y, n).data
+    batch = span_vectors(fenceposts(y), n).data
     row = {span: r for r, span in enumerate(all_spans(n))}
     for i in range(n):
         for k in range(i + 1, n):
@@ -88,7 +89,7 @@ def test_span_scorer_matches_numpy_reimplementation():
     rng = np.random.default_rng(3)
     scorer = SpanScorer(store, d_model=10, hidden=7, num_labels=4, rng=rng)
     v = rng.standard_normal((6, 10))
-    out = scorer.forward(tensor(v)).data
+    out = scorer.forward(scorer.project(tensor(v))).data
     h = v @ store["scorer.m1"].data + store["scorer.c1"].data
     mu = h.mean(axis=1, keepdims=True)
     var = h.var(axis=1, keepdims=True)
@@ -100,6 +101,51 @@ def test_span_scorer_matches_numpy_reimplementation():
     assert out.shape == (6, 3)  # dummy label has no column
     with pytest.raises(ValueError):
         SpanScorer(ParameterStore(), 10, 7, 1, rng)
+
+
+def test_span_index_and_rows_follow_all_spans():
+    for n in (1, 2, 5, 17):
+        starts, ends = span_index(n)
+        assert list(zip(starts.tolist(), ends.tolist())) == all_spans(n)
+        assert np.array_equal(span_row(starts, ends, n),
+                              np.arange(len(starts)))
+        assert not starts.flags.writeable
+
+
+def test_fenceposts_pair_forward_and_next_backward_rows():
+    rng = np.random.default_rng(10)
+    y = tensor(rng.standard_normal((5, 6)))
+    u = fenceposts(y).data
+    assert u.shape == (4, 6)
+    for k in range(4):
+        assert np.array_equal(u[k], np.concatenate([y.data[k, 0::2],
+                                                    y.data[k + 1, 1::2]]))
+
+
+def test_projected_span_scores_match_span_vector_scores():
+    # scoring differences of projected fenceposts is the scorer applied to
+    # every span_vector, up to float rounding
+    rng = np.random.default_rng(11)
+    store = ParameterStore()
+    scorer = SpanScorer(store, d_model=10, hidden=7, num_labels=4, rng=rng)
+    store["scorer.c1"].tensor.data = rng.standard_normal(7)
+    n = 6
+    y = tensor(rng.standard_normal((n + 2, 10)), requires_grad=True)
+    out = scorer.forward(span_vectors(scorer.project(fenceposts(y)), n))
+    fwd, bwd = directional_split(y)
+    v = np.concatenate([span_vector(i, j, fwd, bwd).data
+                        for i, j in all_spans(n)])
+    h = v @ store["scorer.m1"].data + store["scorer.c1"].data
+    h = (h - h.mean(axis=1, keepdims=True)) / np.sqrt(
+        h.var(axis=1, keepdims=True) + 1e-5)
+    h = np.maximum(h * store["scorer.ln.gain"].data
+                   + store["scorer.ln.bias"].data, 0.0)
+    ref = h @ store["scorer.m2"].data + store["scorer.c2"].data
+    assert np.allclose(out.data, ref, atol=1e-12)
+    weights = rng.standard_normal(out.shape)
+    leaf_gradcheck(lambda: ad.sum_all(ad.mul_const(
+        scorer.forward(span_vectors(scorer.project(fenceposts(y)), n)),
+        weights)), [y])
 
 
 def test_build_chart_layout():
@@ -183,6 +229,24 @@ def test_cky_copies_sentence_onto_leaves():
     tree, _ = cky_decode(chart, sent)
     leaves = [node for node in tree.nodes() if node.is_leaf()]
     assert [(lf.word, lf.tag) for lf in leaves] == sent
+
+
+def test_cky_matches_reference_loop_bitwise():
+    # same trees and the same score bits as the span-by-span loop, on
+    # continuous, small-integer (tie-heavy) and all-zero charts
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 4, 7, 12, 25, 40, 80):
+        for L in (2, 3, 6):
+            ties = np.zeros((n + 1, n + 1, L))
+            ties[:, :, 1:] = np.triu(np.ones((n + 1, n + 1)), 1)[:, :, None] \
+                * rng.integers(-2, 3, size=(n + 1, n + 1, L - 1))
+            for chart in (random_chart(rng, n, L), ties,
+                          np.zeros((n + 1, n + 1, L))):
+                tree, value = cky_decode(chart)
+                ref_tree, ref_value = reference_cky(chart)
+                assert tree_triples(tree) == tree_triples(ref_tree)
+                assert np.float64(value).tobytes() == \
+                    np.float64(ref_value).tobytes()
 
 
 def test_hamming_delta_hand_cases():

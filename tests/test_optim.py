@@ -72,6 +72,39 @@ def test_adam_two_steps_track_reference_formula():
         assert np.allclose(p.data, x, atol=1e-14)
 
 
+def test_in_place_adam_is_bitwise_the_reference_expressions():
+    # several parameters of different shapes share the scratch buffers;
+    # step 3 has no gradient for "b"
+    rng = np.random.default_rng(5)
+    shapes = {"a": (3, 4), "b": (7,), "c": (2, 5)}
+    store = ParameterStore()
+    ref = {}
+    for name, shape in shapes.items():
+        x = rng.standard_normal(shape)
+        store.add(name, x.copy())
+        ref[name] = [x, np.zeros(shape), np.zeros(shape)]
+    b1, b2 = ADAM_BETAS
+    for t in range(1, 6):
+        lr = 0.01 * t
+        for name, p in store.items():
+            g = None if (t, name) == (3, "b") else rng.standard_normal(
+                shapes[name])
+            p.tensor.grad = None if g is None else g.copy()
+            g = 0.0 if g is None else g
+            x, m, v = ref[name]
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * np.square(g)
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            ref[name] = [x - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v]
+        adam_step(store, lr=lr)
+        for name, p in store.items():
+            x, m, v = ref[name]
+            assert np.array_equal(p.data, x)
+            assert np.array_equal(p.m, m)
+            assert np.array_equal(p.v, v)
+
+
 def test_missing_gradient_decays_moments():
     store = ParameterStore()
     p = store.add("x", np.zeros(2))

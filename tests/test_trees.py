@@ -153,3 +153,42 @@ def test_leaf_node_invariants():
         Tree("S", [])
     leaf = Tree.leaf("dog", "NN")
     assert leaf.is_leaf() and leaf.word == "dog" and leaf.tag == "NN"
+
+
+def test_parse_tagged_errors_carry_line_and_column():
+    for text, line, column in (("the_DT cat\n", 1, 8),
+                               ("a_X\n  b_ c_Y\n", 2, 3),
+                               ("x_X _Y\n", 1, 5)):
+        with pytest.raises(ParseError) as e:
+            parse_tagged(text)
+        assert (e.value.line, e.value.column) == (line, column)
+
+
+def test_parse_bracketed_handles_deep_nesting():
+    depth = 3000
+    text = "(S " * depth + "(NN w)" + ")" * depth
+    (tree,) = parse_bracketed(text)
+    for _ in range(depth):
+        assert tree.label == "S" and len(tree.children) == 1
+        tree = tree.children[0]
+    assert tree.is_leaf() and (tree.tag, tree.word) == ("NN", "w")
+
+
+def test_parsers_fail_only_with_parse_error_on_fuzzed_input():
+    # random and truncated input either parses or raises ParseError with
+    # a position; no other exception escapes
+    rng = np.random.default_rng(21)
+    valid_trees = render_bracketed([random_ntree(rng) for _ in range(3)])
+    valid_tagged = "the_DT cat_NN\na_b_NN sat_VB\n"
+    texts = []
+    for _ in range(400):
+        texts.append("".join(rng.choice(list("()ab_ \n"),
+                                        size=int(rng.integers(0, 30)))))
+    for valid in (valid_trees, valid_tagged):
+        texts += [valid[:k] for k in range(len(valid) + 1)]
+    for text in texts:
+        for parse in (parse_bracketed, parse_tagged):
+            try:
+                parse(text)
+            except ParseError as exc:
+                assert exc.line >= 1 and exc.column >= 1
