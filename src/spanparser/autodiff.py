@@ -209,7 +209,10 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def concat(tensors, axis=0) -> Tensor:
+    """Join tensors along ``axis``; a single tensor is returned itself."""
     tensors = list(tensors)
+    if len(tensors) == 1:
+        return tensors[0]
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -236,9 +239,13 @@ def slice_cols(x: Tensor, start, stop) -> Tensor:
 
 
 def split_cols(x: Tensor, sections: int):
-    """Split a matrix into equal column blocks (inverse of concat axis=1)."""
+    """Split a matrix into equal column blocks (inverse of concat axis=1).
+
+    One section returns ``[x]`` itself, adding no node to the graph."""
     if x.shape[1] % sections != 0:
         raise _dimerr("split_cols(%d)" % sections, x.shape)
+    if sections == 1:
+        return [x]
     width = x.shape[1] // sections
     return [slice_cols(x, k * width, (k + 1) * width) for k in range(sections)]
 

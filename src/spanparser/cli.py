@@ -19,7 +19,7 @@ from .config import (ConfigError, apply_overrides, build_configs,
 from .encoder import AttentionControl
 from .lexical import read_vector_file
 from .model import SpanParser
-from .training import train
+from .training import default_eval_fn, train
 from .trees import ParseError, load_tagged, load_trees
 from .vocab import LabelInventory, Vocabulary
 
@@ -227,14 +227,6 @@ def _parse_distance(text):
     return value
 
 
-def _sweep_f1(model, trees, vectors, control):
-    preds = []
-    for k, tree in enumerate(trees):
-        preds.append(model.parse(tree.sentence(), control=control,
-                                 external=_ext(vectors, k)))
-    return evaluation.score(preds, trees).f1
-
-
 def _cmd_analyze_window(args):
     model = ckpt.load_checkpoint(args.checkpoint)
     trees = load_trees(args.dev_file)
@@ -247,7 +239,7 @@ def _cmd_analyze_window(args):
         for distance in distances:
             for mode in modes:
                 control = AttentionControl(window=(distance, mode))
-                f1 = _sweep_f1(model, trees, vectors, control)
+                f1 = default_eval_fn(model, trees, vectors, control)
                 shown = "inf" if distance == math.inf else "%d" % distance
                 out.write("%s\t%s\t%.2f\n" % (shown, mode, f1))
     finally:
@@ -306,7 +298,7 @@ def _cmd_analyze_disable(args):
         out.write("# spec\tF1\n")
         for spec in specs:
             control = parse_disable_spec(spec, num_layers)
-            f1 = _sweep_f1(model, trees, vectors, control)
+            f1 = default_eval_fn(model, trees, vectors, control)
             out.write("%s\t%.2f\n" % (spec or "baseline", f1))
     finally:
         if close:

@@ -14,7 +14,7 @@ Five wirings of the token inputs and the attention arithmetic are supported:
   sum of a content dot product and a position dot product, each scaled by
   1/sqrt(d_k/2); a single softmax weights both value halves.  The
   feed-forward sublayer is split into independent content and position
-  copies.
+  copies.  Each half is a "stream" (see :func:`stream_suffixes`).
 - ``position-only``: additive inputs, but queries and keys are computed from
   the original position embeddings at every layer, so attention patterns are
   independent of content.
@@ -76,6 +76,10 @@ class EncoderConfig:
                              % (self.variant, ", ".join(VARIANTS)))
         if self.num_layers < 0:
             raise ValueError("num_layers must be >= 0")
+        for name in ("d_model", "num_heads", "d_k", "d_v", "d_ff",
+                     "span_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1" % name)
         if self.d_model % 2 != 0:
             raise ValueError("d_model must be even (span vectors split the "
                              "encoder output into two directional halves)")
@@ -97,13 +101,7 @@ class EncoderConfig:
 
     @property
     def content_dim(self) -> int:
-        """Width of the content part of each token's input embedding."""
-        if self.variant in CONCAT_INPUT_VARIANTS:
-            return self.d_model // 2
-        return self.d_model
-
-    @property
-    def position_dim(self) -> int:
+        """Width of each token's content and of its position embedding."""
         if self.variant in CONCAT_INPUT_VARIANTS:
             return self.d_model // 2
         return self.d_model
@@ -177,6 +175,22 @@ def compose_input(content: Tensor, position: Tensor, variant: str) -> Tensor:
     return ad.add(content, position)
 
 
+def stream_suffixes(variant: str) -> tuple:
+    """Parameter-name suffix of each stream a layer runs: factored variants
+    run a content stream ``c`` and a position stream ``p``, each on 1/2 of
+    every width (d_model, d_k, d_v, d_ff); the others run one stream."""
+    return ("c", "p") if variant in FACTORED_VARIANTS else ("",)
+
+
+def _add_streams(store, prefix, suffixes, roles):
+    """One dict of parameters per stream, added stream by stream in the
+    order of ``roles`` ((role, shape, init) triples); stream ``s`` names
+    role ``r`` as ``prefix.r + s``."""
+    return [{role: store.add("%s.%s%s" % (prefix, role, suffix), shape, init)
+             for role, shape, init in roles}
+            for suffix in suffixes]
+
+
 def _weight(rng, shape, scheme, fans=None):
     if scheme == "normal":
         return rng.standard_normal(shape) * 0.02
@@ -196,32 +210,23 @@ class MultiHeadAttention:
 
     def __init__(self, store: ParameterStore, prefix: str,
                  config: EncoderConfig, rng):
-        self.factored = config.variant in FACTORED_VARIANTS
         self.position_queries = config.variant == "position-only"
         self.num_heads = heads = config.num_heads
-        d = config.d_model
-        if self.factored:
-            suffixes, d_io = ("c", "p"), d // 2
-            d_k, d_v = config.d_k // 2, config.d_v // 2
-        else:
-            suffixes, d_io, d_k, d_v = ("",), d, config.d_k, config.d_v
+        suffixes = stream_suffixes(config.variant)
+        n = len(suffixes)
+        d_io, d_k, d_v = config.d_model // n, config.d_k // n, config.d_v // n
         self.d_k = d_k
         weight = functools.partial(_weight, rng, scheme=config.init_scheme)
-        # one dict per stream: "w_q"/"w_k"/"w_v" are [d_in, H * d_k] with
-        # head h in column block h, "w_o" is [H * d_v, d_out] with head h in
-        # row block h; each block is drawn with its own per-head fans
-        self.streams = []
-        for suffix in suffixes:
-            stream = {}
+        # "w_q"/"w_k"/"w_v" are [d_in, H * d_k] with head h in column block
+        # h, "w_o" is [H * d_v, d_out] with head h in row block h; each block
+        # is drawn with its own per-head fans
+        self.streams = _add_streams(store, prefix, suffixes, [
+            (role, shape, functools.partial(weight, fans=fans))
             for role, shape, fans in (
-                    ("w_q", (d_io, heads * d_k), (d_io, d_k)),
-                    ("w_k", (d_io, heads * d_k), (d_io, d_k)),
-                    ("w_v", (d_io, heads * d_v), (d_io, d_v)),
-                    ("w_o", (heads * d_v, d_io), (d_v, d_io))):
-                stream[role] = store.add(
-                    "%s.%s%s" % (prefix, role, suffix), shape,
-                    functools.partial(weight, fans=fans))
-            self.streams.append(stream)
+                ("w_q", (d_io, heads * d_k), (d_io, d_k)),
+                ("w_k", (d_io, heads * d_k), (d_io, d_k)),
+                ("w_v", (d_io, heads * d_v), (d_io, d_v)),
+                ("w_o", (heads * d_v, d_io), (d_v, d_io)))])
 
     def forward(self, x: Tensor, positions: Tensor, penalty,
                 disable_content: bool, disable_position: bool,
@@ -238,7 +243,7 @@ class MultiHeadAttention:
                                   record)
         outs = [ad.matmul(ad.merge_heads(ctx), stream["w_o"].tensor)
                 for ctx, stream in zip(contexts, self.streams)]
-        return outs[0] if len(outs) == 1 else ad.concat(outs, axis=1)
+        return ad.concat(outs, axis=1)
 
     def head_outputs(self, x: Tensor, positions: Tensor, penalty,
                      disable_content: bool, disable_position: bool,
@@ -247,24 +252,19 @@ class MultiHeadAttention:
         to :meth:`forward`."""
         contexts = self._contexts(x, positions, penalty, disable_content,
                                   disable_position, train, rng, dropout_p)
-        outs = []
-        for ctx, stream in zip(contexts, self.streams):
-            w_o = stream["w_o"].tensor
-            per_head = ad.reshape(w_o, (self.num_heads, -1, w_o.shape[1]))
-            outs.append(ad.bmm(ctx, per_head))
-        return outs[0] if len(outs) == 1 else ad.concat(outs, axis=2)
+        # w_o's row block h is head h's [d_v, d_out] output matrix
+        return ad.concat(
+            [ad.bmm(ctx, ad.reshape(stream["w_o"].tensor,
+                                    (self.num_heads, ctx.shape[2], -1)))
+             for ctx, stream in zip(contexts, self.streams)], axis=2)
 
     def _contexts(self, x, positions, penalty, disable_content,
                   disable_position, train, rng, dropout_p, record=None):
         """Per stream, the [H, T, d_v] attention-weighted values."""
         heads = self.num_heads
-        if self.factored:
-            half = x.shape[1] // 2
-            inputs = [ad.slice_cols(x, 0, half),
-                      ad.slice_cols(x, half, 2 * half)]
-            active = [not disable_content, not disable_position]
-        else:
-            inputs, active = [x], [True]
+        inputs = ad.split_cols(x, len(self.streams))
+        # AttentionControl allows disable flags only with two streams
+        active = (not disable_content, not disable_position)
         sources = [positions] if self.position_queries else inputs
         inv = 1.0 / math.sqrt(self.d_k)
         logits = None
@@ -290,51 +290,34 @@ class MultiHeadAttention:
 
 
 class FeedForward:
-    """Position-wise W2 relu(W1 x + b1) + b2; split in two for factored."""
+    """Position-wise W2 relu(W1 x + b1) + b2, run on each stream's columns."""
 
-    def __init__(self, store, prefix, config: EncoderConfig, rng, factored: bool):
-        self.factored = factored
-        d, dff = config.d_model, config.d_ff
+    def __init__(self, store, prefix, config: EncoderConfig, rng):
+        suffixes = stream_suffixes(config.variant)
+        d = config.d_model // len(suffixes)
+        dff = config.d_ff // len(suffixes)
         weight = functools.partial(_weight, rng, scheme=config.init_scheme)
-        if factored:
-            dh, fh = d // 2, dff // 2
-            self.w1c = store.add(prefix + ".w1c", (dh, fh), weight)
-            self.b1c = store.add(prefix + ".b1c", (fh,), np.zeros)
-            self.w2c = store.add(prefix + ".w2c", (fh, dh), weight)
-            self.b2c = store.add(prefix + ".b2c", (dh,), np.zeros)
-            self.w1p = store.add(prefix + ".w1p", (dh, fh), weight)
-            self.b1p = store.add(prefix + ".b1p", (fh,), np.zeros)
-            self.w2p = store.add(prefix + ".w2p", (fh, dh), weight)
-            self.b2p = store.add(prefix + ".b2p", (dh,), np.zeros)
-        else:
-            self.w1 = store.add(prefix + ".w1", (d, dff), weight)
-            self.b1 = store.add(prefix + ".b1", (dff,), np.zeros)
-            self.w2 = store.add(prefix + ".w2", (dff, d), weight)
-            self.b2 = store.add(prefix + ".b2", (d,), np.zeros)
+        self.streams = _add_streams(store, prefix, suffixes, (
+            ("w1", (d, dff), weight), ("b1", (dff,), np.zeros),
+            ("w2", (dff, d), weight), ("b2", (d,), np.zeros)))
 
     def forward(self, x: Tensor, train: bool, rng, relu_p: float) -> Tensor:
-        if self.factored:
-            half = x.shape[1] // 2
-            xc = ad.slice_cols(x, 0, half)
-            xp = ad.slice_cols(x, half, 2 * half)
-            hc = ad.dropout(ad.relu(ad.add(ad.matmul(xc, self.w1c.tensor),
-                                           self.b1c.tensor)), relu_p, rng, train)
-            hp = ad.dropout(ad.relu(ad.add(ad.matmul(xp, self.w1p.tensor),
-                                           self.b1p.tensor)), relu_p, rng, train)
-            oc = ad.add(ad.matmul(hc, self.w2c.tensor), self.b2c.tensor)
-            op = ad.add(ad.matmul(hp, self.w2p.tensor), self.b2p.tensor)
-            return ad.concat([oc, op], axis=1)
-        h = ad.dropout(ad.relu(ad.add(ad.matmul(x, self.w1.tensor),
-                                      self.b1.tensor)), relu_p, rng, train)
-        return ad.add(ad.matmul(h, self.w2.tensor), self.b2.tensor)
+        outs = []
+        for inp, stream in zip(ad.split_cols(x, len(self.streams)),
+                               self.streams):
+            h = ad.relu(ad.add(ad.matmul(inp, stream["w1"].tensor),
+                               stream["b1"].tensor))
+            h = ad.dropout(h, relu_p, rng, train)
+            outs.append(ad.add(ad.matmul(h, stream["w2"].tensor),
+                               stream["b2"].tensor))
+        return ad.concat(outs, axis=1)
 
 
 class EncoderLayer:
     def __init__(self, store, prefix, config: EncoderConfig, rng):
         self.config = config
         self.attn = MultiHeadAttention(store, prefix + ".attn", config, rng)
-        self.ffn = FeedForward(store, prefix + ".ffn", config, rng,
-                               self.attn.factored)
+        self.ffn = FeedForward(store, prefix + ".ffn", config, rng)
         d = config.d_model
         self.ln1_gain = store.add(prefix + ".ln1.gain", (d,), np.ones)
         self.ln1_bias = store.add(prefix + ".ln1.bias", (d,), np.zeros)
@@ -364,21 +347,18 @@ class Encoder:
         self.config = config
         self.position_table = store.add(
             "encoder.positions",
-            (config.max_sentence_length, config.position_dim),
+            (config.max_sentence_length, config.content_dim),
             functools.partial(embedding_init, rng))
         self.layers = [EncoderLayer(store, "encoder.layer%d" % i, config, rng)
                        for i in range(config.num_layers)]
 
     def encode(self, content: Tensor, train: bool = False, rng=None,
-               control: AttentionControl = None, record=None,
-               mask=None) -> Tensor:
+               control: AttentionControl = None, record=None) -> Tensor:
         """Encode a sentence; ``content`` is [T, content_dim] with rows for
         the start and stop tokens included.
 
         ``record``, if given, is a dict filled with attention probabilities
-        keyed (layer, head) -> [T, T] arrays.  ``mask``, if given, is an
-        explicit boolean [T, T] allow matrix that overrides any configured
-        or control-supplied window.
+        keyed (layer, head) -> [T, T] arrays.
         """
         cfg = self.config
         T = content.shape[0]
@@ -395,20 +375,14 @@ class Encoder:
         positions = ad.take_rows(self.position_table.tensor, np.arange(T))
         x = compose_input(content, positions, cfg.variant)
 
-        if mask is not None:
-            penalty = self._penalty_from(np.asarray(mask, dtype=bool))
-        else:
-            penalty = self._window_penalty(T, control)
+        penalty = self._window_penalty(T, control)
+        all_on = (False,) * cfg.num_layers
+        off_c = control and control.disable_content or all_on
+        off_p = control and control.disable_position or all_on
         for i, layer in enumerate(self.layers):
-            disable_c = disable_p = False
-            if control is not None:
-                if control.disable_content is not None:
-                    disable_c = bool(control.disable_content[i])
-                if control.disable_position is not None:
-                    disable_p = bool(control.disable_position[i])
             layer_record = [] if record is not None else None
-            x = layer.forward(x, positions, penalty, disable_c, disable_p,
-                              train, rng, layer_record)
+            x = layer.forward(x, positions, penalty, bool(off_c[i]),
+                              bool(off_p[i]), train, rng, layer_record)
             if record is not None:
                 for h, probs in enumerate(layer_record[0]):
                     record[(i, h)] = probs
@@ -420,16 +394,9 @@ class Encoder:
             distance, mode = control.window
         if distance is None or distance < 0 or distance == math.inf:
             return None
-        return self._penalty_from(build_window_mask(T, distance, mode))
-
-    @staticmethod
-    def _penalty_from(allow):
-        bad = ~allow.any(axis=1)
-        if bad.any():
-            raise ValueError(
-                "attention mask leaves query position %d with no visible "
-                "keys" % int(np.flatnonzero(bad)[0]))
-        return np.where(allow, 0.0, MASK_PENALTY)
+        # every window keeps the diagonal, so no query row is left empty
+        return np.where(build_window_mask(T, distance, mode), 0.0,
+                        MASK_PENALTY)
 
 
 def assemble_block_sparse(layer: EncoderLayer, head: int) -> dict:
@@ -442,7 +409,7 @@ def assemble_block_sparse(layer: EncoderLayer, head: int) -> dict:
     the dense head reproduce the factored one exactly.
     """
     attn = layer.attn
-    if not attn.factored:
+    if len(attn.streams) != 2:
         raise ValueError("layer attention is not factored")
     if not 0 <= head < attn.num_heads:
         raise ValueError("head %d out of range for %d heads"

@@ -41,17 +41,18 @@ class EvalResult:
 def tree_brackets(tree: Tree) -> Counter:
     """Multiset of labeled spans of one tree's internal nodes."""
     out = Counter()
-
-    def walk(node, start):
-        if node.is_leaf():
-            return start + 1
-        end = start
-        for child in node.children:
-            end = walk(child, end)
-        out[(start, end, node.label)] += 1
-        return end
-
-    walk(tree, 0)
+    # post-order over an explicit stack: (node, None) on the way down,
+    # (node, start) to count its bracket once its children are done
+    stack, pos = [(tree, None)], 0
+    while stack:
+        node, start = stack.pop()
+        if start is not None:
+            out[(start, pos, node.label)] += 1
+        elif node.is_leaf():
+            pos += 1
+        else:
+            stack.append((node, pos))
+            stack.extend((child, None) for child in reversed(node.children))
     return out
 
 

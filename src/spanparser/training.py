@@ -32,8 +32,9 @@ class TrainConfig:
             raise ValueError("evals_per_epoch must be >= 1")
         if not 0.0 < self.halving_factor < 1.0:
             raise ValueError("halving_factor must be in (0, 1)")
-        if self.base_lr <= 0.0:
-            raise ValueError("base_lr must be positive")
+        if not 0.0 < self.base_lr < math.inf:
+            raise ValueError("base_lr must be positive and finite, got %r"
+                             % (self.base_lr,))
         return self
 
 
@@ -68,12 +69,14 @@ def lr_schedule(batches_seen: int, state: TrainState,
     return lr * config.halving_factor ** state.num_halvings
 
 
-def default_eval_fn(model, dev_trees, dev_external=None):
-    """Parse the dev set and return labeled F1 against it."""
+def default_eval_fn(model, dev_trees, dev_external=None, control=None):
+    """Parse the dev set (under the attention ``control``, if given) and
+    return labeled F1 against it."""
     preds = []
     for k, tree in enumerate(dev_trees):
         ext = dev_external[k] if dev_external is not None else None
-        preds.append(model.parse(tree.sentence(), external=ext))
+        preds.append(model.parse(tree.sentence(), control=control,
+                                 external=ext))
     return score(preds, dev_trees).f1
 
 

@@ -52,11 +52,13 @@ class Tree:
         return not self.children
 
     def leaves(self):
-        if self.is_leaf():
-            return [self]
-        out = []
-        for child in self.children:
-            out.extend(child.leaves())
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf():
+                out.append(node)
+            else:
+                stack.extend(reversed(node.children))
         return out
 
     def sentence(self):
@@ -64,10 +66,20 @@ class Tree:
         return [(leaf.word, leaf.tag) for leaf in self.leaves()]
 
     def render(self):
-        if self.is_leaf():
-            return "(%s %s)" % (self.tag, self.word)
-        inner = " ".join(child.render() for child in self.children)
-        return "(%s %s)" % (self.label, inner)
+        # a stack of nodes still to render and text to emit after them
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item.is_leaf():
+                parts.append("(%s %s)" % (item.tag, item.word))
+            else:
+                parts.append("(%s" % (item.label,))
+                stack.append(")")
+                for child in reversed(item.children):
+                    stack.extend((child, " "))
+        return "".join(parts)
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -305,12 +317,8 @@ def expand_unary(t, separator=DEFAULT_SEPARATOR):
     """Split joined labels back into nested single-child nodes."""
     if t.is_leaf():
         return t
-    children = tuple(expand_unary(c, separator) for c in t.children)
-    labels = t.label.split(separator)
-    node = Tree(labels[-1], children)
-    for label in reversed(labels[:-1]):
-        node = Tree(label, (node,))
-    return node
+    return _wrap_labels(t.label, tuple(expand_unary(c, separator)
+                                       for c in t.children), separator)
 
 
 # ---------------------------------------------------------------------------

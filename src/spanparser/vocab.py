@@ -120,8 +120,9 @@ class LabelInventory:
 
 
 def _collect_labels(tree, out):
-    if tree.is_leaf():
-        return
-    out.add(tree.label)
-    for child in tree.children:
-        _collect_labels(child, out)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf():
+            out.add(node.label)
+            stack.extend(node.children)

@@ -28,6 +28,10 @@ def test_config_validation():
         EncoderConfig(attention_dropout=1.0).validate()
     with pytest.raises(ValueError):
         EncoderConfig(window_mode="loose").validate()
+    for name in ("d_model", "num_heads", "d_k", "d_v", "d_ff", "span_hidden"):
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match=name):
+                EncoderConfig(**{name: bad}).validate()
     EncoderConfig().validate()
 
 
@@ -136,16 +140,6 @@ def test_config_window_applies_without_control():
     allow = build_window_mask(6, 1, "strict")
     for probs in record.values():
         assert (probs[~allow] == 0.0).all()
-
-
-def test_explicit_mask_overrides_and_empty_support_raises():
-    enc, _, cfg = tiny_encoder("factored")
-    rng = np.random.default_rng(5)
-    mask = np.ones((4, 4), dtype=bool)
-    mask[2] = False
-    with pytest.raises(ValueError) as e:
-        enc.encode(rand_content(rng, 4, cfg), mask=mask)
-    assert "query position 2" in str(e.value)
 
 
 def test_control_validation():
@@ -312,3 +306,39 @@ def test_record_holds_one_distribution_per_layer_and_head(variant):
         assert np.allclose(probs.sum(axis=1), 1.0)
         assert probs[0, T - 1] == 0.0
     assert not np.array_equal(record[(0, 0)], record[(0, 1)])
+
+
+_NORMS = [("ln1.gain", (16,)), ("ln1.bias", (16,)),
+          ("ln2.gain", (16,)), ("ln2.bias", (16,))]
+# tiny_encoder: d_model 16, 2 heads of d_k = d_v = 8, d_ff 24
+_ONE_STREAM = [
+    ("attn.w_q", (16, 16)), ("attn.w_k", (16, 16)), ("attn.w_v", (16, 16)),
+    ("attn.w_o", (16, 16)),
+    ("ffn.w1", (16, 24)), ("ffn.b1", (24,)), ("ffn.w2", (24, 16)),
+    ("ffn.b2", (16,)),
+] + _NORMS
+_TWO_STREAMS = [
+    ("attn.w_qc", (8, 8)), ("attn.w_kc", (8, 8)), ("attn.w_vc", (8, 8)),
+    ("attn.w_oc", (8, 8)),
+    ("attn.w_qp", (8, 8)), ("attn.w_kp", (8, 8)), ("attn.w_vp", (8, 8)),
+    ("attn.w_op", (8, 8)),
+    ("ffn.w1c", (8, 12)), ("ffn.b1c", (12,)), ("ffn.w2c", (12, 8)),
+    ("ffn.b2c", (8,)),
+    ("ffn.w1p", (8, 12)), ("ffn.b1p", (12,)), ("ffn.w2p", (12, 8)),
+    ("ffn.b2p", (8,)),
+] + _NORMS
+
+
+@pytest.mark.parametrize("variant, layout", [
+    ("additive-unfactored", _ONE_STREAM),
+    ("concatenative-unfactored", _ONE_STREAM),
+    ("position-only", _ONE_STREAM),
+    ("factored", _TWO_STREAMS),
+    ("block-sparse-additive", _TWO_STREAMS)])
+def test_layer_parameter_layout_is_checkpoint_format_2(variant, layout):
+    # names, shapes and order are the checkpoint payload layout
+    _, store, _ = tiny_encoder(variant)
+    prefix = "encoder.layer0."
+    got = [(name[len(prefix):], p.data.shape) for name, p in store.items()
+           if name.startswith(prefix)]
+    assert got == layout

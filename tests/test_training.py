@@ -62,8 +62,9 @@ def test_config_validation():
         TrainConfig(evals_per_epoch=0).validate()
     with pytest.raises(ValueError):
         TrainConfig(halving_factor=1.0).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(base_lr=0.0).validate()
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrainConfig(base_lr=bad).validate()
     TrainConfig().validate()
 
 

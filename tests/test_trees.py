@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spanparser.evaluation import score
 from spanparser.trees import (
     NULL_LABEL, ParseError, Tree, binarize, collapse_unary, debinarize,
     expand_unary, gold_spans, load_tagged, load_trees, parse_bracketed,
@@ -168,10 +169,18 @@ def test_parse_bracketed_handles_deep_nesting():
     depth = 3000
     text = "(S " * depth + "(NN w)" + ")" * depth
     (tree,) = parse_bracketed(text)
+    # the walks over the read tree are not limited by recursion depth either
+    assert tree.render() == text
+    assert tree.leaves() == [Tree.leaf("w", "NN")]
+    assert LabelInventory.from_trees([tree]).labels == [
+        NULL_LABEL, "+".join(["S"] * depth)]
+    result = score([tree], [tree])
+    assert result.matched == result.gold == depth
+    node = tree
     for _ in range(depth):
-        assert tree.label == "S" and len(tree.children) == 1
-        tree = tree.children[0]
-    assert tree.is_leaf() and (tree.tag, tree.word) == ("NN", "w")
+        assert node.label == "S" and len(node.children) == 1
+        node = node.children[0]
+    assert node.is_leaf() and (node.tag, node.word) == ("NN", "w")
 
 
 def test_parsers_fail_only_with_parse_error_on_fuzzed_input():
