@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Just enough of a tensor library for this parser: 2-d matrices plus scalars,
-per-head [H, T, d] stacks for batched attention, the primitives the
-encoder/decoder expressions need, and exact gradient accumulation.
+per-head [H, T, d] stacks for batched attention (one sentence, or a padded
+pack of several), the primitives the encoder/decoder expressions need, and
+exact gradient accumulation.
 Everything is float64 and single threaded; determinism and
 finite-difference-tight gradients matter more than speed at this scale.
 
@@ -30,9 +31,9 @@ def _dimerr(op, *shapes):
 class Tensor:
     """A dense float64 array with optional gradient tracking.
 
-    ``grad`` is populated by :func:`backward` and accumulates across calls
-    until cleared.  Non-leaf tensors record their parents and a function
-    mapping the output gradient to per-parent gradients.
+    ``grad`` of a leaf is populated by :func:`backward` and accumulates
+    across calls until cleared.  Non-leaf tensors record their parents and
+    a function mapping the output gradient to per-parent gradients.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
@@ -154,11 +155,28 @@ def mul_const(x: Tensor, c) -> Tensor:
     return _result(out, (x,), lambda g: (g * c,))
 
 
+# OpenBLAS cuts a product's reduction into blocks at different points when
+# it runs on one thread and on several, once the reduction is longer than
+# its block (384 for the AVX-512 kernels), so such a product's bits depend
+# on the thread count.  A weight gradient reduces over every row of a pack;
+# it is summed from row blocks no longer than this, in order.
+REDUCTION_BLOCK = 384
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise _dimerr("matmul", a.shape, b.shape)
     return _result(a.data @ b.data, (a, b),
-                   lambda g: (g @ b.data.T, a.data.T @ g))
+                   lambda g: (g @ b.data.T, _rows_product(a.data, g)))
+
+
+def _rows_product(a, g):
+    """a.T @ g, summed over blocks of at most REDUCTION_BLOCK rows."""
+    out = a[:REDUCTION_BLOCK].T @ g[:REDUCTION_BLOCK]
+    for start in range(REDUCTION_BLOCK, a.shape[0], REDUCTION_BLOCK):
+        stop = start + REDUCTION_BLOCK
+        out += a[start:stop].T @ g[start:stop]
+    return out
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -179,27 +197,51 @@ def transpose(x: Tensor) -> Tensor:
                    lambda g: (g.swapaxes(-1, -2),))
 
 
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """[T, heads * d] -> [heads, T, d]: column block h becomes head h."""
-    if x.data.ndim != 2 or heads < 1 or x.shape[1] % heads != 0:
+def split_heads(x: Tensor, heads: int, mask=None) -> Tensor:
+    """[T, heads * d] -> [heads, T, d]: column block h becomes head h.
+
+    With ``mask``, a [B, Tmax] boolean array whose row b marks the first
+    T_b of Tmax slots, ``x`` is a pack of B sentences' rows, one after the
+    other: [sum T_b, heads * d] -> [B * heads, Tmax, d], stack b * heads + h
+    holding sentence b's head h, zero beyond its T_b rows."""
+    if (x.data.ndim != 2 or heads < 1 or x.shape[1] % heads != 0
+            or mask is not None and mask.sum() != x.shape[0]):
         raise _dimerr("split_heads(%d)" % heads, x.shape)
-    T, width = x.shape
-    out = x.data.reshape(T, heads, width // heads).transpose(1, 0, 2)
-    return _result(out, (x,), lambda g: (_merge(g),))
+    return _result(_split(x.data, heads, mask), (x,),
+                   lambda g: (_merge(g, mask),))
 
 
-def merge_heads(x: Tensor) -> Tensor:
-    """[heads, T, d] -> [T, heads * d], the inverse of split_heads."""
-    if x.data.ndim != 3:
+def merge_heads(x: Tensor, mask=None) -> Tensor:
+    """The inverse of split_heads: [heads, T, d] -> [T, heads * d], or
+    with a pack's ``mask`` [B * heads, Tmax, d] -> [sum T_b, heads * d],
+    the padding rows dropped."""
+    if (x.data.ndim != 3 or mask is not None
+            and (x.shape[0] % mask.shape[0] or x.shape[1] != mask.shape[1])):
         raise _dimerr("merge_heads", x.shape)
-    heads, T, d = x.shape
-    return _result(_merge(x.data), (x,),
-                   lambda g: (g.reshape(T, heads, d).transpose(1, 0, 2),))
+    heads = x.shape[0] // (1 if mask is None else mask.shape[0])
+    return _result(_merge(x.data, mask), (x,),
+                   lambda g: (_split(g, heads, mask),))
 
 
-def _merge(stack):
-    heads, T, d = stack.shape
-    return stack.transpose(1, 0, 2).reshape(T, heads * d)
+def _split(rows, heads, mask):
+    T, width = rows.shape
+    d = width // heads
+    if mask is None:
+        return rows.reshape(T, heads, d).transpose(1, 0, 2)
+    B, Tmax = mask.shape
+    out = np.zeros((B, heads, Tmax, d))
+    out.transpose(0, 2, 1, 3)[mask] = rows.reshape(T, heads, d)
+    return out.reshape(B * heads, Tmax, d)
+
+
+def _merge(stack, mask):
+    S, T, d = stack.shape
+    if mask is None:
+        return stack.transpose(1, 0, 2).reshape(T, S * d)
+    B = mask.shape[0]
+    heads = S // B
+    rows = stack.reshape(B, heads, T, d).transpose(0, 2, 1, 3)[mask]
+    return rows.reshape(-1, heads * d)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -379,9 +421,12 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into ``grad`` of every tensor on the
-    gradient path.  ``loss`` must be scalar.  Repeated calls without
-    clearing gradients add up.
+    """Accumulate d(loss)/d(leaf) into ``grad`` of every leaf tensor (one
+    without a backward closure, such as a parameter) on the gradient path.
+    ``loss`` must be scalar.  Repeated calls without clearing gradients add
+    up.  Intermediate tensors get no ``grad``: each one's gradient is
+    dropped as soon as it has been passed on to its parents, so at most
+    the gradients of the graph's current frontier are alive at once.
     """
     if loss.data.shape != ():
         raise ValueError("backward requires a scalar loss, got shape %s"
@@ -392,11 +437,11 @@ def backward(loss: Tensor) -> None:
     order = _toposort(loss)
     pass_grads = {id(loss): np.ones(())}
     for node in reversed(order):
-        g = pass_grads.get(id(node))
+        g = pass_grads.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
         if node._grad_fn is None:
+            node.grad = g if node.grad is None else node.grad + g
             continue
         parent_grads = node._grad_fn(g)
         for parent, pg in zip(node._parents, parent_grads):

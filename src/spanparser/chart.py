@@ -19,6 +19,12 @@ rows are gathered as differences of projected rows (``span_vectors``), so no
 [num_spans, d_model] array is ever built.  Chart assembly, CKY and the
 loss-augmented increments work on whole arrays indexed by per-length span
 index arrays; CKY runs one numpy pass per span width.
+
+A mini-batch is scored as one pack: ``fenceposts`` and ``span_vectors``
+take the sentences' lengths and return every sentence's rows one after
+the other, ``hinge_loss`` decodes each sentence from its own rows of the
+packed scores, and ``margin_loss`` gathers the whole batch's loss terms at
+once.
 """
 
 from __future__ import annotations
@@ -81,23 +87,36 @@ def span_vector(i: int, j: int, fwd: Tensor, bwd: Tensor) -> Tensor:
     return ad.concat([f, b], axis=1)
 
 
-def fenceposts(y: Tensor) -> Tensor:
+def fenceposts(y: Tensor, lengths=None) -> Tensor:
     """The fencepost rows u_k = [fwd_k ; bwd_{k+1}], k = 0..n, of an
-    encoder output with boundary rows: [n+1, d_model]."""
+    encoder output with boundary rows: [n+1, d_model].
+
+    With ``lengths``, ``y`` is a pack of sentences with those token counts
+    (boundaries included), one after the other, and the result stacks
+    every sentence's fencepost rows in the same order."""
     fwd, bwd = directional_split(y)
-    k = np.arange(y.shape[0] - 1)
+    # every row but each sentence's stop row starts a fencepost
+    stops = np.cumsum([y.shape[0]] if lengths is None else lengths) - 1
+    k = np.delete(np.arange(y.shape[0]), stops)
     return ad.concat([ad.take_rows(fwd, k), ad.take_rows(bwd, k + 1)],
                      axis=1)
 
 
-def span_vectors(rows: Tensor, n: int) -> Tensor:
+def span_vectors(rows: Tensor, n) -> Tensor:
     """rows[j] - rows[i] for every span of all_spans(n), as one [S, width]
     tensor.  ``rows`` holds one row per fencepost: fenceposts(y) gives the
-    span vectors, its projection SpanScorer.project gives M_1 v."""
-    if rows.shape[0] != n + 1:
-        raise ValueError("got %d fencepost rows, expected %d for %d words"
-                         % (rows.shape[0], n + 1, n))
-    starts, ends = span_index(n)
+    span vectors, its projection SpanScorer.project gives M_1 v.
+
+    ``n`` may be a list of word counts, for the fencepost rows of a pack:
+    the result then stacks every sentence's spans in all_spans order."""
+    words = [n] if np.ndim(n) == 0 else list(n)
+    if rows.shape[0] != sum(words) + len(words):
+        raise ValueError("got %d fencepost rows, expected %d for %s words"
+                         % (rows.shape[0], sum(words) + len(words), n))
+    first = np.cumsum([0] + [m + 1 for m in words[:-1]])
+    starts, ends = (np.concatenate([f + span_index(m)[side]
+                                    for f, m in zip(first, words)])
+                    for side in (0, 1))
     return ad.sub(ad.take_rows(rows, ends), ad.take_rows(rows, starts))
 
 
@@ -253,39 +272,69 @@ def loss_augmented_decode(chart: np.ndarray, gold, sentence=None):
 class HingeResult:
     """Outcome of one sentence's margin computation."""
 
-    __slots__ = ("loss", "value", "delta", "gold_score", "violator")
+    __slots__ = ("loss", "value", "delta", "gold_score", "violator", "terms")
 
-    def __init__(self, loss, value, delta, gold_score, violator):
+    def __init__(self, loss, value, delta, gold_score, violator, terms=None):
         self.loss = loss            # scalar Tensor (0 tensor when satisfied)
-        self.value = value          # float(loss)
+        self.value = value          # the hinge as a float
         self.delta = delta          # Hamming distance to the violator
         self.gold_score = gold_score
         self.violator = violator    # BinaryTree or None when satisfied
+        # (rows, cols, signs) of the score entries the loss adds (+1, the
+        # violator's) and subtracts (-1, the gold tree's); None if satisfied
+        self.terms = terms
 
 
-def hinge_loss(scores: Tensor, n: int, gold: BinaryTree) -> HingeResult:
+def hinge_loss(scores: Tensor, n: int, gold: BinaryTree,
+               offset: int = None) -> HingeResult:
     """Margin loss max(0, max_T [s(T) + Delta(T, T*)] - s(T*)).
 
     ``scores`` is the [S, num_labels-1] tensor from SpanScorer in
     all_spans(n) order.  When some tree violates the margin, the returned
     loss is differentiable and its gradient touches exactly the violator's
     and the gold tree's span scores.
+
+    With an ``offset``, ``scores`` is a pack of several sentences' score
+    rows, this sentence's starting at that row, and a violator's loss is
+    None: margin_loss takes every sentence's terms from the pack at once,
+    so no sentence builds a gradient the size of the pack.
     """
-    chart = build_chart(scores.data, n)
+    lone = offset is None
+    offset = 0 if lone else offset
+    chart = build_chart(scores.data[offset:offset + n * (n + 1) // 2], n)
     gold_triples = gold_spans(gold)
     s_gold = tree_score(chart, gold)
     violator, objective = loss_augmented_decode(chart, gold_triples)
     if objective - s_gold <= 0.0:
         return HingeResult(Tensor(0.0), 0.0, 0, s_gold, None)
 
-    def gathered(triples):
+    def entries(triples):
         real = np.array([t for t in triples if t[2] != NULL_ID],
                         dtype=np.intp).reshape(-1, 3)
-        rows = span_row(real[:, 0], real[:, 1], n)
-        return ad.sum_all(ad.gather_pairs(scores, rows, real[:, 2] - 1))
+        return offset + span_row(real[:, 0], real[:, 1], n), real[:, 2] - 1
 
     viol_triples = gold_spans(violator)
     delta = hamming_delta(viol_triples, gold_triples)
-    loss = ad.add_const(ad.sub(gathered(viol_triples), gathered(gold_triples)),
-                        float(delta))
-    return HingeResult(loss, float(loss.data), delta, s_gold, violator)
+    (vr, vc), (gr, gc) = entries(viol_triples), entries(gold_triples)
+    value = (scores.data[vr, vc].sum() - scores.data[gr, gc].sum()) + delta
+    terms = (np.concatenate([vr, gr]), np.concatenate([vc, gc]),
+             np.repeat([1.0, -1.0], [len(vr), len(gr)]))
+    result = HingeResult(None, float(value), delta, s_gold, violator, terms)
+    if lone:
+        result.loss = margin_loss(scores, [result])
+    return result
+
+
+def margin_loss(scores: Tensor, results):
+    """The summed loss of the ``results`` (hinge_loss of sentences in the
+    pack ``scores``) that violate their margin, as one differentiable
+    scalar taken from ``scores`` by a single gather; None when every
+    margin holds."""
+    live = [r for r in results if r.terms is not None]
+    if not live:
+        return None
+    rows, cols, signs = (np.concatenate(part)
+                         for part in zip(*(r.terms for r in live)))
+    picked = ad.mul_const(ad.gather_pairs(scores, rows, cols), signs)
+    return ad.add_const(ad.sum_all(picked),
+                        float(sum(r.delta for r in live)))

@@ -1,9 +1,10 @@
 """Command-line interface: train, parse, eval, and the analysis sweeps.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
-Every run is deterministic given the config, seed, and input files; the
-checkpoint a training run writes is byte-identical with one and with two
-BLAS threads.
+Every run is deterministic given the config, seed, and input files and
+the BLAS thread count; for small models the checkpoint a training run
+writes is also byte-identical with one and with two BLAS threads (see the
+README for why larger ones can differ).
 """
 
 from __future__ import annotations

@@ -230,18 +230,23 @@ class MultiHeadAttention:
 
     def forward(self, x: Tensor, positions: Tensor, penalty,
                 disable_content: bool, disable_position: bool,
-                train: bool, rng, dropout_p: float, record=None) -> Tensor:
+                train: bool, rng, dropout_p: float, record=None,
+                mask=None) -> Tensor:
         """Sum of every head's contribution, shape [T, d_model].
 
         ``penalty`` is an additive logit mask (0 where allowed) or None.
         ``positions`` carries the original position embeddings for
         position-only queries; ignored otherwise.  ``record``, if a list,
         receives the [H, T, T] attention probabilities before dropout.
+        ``mask``, when given, makes ``x`` a pack of sentences (see
+        :func:`autodiff.split_heads`): every sentence attends within
+        itself through one padded [B * H, Tmax, Tmax] stack, and
+        ``penalty`` must then mask the padded keys.
         """
         contexts = self._contexts(x, positions, penalty, disable_content,
                                   disable_position, train, rng, dropout_p,
-                                  record)
-        outs = [ad.matmul(ad.merge_heads(ctx), stream["w_o"].tensor)
+                                  record, mask)
+        outs = [ad.matmul(ad.merge_heads(ctx, mask), stream["w_o"].tensor)
                 for ctx, stream in zip(contexts, self.streams)]
         return ad.concat(outs, axis=1)
 
@@ -259,8 +264,10 @@ class MultiHeadAttention:
              for ctx, stream in zip(contexts, self.streams)], axis=2)
 
     def _contexts(self, x, positions, penalty, disable_content,
-                  disable_position, train, rng, dropout_p, record=None):
-        """Per stream, the [H, T, d_v] attention-weighted values."""
+                  disable_position, train, rng, dropout_p, record=None,
+                  mask=None):
+        """Per stream, the [H, T, d_v] attention-weighted values
+        ([B * H, Tmax, d_v] for a pack)."""
         heads = self.num_heads
         inputs = ad.split_cols(x, len(self.streams))
         # AttentionControl allows disable flags only with two streams
@@ -271,13 +278,15 @@ class MultiHeadAttention:
         for source, stream, on in zip(sources, self.streams, active):
             if not on:
                 continue
-            q = ad.split_heads(ad.matmul(source, stream["w_q"].tensor), heads)
-            k = ad.split_heads(ad.matmul(source, stream["w_k"].tensor), heads)
+            q = ad.split_heads(ad.matmul(source, stream["w_q"].tensor),
+                               heads, mask)
+            k = ad.split_heads(ad.matmul(source, stream["w_k"].tensor),
+                               heads, mask)
             term = ad.scale(ad.bmm(q, ad.transpose(k)), inv)
             logits = term if logits is None else ad.add(logits, term)
         if logits is None:
-            T = x.shape[0]
-            logits = Tensor(np.zeros((heads, T, T)))
+            B, T = (1, x.shape[0]) if mask is None else mask.shape
+            logits = Tensor(np.zeros((B * heads, T, T)))
         if penalty is not None:
             logits = ad.add_const(logits, penalty)
         probs = ad.softmax(logits)
@@ -285,7 +294,7 @@ class MultiHeadAttention:
             record.append(probs.data)
         probs = ad.dropout(probs, dropout_p, rng, train)
         return [ad.bmm(probs, ad.split_heads(
-                    ad.matmul(inp, stream["w_v"].tensor), heads))
+                    ad.matmul(inp, stream["w_v"].tensor), heads, mask))
                 for inp, stream in zip(inputs, self.streams)]
 
 
@@ -325,11 +334,11 @@ class EncoderLayer:
         self.ln2_bias = store.add(prefix + ".ln2.bias", (d,), np.zeros)
 
     def forward(self, x, positions, penalty, disable_content,
-                disable_position, train, rng, record=None):
+                disable_position, train, rng, record=None, mask=None):
         cfg = self.config
         attn = self.attn.forward(x, positions, penalty, disable_content,
                                  disable_position, train, rng,
-                                 cfg.attention_dropout, record)
+                                 cfg.attention_dropout, record, mask)
         attn = ad.dropout(attn, cfg.residual_dropout, rng, train)
         x = ad.layer_norm(ad.add(x, attn), self.ln1_gain.tensor,
                           self.ln1_bias.tensor)
@@ -352,51 +361,81 @@ class Encoder:
         self.layers = [EncoderLayer(store, "encoder.layer%d" % i, config, rng)
                        for i in range(config.num_layers)]
 
-    def encode(self, content: Tensor, train: bool = False, rng=None,
+    def encode(self, content, train: bool = False, rng=None,
                control: AttentionControl = None, record=None) -> Tensor:
         """Encode a sentence; ``content`` is [T, content_dim] with rows for
         the start and stop tokens included.
 
+        ``content`` may also be a list of such matrices, a pack of
+        sentences: the result then holds every sentence's [T_b, d_model]
+        rows one after the other.  Row-wise work (projections, feed-forward,
+        layer norms) runs once over all the pack's rows, and attention runs
+        every sentence on its own through one padded stack per layer.  A
+        pack of one computes exactly what a lone sentence does.
+
         ``record``, if given, is a dict filled with attention probabilities
-        keyed (layer, head) -> [T, T] arrays.
+        keyed (layer, head) -> [T, T] arrays; it needs a single sentence.
         """
         cfg = self.config
-        T = content.shape[0]
-        if T > cfg.max_sentence_length:
-            raise ValueError(
-                "sentence has %d tokens with boundaries; the position table "
-                "holds %d" % (T, cfg.max_sentence_length))
-        if content.shape[1] != cfg.content_dim:
-            raise ValueError("content is %s but variant %r wants width %d"
-                             % (content.shape, cfg.variant, cfg.content_dim))
+        contents = [content] if isinstance(content, Tensor) else list(content)
+        if not contents:
+            raise ValueError("nothing to encode")
+        lengths = [c.shape[0] for c in contents]
+        for c in contents:
+            if c.shape[0] > cfg.max_sentence_length:
+                raise ValueError(
+                    "sentence has %d tokens with boundaries; the position "
+                    "table holds %d" % (c.shape[0], cfg.max_sentence_length))
+            if c.shape[1] != cfg.content_dim:
+                raise ValueError("content is %s but variant %r wants width %d"
+                                 % (c.shape, cfg.variant, cfg.content_dim))
+        if record is not None and len(contents) > 1:
+            raise ValueError("attention can be recorded for one sentence "
+                             "only, not a pack of %d" % len(contents))
         if control is not None:
             control.validate(cfg)
 
-        positions = ad.take_rows(self.position_table.tensor, np.arange(T))
-        x = compose_input(content, positions, cfg.variant)
+        positions = ad.take_rows(self.position_table.tensor,
+                                 np.concatenate([np.arange(T)
+                                                 for T in lengths]))
+        x = compose_input(ad.concat(contents, axis=0), positions, cfg.variant)
 
-        penalty = self._window_penalty(T, control)
+        mask = None
+        if len(lengths) > 1:
+            mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        penalty = self._penalty(lengths, control)
         all_on = (False,) * cfg.num_layers
         off_c = control and control.disable_content or all_on
         off_p = control and control.disable_position or all_on
         for i, layer in enumerate(self.layers):
             layer_record = [] if record is not None else None
             x = layer.forward(x, positions, penalty, bool(off_c[i]),
-                              bool(off_p[i]), train, rng, layer_record)
+                              bool(off_p[i]), train, rng, layer_record, mask)
             if record is not None:
                 for h, probs in enumerate(layer_record[0]):
                     record[(i, h)] = probs
         return x
 
-    def _window_penalty(self, T, control):
+    def _penalty(self, lengths, control):
+        """The additive logit mask of a sentence ([T, T], or None without a
+        window) or of a pack ([B * H, Tmax, Tmax], its padded keys masked
+        too).  Every window keeps the diagonal, so no real query row is
+        left empty."""
         distance, mode = self.config.window_distance, self.config.window_mode
         if control is not None and control.window is not None:
             distance, mode = control.window
-        if distance is None or distance < 0 or distance == math.inf:
+        if distance is None or distance < 0:
+            distance = math.inf
+        if len(lengths) == 1 and distance == math.inf:
             return None
-        # every window keeps the diagonal, so no query row is left empty
-        return np.where(build_window_mask(T, distance, mode), 0.0,
-                        MASK_PENALTY)
+        Tmax = max(lengths)
+        allow = np.zeros((len(lengths), Tmax, Tmax), dtype=bool)
+        for b, T in enumerate(lengths):
+            allow[b, :T, :T] = build_window_mask(T, distance, mode)
+        penalty = np.where(allow, 0.0, MASK_PENALTY)
+        if len(lengths) == 1:
+            return penalty[0]
+        return np.repeat(penalty, self.config.num_heads, axis=0)
 
 
 def assemble_block_sparse(layer: EncoderLayer, head: int) -> dict:

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .chart import (SpanScorer, build_chart, cky_decode, fenceposts,
-                    hinge_loss, span_vectors)
+                    hinge_loss, margin_loss, span_vectors)
 from .encoder import Encoder, EncoderConfig
 from .lexical import LexicalConfig, LexicalModel
 from .optim import ParameterStore
@@ -49,12 +49,28 @@ class SpanParser:
                           control=None, external=None, record=None):
         """Run the network on one tagged sentence (list of (word, tag)
         pairs) and return the [num_spans, num_labels-1] score tensor."""
-        if not sentence:
+        return self.pack_scores([sentence], train, rng, control,
+                                [external], record)
+
+    def pack_scores(self, sentences, train: bool = False, rng=None,
+                    control=None, externals=None, record=None):
+        """Score a pack of tagged sentences in one pass: the
+        [sum of num_spans, num_labels-1] tensor holding each sentence's
+        span scores in turn.  Lexical content is built per sentence;
+        the encoder and the span scorer each run once over the pack.
+        ``externals`` gives each sentence's pretrained vectors (external
+        mode)."""
+        if not sentences or not all(sentences):
             raise ValueError("cannot score an empty sentence")
-        content = self.lexical.content_vectors(sentence, train, rng, external)
-        y = self.encoder.encode(content, train, rng, control, record)
-        projected = self.scorer.project(fenceposts(y))
-        return self.scorer.forward(span_vectors(projected, len(sentence)))
+        if externals is None:
+            externals = [None] * len(sentences)
+        contents = [self.lexical.content_vectors(s, train, rng, ext)
+                    for s, ext in zip(sentences, externals)]
+        words = [len(s) for s in sentences]
+        lengths = [n + 2 for n in words]
+        y = self.encoder.encode(contents, train, rng, control, record)
+        projected = self.scorer.project(fenceposts(y, lengths))
+        return self.scorer.forward(span_vectors(projected, words))
 
     def score_chart(self, sentence, control=None, external=None, record=None):
         """The [n+1, n+1, num_labels] chart; builds no autodiff graph."""
@@ -80,3 +96,16 @@ class SpanParser:
         scores = self.span_score_tensor(sentence, train=train, rng=rng,
                                         external=external)
         return hinge_loss(scores, len(sentence), gold_binary)
+
+    def batch_loss(self, batch, train: bool = True, rng=None):
+        """One packed pass over a mini-batch of (sentence, gold_binary,
+        external) triples: (each sentence's HingeResult, the batch's
+        summed loss tensor, or None when every margin holds)."""
+        scores = self.pack_scores([s for s, _, _ in batch], train, rng,
+                                  externals=[ext for _, _, ext in batch])
+        results, offset = [], 0
+        for sentence, gold, _ in batch:
+            n = len(sentence)
+            results.append(hinge_loss(scores, n, gold, offset))
+            offset += n * (n + 1) // 2
+        return results, margin_loss(scores, results)

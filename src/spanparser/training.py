@@ -84,6 +84,15 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
           log_fn=None, train_external=None, dev_external=None) -> TrainResult:
     """Train ``model`` in place and leave it at the best dev iterate.
 
+    Each mini-batch is one packed pass (``SpanParser.batch_loss``): every
+    sentence gets its own lexical rows, the encoder and the span scorer run
+    once over all of the batch's rows, and each sentence is decoded, loss
+    augmented, on its own chart.  The violating sentences' hinge terms make
+    one loss, so one backward pass computes each weight gradient as a
+    single product over the whole batch, and one Adam step follows.
+    Dropout masks are drawn from the shuffle rng, per sentence for the
+    lexical rows and per batch for the encoder.
+
     ``eval_fn(model, dev)``, when given, replaces dev parsing (used by tests
     to script the F1 trajectory).  ``log_fn``, when given, receives one
     tab-separated line per evaluation: batches, lr, mean train loss since
@@ -128,33 +137,23 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
         processed = 0
         next_eval = 0
         for start in range(0, total, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            batch_tensors = []
-            batch_value = 0.0
-            for idx in batch:
-                sentence, gold, ext = data[idx]
-                try:
-                    result = model.sentence_loss(sentence, gold, train=True,
-                                                 rng=rng, external=ext)
-                except NonFiniteScoreError as exc:
-                    raise RuntimeError(
-                        "non-finite training loss (epoch %d, batch at "
-                        "sentence %d, lr %g): %s"
-                        % (epoch, start, state.lr, exc)) from exc
-                batch_value += result.value
-                if result.violator is not None:
-                    batch_tensors.append(result.loss)
+            batch = [data[k] for k in order[start:start + config.batch_size]]
+            try:
+                results, loss = model.batch_loss(batch, train=True, rng=rng)
+            except NonFiniteScoreError as exc:
+                raise RuntimeError(
+                    "non-finite training loss (epoch %d, batch at "
+                    "sentence %d, lr %g): %s"
+                    % (epoch, start, state.lr, exc)) from exc
+            batch_value = sum(result.value for result in results)
             if not np.isfinite(batch_value):
                 raise RuntimeError(
                     "non-finite training loss (epoch %d, batch at sentence "
                     "%d, lr %g)" % (epoch, start, state.lr))
-            if batch_tensors:
-                total_loss = batch_tensors[0]
-                for extra in batch_tensors[1:]:
-                    total_loss = total_loss + extra
-                backward(total_loss)
+            if loss is not None:
+                backward(loss)
             # free the batch's graph (and its gradients) before the update
-            total_loss = batch_tensors = result = None
+            loss = results = None
             state.batches_seen += 1
             state.lr = lr_schedule(state.batches_seen, state, config)
             adam_step(model.store, state.lr)

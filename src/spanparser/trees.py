@@ -84,11 +84,22 @@ class Tree:
     def __eq__(self, other):
         if not isinstance(other, Tree):
             return NotImplemented
-        return (self.label == other.label and self.word == other.word
-                and self.tag == other.tag and self.children == other.children)
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if (a.label != b.label or a.word != b.word or a.tag != b.tag
+                    or len(a.children) != len(b.children)):
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
 
     def __hash__(self):
-        return hash((self.label, self.word, self.tag, self.children))
+        # each node hashes its fields with its children's hashes
+        return _fold(self, lambda node: node.children,
+                     lambda node, hashes: hash((node.label, node.word,
+                                                node.tag, tuple(hashes))))
 
     def __repr__(self):
         return "Tree(%s)" % self.render()
@@ -117,14 +128,36 @@ class BinaryTree:
         return self.left is None
 
     def nodes(self):
-        out = [self]
-        if not self.is_leaf():
-            out.extend(self.left.nodes())
-            out.extend(self.right.nodes())
+        """Every node in preorder: a node, then its left and right
+        subtrees."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            if not node.is_leaf():
+                stack.extend((node.right, node.left))
         return out
 
     def __repr__(self):
         return "BinaryTree(label=%r, span=%r)" % (self.label, self.span)
+
+
+def _fold(root, children, combine):
+    """combine(node, [results of its children]) for every node below and
+    including ``root``, children before parents, without recursion; returns
+    root's result.  ``children(node)`` lists the nodes to combine."""
+    stack = [(root, iter(children(root)), [])]
+    while True:
+        node, pending, done = stack[-1]
+        child = next(pending, None)
+        if child is not None:
+            stack.append((child, iter(children(child)), []))
+            continue
+        stack.pop()
+        value = combine(node, done)
+        if not stack:
+            return value
+        stack[-1][2].append(value)
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +335,28 @@ def collapse_unary(t, separator=DEFAULT_SEPARATOR):
     The chain S over VP over a leaf becomes a single "S+VP" node above the
     leaf; the POS tag link to the word itself is never collapsed.
     """
-    if t.is_leaf():
-        return t
-    labels = [t.label]
-    node = t
-    while len(node.children) == 1 and not node.children[0].is_leaf():
-        node = node.children[0]
-        labels.append(node.label)
-    children = tuple(collapse_unary(c, separator) for c in node.children)
-    return Tree(separator.join(labels), children)
+    def chain(node):
+        """The labels of the unary chain from ``node`` down, and the node
+        at its bottom."""
+        labels = [node.label]
+        while len(node.children) == 1 and not node.children[0].is_leaf():
+            node = node.children[0]
+            labels.append(node.label)
+        return labels, node
+
+    def combine(node, children):
+        if node.is_leaf():
+            return node
+        return Tree(separator.join(chain(node)[0]), children)
+
+    return _fold(t, lambda node: chain(node)[1].children, combine)
 
 
 def expand_unary(t, separator=DEFAULT_SEPARATOR):
     """Split joined labels back into nested single-child nodes."""
-    if t.is_leaf():
-        return t
-    return _wrap_labels(t.label, tuple(expand_unary(c, separator)
-                                       for c in t.children), separator)
+    return _fold(t, lambda node: node.children,
+                 lambda node, children: node if node.is_leaf() else
+                 _wrap_labels(node.label, tuple(children), separator))
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +373,25 @@ def binarize(t, inventory, direction="right"):
         raise ValueError("direction must be 'right' or 'left'")
     if t.is_leaf():
         raise ValueError("cannot binarize a bare leaf")
-    root, end = _binarize_node(t, 0, inventory, direction)
-    assert end == len(t.leaves())
+    words = 0  # leaves are combined left to right
+
+    def combine(node, subs):
+        nonlocal words
+        if node.is_leaf():
+            words += 1
+            return BinaryTree(inventory.null_id, (words - 1, words),
+                              word=node.word, tag=node.tag)
+        combined = _combine(subs, inventory.null_id, direction)
+        if combined.label != inventory.null_id:
+            # only happens for a single internal child, i.e. an uncollapsed
+            # chain
+            raise ValueError("tree is not unary-collapsed at %r" % node.label)
+        combined.label = inventory.index(node.label)
+        return combined
+
+    root = _fold(t, lambda node: node.children, combine)
+    assert words == len(t.leaves())
     return root
-
-
-def _binarize_node(node, start, inventory, direction):
-    if node.is_leaf():
-        leaf = BinaryTree(inventory.null_id, (start, start + 1),
-                          word=node.word, tag=node.tag)
-        return leaf, start + 1
-    subs = []
-    pos = start
-    for child in node.children:
-        sub, pos = _binarize_node(child, pos, inventory, direction)
-        subs.append(sub)
-    combined = _combine(subs, inventory.null_id, direction)
-    if combined.label != inventory.null_id:
-        # only happens for a single internal child, i.e. an uncollapsed chain
-        raise ValueError("tree is not unary-collapsed at %r" % node.label)
-    combined.label = inventory.index(node.label)
-    return combined, pos
 
 
 def _combine(subs, null_id, direction):
@@ -378,22 +414,21 @@ def debinarize(b, inventory):
     """Invert binarize: splice out null nodes and re-expand collapsed labels."""
     if b.label == inventory.null_id:
         raise ValueError("binary tree root has the null label, nothing to emit")
-    trees = _debinarize_node(b, inventory)
+    def combine(node, parts):
+        # a node yields the list of n-ary trees that replace it
+        if node.is_leaf():
+            children = [Tree.leaf(node.word, node.tag)]
+        else:
+            children = parts[0] + parts[1]
+        if node.label == inventory.null_id:
+            return children
+        return [_wrap_labels(inventory.name(node.label), children,
+                             inventory.separator)]
+
+    trees = _fold(b, lambda node: () if node.is_leaf()
+                  else (node.left, node.right), combine)
     assert len(trees) == 1
     return trees[0]
-
-
-def _debinarize_node(node, inventory):
-    if node.is_leaf():
-        leaf = Tree.leaf(node.word, node.tag)
-        if node.label == inventory.null_id:
-            return [leaf]
-        return [_wrap_labels(inventory.name(node.label), (leaf,), inventory.separator)]
-    children = (_debinarize_node(node.left, inventory)
-                + _debinarize_node(node.right, inventory))
-    if node.label == inventory.null_id:
-        return children
-    return [_wrap_labels(inventory.name(node.label), children, inventory.separator)]
 
 
 def _wrap_labels(joined, children, separator):

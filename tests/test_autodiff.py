@@ -248,3 +248,68 @@ def test_no_grad_builds_no_graph_and_restores_on_error():
         with ad.no_grad():
             ad.matmul(x, leaf(rng, 2, 2))
     assert ad.matmul(x, x)._grad_fn is not None
+
+
+def test_packed_heads_pad_each_sentence_and_invert():
+    rng = np.random.default_rng(14)
+    lengths = [3, 1, 4]
+    mask = np.arange(4) < np.array(lengths)[:, None]
+    x = leaf(rng, sum(lengths), 6)
+    stack = ad.split_heads(x, 3, mask)
+    assert stack.shape == (9, 4, 2)
+    start = 0
+    for b, T in enumerate(lengths):
+        own = ad.split_heads(tensor(x.data[start:start + T]), 3).data
+        assert np.array_equal(stack.data[3 * b:3 * b + 3, :T], own)
+        assert not stack.data[3 * b:3 * b + 3, T:].any()
+        start += T
+    assert np.array_equal(ad.merge_heads(stack, mask).data, x.data)
+    # logits of every sentence against itself, padded keys included
+    w = tensor(rng.standard_normal((sum(lengths), 12)))
+    check(lambda: ad.sum_all(ad.mul(ad.merge_heads(ad.bmm(
+        ad.split_heads(x, 3, mask),
+        ad.transpose(ad.split_heads(x, 3, mask))), mask), w)), [x])
+    with pytest.raises(DimensionError):
+        ad.split_heads(leaf(rng, 7, 6), 3, mask)
+    with pytest.raises(DimensionError):
+        ad.merge_heads(leaf(rng, 9, 3, 2), mask)
+
+
+def _backward_keeping_every_grad(loss):
+    """The accumulation order of backward, storing every node's grad."""
+    order = ad._toposort(loss)
+    grads = {id(loss): np.ones(())}
+    for node in reversed(order):
+        g = grads.get(id(node))
+        if g is None:
+            continue
+        node.grad = g if node.grad is None else node.grad + g
+        if node._grad_fn is None:
+            continue
+        for parent, pg in zip(node._parents, node._grad_fn(g)):
+            if parent.requires_grad:
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg
+
+
+def test_backward_stores_grads_on_leaves_only():
+    def graph():
+        rng = np.random.default_rng(15)
+        w = leaf(rng, 4, 3)
+        b = leaf(rng, 3)
+        x = tensor(rng.standard_normal((5, 4)))
+        h = ad.relu(ad.add(ad.matmul(x, w), b))
+        # w and b reach the loss along several paths
+        gram = ad.matmul(ad.transpose(w), w)
+        out = ad.layer_norm(ad.add(h, ad.matmul(h, gram)), b, b)
+        return w, b, h, out
+
+    w, b, h, out = graph()
+    loss = ad.sum_all(ad.mul(out, out))
+    backward(loss)
+    assert h.grad is None and out.grad is None and loss.grad is None
+    ref_w, ref_b, ref_h, ref_out = graph()
+    _backward_keeping_every_grad(ad.sum_all(ad.mul(ref_out, ref_out)))
+    assert ref_h.grad is not None
+    assert np.array_equal(w.grad, ref_w.grad)
+    assert np.array_equal(b.grad, ref_b.grad)

@@ -5,8 +5,8 @@ import spanparser.autodiff as ad
 from spanparser.autodiff import Tensor, backward, tensor
 from spanparser.chart import (
     SpanScorer, all_spans, build_chart, cky_decode, directional_split,
-    fenceposts, hamming_delta, hinge_loss, loss_augmented_decode, span_index,
-    span_row, span_vector, span_vectors, tree_score,
+    fenceposts, hamming_delta, hinge_loss, loss_augmented_decode,
+    margin_loss, span_index, span_row, span_vector, span_vectors, tree_score,
 )
 from spanparser.optim import ParameterStore
 from spanparser.trees import binarize, collapse_unary, gold_spans, parse_bracketed
@@ -359,3 +359,58 @@ def test_hinge_value_consistency_random():
             s_v = tree_score(chart, result.violator)
             assert result.value == pytest.approx(
                 s_v + result.delta - result.gold_score, abs=1e-9)
+
+
+def test_packed_fenceposts_and_span_vectors_stack_each_sentence():
+    rng = np.random.default_rng(12)
+    words = [3, 1, 5]
+    ys = [rng.standard_normal((n + 2, 6)) for n in words]
+    u = fenceposts(tensor(np.concatenate(ys)), [n + 2 for n in words])
+    singles = [fenceposts(tensor(y)).data for y in ys]
+    assert np.array_equal(u.data, np.concatenate(singles))
+    v = span_vectors(u, words)
+    assert np.array_equal(v.data, np.concatenate(
+        [span_vectors(tensor(f), n).data for f, n in zip(singles, words)]))
+    with pytest.raises(ValueError):
+        span_vectors(u, [3, 1, 4])
+
+
+def test_packed_hinge_terms_match_lone_sentences():
+    rng = np.random.default_rng(13)
+    texts = ["(S (NP (DT the) (NN cat)) (VB sat))",
+             "(S (X x) (Y y))",
+             "(S (NP (DT the) (NN cat)) (VP (VB sat) (RB down)))"]
+    raw = [parse_bracketed(t)[0] for t in texts]
+    inv = LabelInventory.from_trees(raw)
+    golds = [binarize(collapse_unary(t), inv) for t in raw]
+    words = [len(t.leaves()) for t in raw]
+    blocks = [rng.standard_normal((n * (n + 1) // 2, len(inv) - 1))
+              for n in words]
+    # the second sentence's gold tree dominates, so it adds no term
+    n = words[1]
+    blocks[1][:] = -10.0
+    for i, j, l in gold_spans(golds[1]):
+        if l != 0:
+            blocks[1][span_row(i, j, n), l - 1] = 10.0
+    pack = tensor(np.concatenate(blocks), requires_grad=True)
+    results, offset = [], 0
+    for n, gold in zip(words, golds):
+        results.append(hinge_loss(pack, n, gold, offset))
+        offset += n * (n + 1) // 2
+    leaves = [tensor(block, requires_grad=True) for block in blocks]
+    lone = [hinge_loss(t, n, gold) for t, n, gold in zip(leaves, words, golds)]
+    for packed, own in zip(results, lone):
+        assert packed.value == own.value and packed.delta == own.delta
+        assert packed.gold_score == own.gold_score
+        assert (packed.violator is None) == (own.violator is None)
+    assert results[1].violator is None and results[0].loss is None
+    assert margin_loss(pack, [results[1]]) is None
+    loss = margin_loss(pack, results)
+    assert float(loss.data) == pytest.approx(sum(r.value for r in lone),
+                                             abs=1e-12)
+    backward(loss)
+    for own in lone:
+        if own.violator is not None:
+            backward(own.loss)
+    assert np.array_equal(pack.grad, np.concatenate(
+        [np.zeros(t.shape) if t.grad is None else t.grad for t in leaves]))

@@ -175,3 +175,59 @@ def test_num_parameters_counts_every_value():
     model = tiny_model(TREES)
     assert model.num_parameters() == sum(p.data.size for p in model.store)
     assert model.num_parameters() > 0
+
+
+PACK_TREES = parse_bracketed(
+    "(S (NP (DT the) (NN cat)) (VP (VB saw) (NP (DT a) (NN telescope))))\n"
+    "(S (NP (NN dog)) (VP (VB ran)))\n"
+    "(TOP (S (VP (VB go))))\n"
+    "(S (NP (DT a) (NN dog)) (VP (VB saw) (NP (NN cat)) (RB far)))\n"
+    "(S (NP (NN cat)) (VP (VB sat)))"
+)
+
+
+@pytest.mark.parametrize("variant", [
+    "additive-unfactored", "concatenative-unfactored", "factored",
+    "position-only", "block-sparse-additive"])
+@pytest.mark.parametrize("mode", ["tags", "char-lstm", "external"])
+def test_packed_scores_equal_each_sentences_own(variant, mode):
+    extra = {"external_dim": 5} if mode == "external" else {}
+    model = tiny_model(PACK_TREES, mode, variant, seed=2, **extra)
+    sentences = [t.sentence() for t in PACK_TREES]
+    rng = np.random.default_rng(3)
+    externals = [rng.standard_normal((len(s), 5)) if extra else None
+                 for s in sentences]
+    for control in (None, AttentionControl(window=(1, "strict"))):
+        for size in range(1, 6):
+            pack = model.pack_scores(sentences[:size], control=control,
+                                     externals=externals[:size])
+            own = [model.span_score_tensor(s, control=control, external=e)
+                   for s, e in zip(sentences[:size], externals[:size])]
+            assert pack.shape[0] == sum(o.shape[0] for o in own)
+            assert np.allclose(pack.data,
+                               np.concatenate([o.data for o in own]),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_pack_of_one_is_the_sentence_path_and_packs_refuse_records():
+    model = tiny_model(PACK_TREES)
+    sent = PACK_TREES[3].sentence()
+    assert np.array_equal(model.pack_scores([sent]).data,
+                          model.span_score_tensor(sent).data)
+    with pytest.raises(ValueError):
+        model.pack_scores([sent, sent], record={})
+    with pytest.raises(ValueError):
+        model.pack_scores([sent, []])
+
+
+def test_batch_loss_results_match_sentence_losses():
+    model = tiny_model(PACK_TREES, no_dropout=True)
+    batch = [(t.sentence(), model.gold_binary(t), None) for t in PACK_TREES]
+    results, loss = model.batch_loss(batch, train=False)
+    own = [model.sentence_loss(s, g, train=False) for s, g, _ in batch]
+    for packed, lone in zip(results, own):
+        assert packed.value == pytest.approx(lone.value, abs=1e-10)
+        assert packed.delta == lone.delta
+        assert (packed.violator is None) == (lone.violator is None)
+    assert float(loss.data) == pytest.approx(sum(r.value for r in own),
+                                             abs=1e-10)

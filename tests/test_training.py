@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from spanparser.autodiff import backward
 from spanparser.checkpoint import save_checkpoint
 from spanparser.training import (
     TrainConfig, TrainState, lr_schedule, train,
 )
 from spanparser.trees import parse_bracketed
 
-from support import tiny_model
+from support import gradcheck, tiny_model
 
 TREES = parse_bracketed(
     "(S (NP (DT the) (NN cat)) (VP (VB sat)))\n"
@@ -201,3 +202,48 @@ def test_loss_decreases_on_tiny_overfit():
     first = result.log_rows[0][2]
     last = result.log_rows[-1][2]
     assert last < first
+
+
+def _grads(model):
+    return {name: None if p.grad is None else p.grad.copy()
+            for name, p in model.store.items()}
+
+
+def test_batch_loss_gradients_are_the_sum_of_sentence_gradients():
+    model = fresh_model(num_layers=2)
+    batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
+    results, loss = model.batch_loss(batch, train=False)
+    assert sum(r.violator is not None for r in results) >= 2
+    backward(loss)
+    packed = _grads(model)
+    for p in model.store:
+        p.clear_grad()
+    for sentence, gold, _ in batch:
+        result = model.sentence_loss(sentence, gold, train=False)
+        if result.violator is not None:
+            backward(result.loss)
+    summed = _grads(model)
+    largest = max(np.abs(g).max() for g in summed.values() if g is not None)
+    for name, grad in summed.items():
+        if grad is None:
+            assert packed[name] is None, name
+            continue
+        # the floor covers gradients that are zero up to rounding, such as
+        # the last layer norm's bias, whose shift cancels in span vectors
+        scale = max(np.abs(grad).max(), 1e-3 * largest)
+        assert np.abs(packed[name] - grad).max() <= 1e-10 * scale, name
+
+
+def test_batch_loss_finite_differences_with_dropout():
+    # every call replays the same dropout masks from a fresh rng
+    model = fresh_model(no_dropout=False)
+    batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES[:4]]
+
+    def loss():
+        return model.batch_loss(batch, train=True,
+                                rng=np.random.default_rng(7))[1]
+
+    assert loss() is not None
+    err = gradcheck(loss, list(model.store), np.random.default_rng(2),
+                    coords=2)
+    assert err < 1e-5

@@ -201,3 +201,34 @@ def test_parsers_fail_only_with_parse_error_on_fuzzed_input():
                 parse(text)
             except ParseError as exc:
                 assert exc.line >= 1 and exc.column >= 1
+
+
+def test_deep_branching_tree_collapses_binarizes_and_round_trips():
+    from support import tiny_model
+    depth = 3000
+    text = "(S (A a) " * depth + "(A a)" + ")" * depth
+    (tree,) = parse_bracketed(text)
+    inventory = LabelInventory.from_trees([tree])
+    assert inventory.labels == [NULL_LABEL, "S"]
+    collapsed = collapse_unary(tree)
+    assert collapsed == tree
+    binary = binarize(collapsed, inventory)
+    assert binary.span == (0, depth + 1)
+    assert len(binary.nodes()) == 2 * (depth + 1) - 1
+    assert debinarize(binary, inventory) == tree
+    assert expand_unary(collapsed) == tree
+    model = tiny_model([tree], num_layers=1)
+    gold = model.gold_binary(tree)
+    assert sorted(gold_spans(gold)) == sorted(gold_spans(binary))
+
+
+def test_equality_and_hash_of_deep_chains():
+    depth = 3000
+    text = "(S " * depth + "(NN w)" + ")" * depth
+    (a,) = parse_bracketed(text)
+    (b,) = parse_bracketed(text)
+    (c,) = parse_bracketed(text.replace("(NN w)", "(NN v)"))
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert not a == Tree("S", [Tree.leaf("w", "NN")])
+    assert len({a, b, c}) == 2
