@@ -40,14 +40,16 @@ result = train(model, trees, trees, cfg,
 print("best dev F1: %.2f after %d batches"
       % (result.best_f1, result.state.batches_seen))
 
-preds = [model.parse(t.sentence()) for t in trees]
+# parse_batch scores length-sorted packs of sentences in one pass each
+preds = model.parse_batch([t.sentence() for t in trees])
 print("\n" + format_report(score(preds, trees)))
 print("parse of sample:", preds[0].render())
 
 # checkpoints restore the exact model: same configs, vocab, and values
-path = os.path.join(tempfile.mkdtemp(), "toy.ckpt")
-save_checkpoint(model, path)
-clone = load_checkpoint(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "toy.ckpt")
+    save_checkpoint(model, path)
+    clone = load_checkpoint(path)
 same = all(clone.parse(t.sentence()).render() == p.render()
            for t, p in zip(trees, preds))
 print("reloaded model parses identically:", same)

@@ -9,9 +9,9 @@ margin loss with loss-augmented decoding.
 
 from .autodiff import Tensor, backward, DimensionError
 from .chart import (SpanScorer, all_spans, build_chart, cky_decode,
-                    directional_split, fenceposts, hamming_delta, hinge_loss,
-                    loss_augmented_decode, margin_loss, span_vector,
-                    span_vectors, tree_score)
+                    fenceposts, hamming_delta, hinge_loss,
+                    loss_augmented_decode, margin_loss, span_vectors,
+                    tree_score)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import (AttentionControl, Encoder, EncoderConfig,
                       assemble_block_sparse, build_window_mask, compose_input)

@@ -64,29 +64,6 @@ def span_row(i, j, n: int):
     return i * n - i * (i - 1) // 2 + (j - i - 1)
 
 
-def directional_split(y: Tensor):
-    """Split encoder output columns into forward (even) and backward (odd)
-    annotation halves."""
-    d = y.shape[1]
-    if d % 2 != 0:
-        raise ValueError("directional split needs an even width, got %d" % d)
-    fwd = ad.take_cols(y, np.arange(0, d, 2))
-    bwd = ad.take_cols(y, np.arange(1, d, 2))
-    return fwd, bwd
-
-
-def span_vector(i: int, j: int, fwd: Tensor, bwd: Tensor) -> Tensor:
-    """The [1, d_model] vector for one span; ``fwd``/``bwd`` come from
-    directional_split of an encoder output with boundary rows.  The
-    reference for fenceposts and span_vectors."""
-    n = fwd.shape[0] - 2
-    if not 0 <= i < j <= n:
-        raise ValueError("span (%d, %d) out of range for %d words" % (i, j, n))
-    f = ad.sub(ad.take_rows(fwd, [j]), ad.take_rows(fwd, [i]))
-    b = ad.sub(ad.take_rows(bwd, [j + 1]), ad.take_rows(bwd, [i + 1]))
-    return ad.concat([f, b], axis=1)
-
-
 def fenceposts(y: Tensor, lengths=None) -> Tensor:
     """The fencepost rows u_k = [fwd_k ; bwd_{k+1}], k = 0..n, of an
     encoder output with boundary rows: [n+1, d_model].
@@ -94,7 +71,9 @@ def fenceposts(y: Tensor, lengths=None) -> Tensor:
     With ``lengths``, ``y`` is a pack of sentences with those token counts
     (boundaries included), one after the other, and the result stacks
     every sentence's fencepost rows in the same order."""
-    fwd, bwd = directional_split(y)
+    # forward annotations are the even columns, backward ones the odd
+    fwd = ad.take_cols(y, np.arange(0, y.shape[1], 2))
+    bwd = ad.take_cols(y, np.arange(1, y.shape[1], 2))
     # every row but each sentence's stop row starts a fencepost
     stops = np.cumsum([y.shape[0]] if lengths is None else lengths) - 1
     k = np.delete(np.arange(y.shape[0]), stops)

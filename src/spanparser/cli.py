@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import checkpoint as ckpt
 from . import evaluation
 from .config import (ConfigError, apply_overrides, build_configs,
                      load_config_file)
-from .encoder import AttentionControl
+from .encoder import WINDOW_MODES, AttentionControl
 from .lexical import read_vector_file
 from .model import SpanParser
 from .training import default_eval_fn, train
@@ -222,6 +223,9 @@ def _parse_distance(text):
     text = text.strip()
     if text in ("inf", "none", "unlimited"):
         return math.inf
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ConfigError("window distance %r is not a whole number or inf"
+                          % text)
     value = int(text)
     if value < 0:
         raise ConfigError("window distance must be >= 0, got %d" % value)
@@ -268,18 +272,19 @@ def parse_disable_spec(spec: str, num_layers: int) -> AttentionControl:
             if term not in enabled:
                 raise ConfigError("unknown attention term %r (use content "
                                   "or position)" % term)
+            counted = re.fullmatch(r"(first|last)([0-9]+)", layers)
             if layers == "all":
                 keep = set(range(num_layers))
             elif layers == "none":
                 keep = set()
-            elif layers.startswith("first"):
-                keep = set(range(min(int(layers[5:]), num_layers)))
-            elif layers.startswith("last"):
-                k = min(int(layers[4:]), num_layers)
-                keep = set(range(num_layers - k, num_layers))
+            elif counted:
+                k = min(int(counted.group(2)), num_layers)
+                keep = set(range(k) if counted.group(1) == "first"
+                           else range(num_layers - k, num_layers))
             else:
-                raise ConfigError("bad layer subset %r (use all, none, "
-                                  "first<k>, or last<k>)" % layers)
+                raise ConfigError("bad layer subset %r in disable clause %r "
+                                  "(use all, none, first<k>, or last<k> with "
+                                  "k >= 0)" % (layers, clause))
             enabled[term] = keep
     return AttentionControl(
         disable_content=tuple(i not in enabled["content"]
@@ -327,6 +332,9 @@ def _cmd_dump_attention(args):
         if ":" not in args.window:
             raise ConfigError("--window must be DISTANCE:MODE")
         d, m = args.window.split(":", 1)
+        if m.strip() not in WINDOW_MODES:
+            raise ConfigError("--window mode %r is not one of %s"
+                              % (m.strip(), ", ".join(WINDOW_MODES)))
         control = AttentionControl(window=(_parse_distance(d), m.strip()))
 
     record = {}

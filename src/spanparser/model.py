@@ -14,6 +14,9 @@ from .optim import ParameterStore
 from .trees import Tree, binarize, collapse_unary, debinarize
 from .vocab import LabelInventory, Vocabulary
 
+# sentences per pack in parse_batch
+PARSE_PACK = 16
+
 
 class SpanParser:
     """Scores labeled spans of tagged sentences and decodes parse trees.
@@ -84,6 +87,37 @@ class SpanParser:
         chart = self.score_chart(sentence, control, external, record)
         btree, _ = cky_decode(chart, sentence)
         return debinarize(btree, self.labels)
+
+    def parse_batch(self, sentences, control=None, externals=None):
+        """Decode the best tree for each tagged sentence, in input order.
+
+        The sentences are sorted by length and scored in packs of up to
+        PARSE_PACK (``pack_scores``, building no graph), so similar lengths
+        share a pack and little padding is attended over; each sentence's
+        chart is then assembled and decoded on its own.  ``externals``
+        gives each sentence's pretrained vectors (external mode).  A
+        packed sentence's scores equal its lone ones up to rounding (a
+        pack of one is bitwise ``parse``)."""
+        if externals is None:
+            externals = [None] * len(sentences)
+        order = sorted(range(len(sentences)),
+                       key=lambda k: len(sentences[k]))
+        trees = [None] * len(sentences)
+        for start in range(0, len(order), PARSE_PACK):
+            pack = order[start:start + PARSE_PACK]
+            with ad.no_grad():
+                scores = self.pack_scores(
+                    [sentences[k] for k in pack], control=control,
+                    externals=[externals[k] for k in pack]).data
+            offset = 0
+            for k in pack:
+                n = len(sentences[k])
+                size = n * (n + 1) // 2
+                chart = build_chart(scores[offset:offset + size], n)
+                offset += size
+                btree, _ = cky_decode(chart, sentences[k])
+                trees[k] = debinarize(btree, self.labels)
+        return trees
 
     def gold_binary(self, tree: Tree):
         """Binarize a treebank tree against this model's label inventory."""

@@ -8,6 +8,9 @@ from .autodiff import Tensor
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# values per block of adam_step: its six block-sized operands (data, m, v,
+# the gradient and two scratch buffers) take 1.5 MB
+BLOCK = 32768
 
 
 class OptimizerError(RuntimeError):
@@ -95,11 +98,13 @@ class ParameterStore:
         return sum(p.data.size for p in self)
 
     def snapshot(self) -> dict:
+        """A copy of every parameter's values, by name."""
         return {name: p.data.copy() for name, p in self.items()}
 
     def restore(self, snap: dict) -> None:
+        """Copy a snapshot's values back into the parameters' own arrays."""
         for name, p in self.items():
-            p.tensor.data = snap[name].copy()
+            np.copyto(p.data, snap[name])
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fans=None) -> np.ndarray:
@@ -123,35 +128,55 @@ def adam_step(params, lr: float,
     Parameters without gradients are treated as having zero gradient (their
     moments still decay).  Non-finite gradients abort before any state is
     touched, so a failed step leaves the model unchanged.  ``data``, ``m``
-    and ``v`` are updated in place, through two scratch buffers, with the
-    operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
-    data -= lr m_hat / (sqrt(v_hat) + eps) in that order.
+    and ``v`` are updated in place with the operations of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    data -= lr m_hat / (sqrt(v_hat) + eps) in that order.  Every operation
+    is elementwise, so they run block by block (BLOCK values at a time,
+    through two BLOCK-sized scratch buffers): a block's operands stay in
+    cache from the first operation to the last, and the result is bitwise
+    that of whole-array operations.
     """
     params = list(params)
     b1, b2 = betas
     for p in params:
-        g = p.grad
-        if g is not None and not np.all(np.isfinite(g)):
+        # blocks are slices of a flat view, which only a contiguous array has
+        if not p.data.flags.c_contiguous:
+            raise OptimizerError(
+                "parameter %r is not a contiguous array" % p.name)
+        if p.grad is None:
+            continue
+        g = np.ravel(p.grad)
+        # one read of g; the square sum overflows only for |g| near 1e154,
+        # which the exact test then tells apart from inf and NaN
+        with np.errstate(over="ignore"):
+            square_sum = np.dot(g, g)
+        if not (np.isfinite(square_sum) or np.all(np.isfinite(g))):
             raise OptimizerError(
                 "non-finite gradient for parameter %r" % p.name)
-    size = max((p.data.size for p in params), default=0)
-    scratch = np.empty(size), np.empty(size)
+    scratch = np.empty(BLOCK), np.empty(BLOCK)
     for p in params:
-        g = p.grad if p.grad is not None else 0.0
         p.steps += 1
-        a, b = (buf[:p.data.size].reshape(p.data.shape) for buf in scratch)
-        np.multiply(p.m, b1, out=p.m)
-        np.multiply(g, 1.0 - b1, out=a)
-        np.add(p.m, a, out=p.m)
-        np.multiply(p.v, b2, out=p.v)
-        np.square(g, out=a)
-        np.multiply(a, 1.0 - b2, out=a)
-        np.add(p.v, a, out=p.v)
-        np.divide(p.m, 1.0 - b1 ** p.steps, out=a)   # m_hat
-        np.divide(p.v, 1.0 - b2 ** p.steps, out=b)   # v_hat
-        np.sqrt(b, out=b)
-        np.add(b, eps, out=b)
-        np.multiply(a, lr, out=a)
-        np.divide(a, b, out=a)
-        np.subtract(p.data, a, out=p.data)
+        m_corr = 1.0 - b1 ** p.steps
+        v_corr = 1.0 - b2 ** p.steps
+        data, m, v = p.data.reshape(-1), p.m.reshape(-1), p.v.reshape(-1)
+        grad = None if p.grad is None else np.ravel(p.grad)
+        for start in range(0, data.size, BLOCK):
+            end = min(start + BLOCK, data.size)
+            x, mb, vb = data[start:end], m[start:end], v[start:end]
+            g = 0.0 if grad is None else grad[start:end]
+            a, b = scratch[0][:end - start], scratch[1][:end - start]
+            np.multiply(mb, b1, out=mb)
+            np.multiply(g, 1.0 - b1, out=a)
+            np.add(mb, a, out=mb)
+            np.multiply(vb, b2, out=vb)
+            np.square(g, out=a)
+            np.multiply(a, 1.0 - b2, out=a)
+            np.add(vb, a, out=vb)
+            np.divide(mb, m_corr, out=a)    # m_hat
+            np.divide(vb, v_corr, out=b)    # v_hat
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.multiply(a, lr, out=a)
+            np.divide(a, b, out=a)
+            np.subtract(x, a, out=x)
         p.clear_grad()

@@ -40,6 +40,14 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
+    """Schedule and selection state of a training run.
+
+    ``best_params`` is the snapshot of the best dev iterate, taken just
+    before the first Adam step after the evaluation that found it.  It is
+    None before the first evaluation and while the model still is the best
+    iterate, so also after training when the final evaluation was the best.
+    """
+
     lr: float = 0.0
     batches_seen: int = 0
     best_f1: float = -1.0
@@ -70,13 +78,10 @@ def lr_schedule(batches_seen: int, state: TrainState,
 
 
 def default_eval_fn(model, dev_trees, dev_external=None, control=None):
-    """Parse the dev set (under the attention ``control``, if given) and
-    return labeled F1 against it."""
-    preds = []
-    for k, tree in enumerate(dev_trees):
-        ext = dev_external[k] if dev_external is not None else None
-        preds.append(model.parse(tree.sentence(), control=control,
-                                 external=ext))
+    """Parse the dev set in packs (``SpanParser.parse_batch``, under the
+    attention ``control``, if given) and return labeled F1 against it."""
+    preds = model.parse_batch([tree.sentence() for tree in dev_trees],
+                              control=control, externals=dev_external)
     return score(preds, dev_trees).f1
 
 
@@ -93,8 +98,15 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
     Dropout masks are drawn from the shuffle rng, per sentence for the
     lexical rows and per batch for the encoder.
 
-    ``eval_fn(model, dev)``, when given, replaces dev parsing (used by tests
-    to script the F1 trajectory).  ``log_fn``, when given, receives one
+    An evaluation that improves on the best F1 marks the current iterate as
+    the best; it is copied (``ParameterStore.snapshot``) only just before
+    the next Adam step would move the model away from it.  When training
+    ends, the best snapshot, if one was taken, is restored; when the final
+    evaluation was the best, the model already is that iterate, nothing is
+    copied and ``TrainState.best_params`` stays None.
+
+    ``eval_fn(model, dev)``, when given, replaces dev parsing in packs
+    (``default_eval_fn``; tests use it to script the F1 trajectory).  ``log_fn``, when given, receives one
     tab-separated line per evaluation: batches, lr, mean train loss since
     the previous evaluation, dev F1.
     """
@@ -115,9 +127,10 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
     eval_points = sorted({math.ceil(total * k / config.evals_per_epoch)
                           for k in range(1, config.evals_per_epoch + 1)})
     loss_sum, loss_sentences = 0.0, 0
+    best_unsaved = False    # the model is the best iterate, not yet copied
 
     def run_eval():
-        nonlocal loss_sum, loss_sentences
+        nonlocal loss_sum, loss_sentences, best_unsaved
         f1 = eval_fn(model, dev)
         mean_loss = loss_sum / loss_sentences if loss_sentences else 0.0
         row = (state.batches_seen, state.lr, mean_loss, f1)
@@ -127,7 +140,8 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
         loss_sum, loss_sentences = 0.0, 0
         if f1 > state.best_f1:
             state.best_f1 = f1
-            state.best_params = model.store.snapshot()
+            state.best_params = None
+            best_unsaved = True
             return True
         return False
 
@@ -156,6 +170,9 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
             loss = results = None
             state.batches_seen += 1
             state.lr = lr_schedule(state.batches_seen, state, config)
+            if best_unsaved:
+                state.best_params = model.store.snapshot()
+                best_unsaved = False
             adam_step(model.store, state.lr)
             loss_sum += batch_value
             loss_sentences += len(batch)

@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: finite-difference gradient checking,
-brute-force decode oracles, random tree generators, tiny model builders."""
+brute-force decode oracles and reference span vectors, random tree
+generators, tiny model builders."""
 
 import numpy as np
 
-from spanparser.autodiff import backward
+import spanparser.autodiff as ad
+from spanparser.autodiff import Tensor, backward
 from spanparser.chart import hamming_delta
 from spanparser.encoder import Encoder, EncoderConfig
 from spanparser.lexical import LexicalConfig
@@ -116,6 +118,30 @@ def reference_cky(chart):
         return BinaryTree(label, (i, j), left=build(i, k), right=build(k, j))
 
     return build(0, n), float(best[0, n])
+
+
+def directional_split(y: Tensor):
+    """Split encoder output columns into forward (even) and backward (odd)
+    annotation halves."""
+    d = y.shape[1]
+    if d % 2 != 0:
+        raise ValueError("directional split needs an even width, got %d" % d)
+    fwd = ad.take_cols(y, np.arange(0, d, 2))
+    bwd = ad.take_cols(y, np.arange(1, d, 2))
+    return fwd, bwd
+
+
+def span_vector(i: int, j: int, fwd: Tensor, bwd: Tensor) -> Tensor:
+    """The [1, d_model] vector of one span, built from its four annotation
+    rows; ``fwd``/``bwd`` come from directional_split of an encoder output
+    with boundary rows.  The reference that chart.fenceposts and
+    chart.span_vectors compute for all spans at once."""
+    n = fwd.shape[0] - 2
+    if not 0 <= i < j <= n:
+        raise ValueError("span (%d, %d) out of range for %d words" % (i, j, n))
+    f = ad.sub(ad.take_rows(fwd, [j]), ad.take_rows(fwd, [i]))
+    b = ad.sub(ad.take_rows(bwd, [j + 1]), ad.take_rows(bwd, [i + 1]))
+    return ad.concat([f, b], axis=1)
 
 
 def tree_triples(tree):

@@ -4,17 +4,17 @@ import pytest
 import spanparser.autodiff as ad
 from spanparser.autodiff import Tensor, backward, tensor
 from spanparser.chart import (
-    SpanScorer, all_spans, build_chart, cky_decode, directional_split,
-    fenceposts, hamming_delta, hinge_loss, loss_augmented_decode,
-    margin_loss, span_index, span_row, span_vector, span_vectors, tree_score,
+    SpanScorer, all_spans, build_chart, cky_decode, fenceposts,
+    hamming_delta, hinge_loss, loss_augmented_decode, margin_loss,
+    span_index, span_row, span_vectors, tree_score,
 )
 from spanparser.optim import ParameterStore
 from spanparser.trees import binarize, collapse_unary, gold_spans, parse_bracketed
 from spanparser.vocab import LabelInventory
 
 from support import (
-    brute_augmented, brute_best, leaf_gradcheck, random_chart, random_ntree,
-    reference_cky, tree_triples,
+    brute_augmented, brute_best, directional_split, leaf_gradcheck,
+    random_chart, random_ntree, reference_cky, span_vector, tree_triples,
 )
 
 

@@ -216,6 +216,10 @@ def test_analyze_window_bad_distance(workdir, capsys):
     assert main(["analyze-window", str(workdir / "model.ckpt"),
                  str(workdir / "dev.txt"), "--distances", "-3"]) == 2
     capsys.readouterr()
+    for bad in ("abc", "1.5", "1,,2"):
+        assert main(["analyze-window", str(workdir / "model.ckpt"),
+                     str(workdir / "dev.txt"), "--distances", bad]) == 2
+        assert "window distance" in capsys.readouterr().err
 
 
 def test_parse_disable_spec_layer_subsets():
@@ -237,9 +241,17 @@ def test_parse_disable_spec_layer_subsets():
         parse_disable_spec("content-last4", 2)
     with pytest.raises(ConfigError):
         parse_disable_spec("content:middle2", 2)
+    c = parse_disable_spec("content:first0", 2)
+    assert c.disable_content == (True, True)
+    # a negative, missing or non-numeric count is an error, not "no layers"
+    for clause in ("content:first-2", "content:last-1", "content:firstX",
+                   "content:last", "position:first 1", "content:last1.5"):
+        with pytest.raises(ConfigError) as e:
+            parse_disable_spec("position:all," + clause, 4)
+        assert repr(clause) in str(e.value)
 
 
-def test_analyze_disable_table(workdir, tmp_path):
+def test_analyze_disable_table(workdir, tmp_path, capsys):
     out_path = tmp_path / "dis.tsv"
     code = main(["analyze-disable", str(workdir / "model.ckpt"),
                  str(workdir / "dev.txt"),
@@ -252,6 +264,12 @@ def test_analyze_disable_table(workdir, tmp_path):
     assert len(lines) == 4
     baseline = float(lines[1].split("\t")[1])
     assert 0.0 <= baseline <= 100.0
+    # a bad layer count is a usage error naming the clause
+    for spec in ("content:first-2", "content:last-1", "content:firstX",
+                 "content:last"):
+        assert main(["analyze-disable", str(workdir / "model.ckpt"),
+                     str(workdir / "dev.txt"), "--spec", spec]) == 2
+        assert repr(spec) in capsys.readouterr().err
 
 
 def test_analyze_disable_default_is_baseline(workdir, tmp_path):
@@ -310,6 +328,12 @@ def test_dump_attention_input_flag_and_errors(workdir, tmp_path, capsys):
     assert main(["dump-attention", str(workdir / "model.ckpt"),
                  "--text", "a_DT", "--window", "oops"]) == 2
     capsys.readouterr()
+    for window, message in (("abc:strict", "window distance 'abc'"),
+                            ("1.5:strict", "window distance '1.5'"),
+                            ("2:sideways", "--window mode 'sideways'")):
+        assert main(["dump-attention", str(workdir / "model.ckpt"),
+                     "--text", "a_DT", "--window", window]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_external_mode_through_cli(tmp_path, capsys):

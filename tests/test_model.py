@@ -4,9 +4,11 @@ import pytest
 import spanparser.autodiff as ad
 from spanparser.autodiff import Tensor, backward
 from spanparser.chart import build_chart
-from spanparser.encoder import AttentionControl, EncoderConfig
+from spanparser.encoder import (FACTORED_VARIANTS, AttentionControl,
+                                EncoderConfig)
 from spanparser.lexical import LexicalConfig
-from spanparser.model import SpanParser
+from spanparser.model import PARSE_PACK, SpanParser
+from spanparser.toydata import toy_treebank
 from spanparser.trees import parse_bracketed
 from spanparser.vocab import LabelInventory, Vocabulary
 
@@ -207,6 +209,37 @@ def test_packed_scores_equal_each_sentences_own(variant, mode):
             assert np.allclose(pack.data,
                                np.concatenate([o.data for o in own]),
                                rtol=0.0, atol=1e-12)
+
+
+BATCH_TREES = toy_treebank(17, seed=4)  # 3-14 words, one more than a pack
+
+
+@pytest.mark.parametrize("variant", [
+    "additive-unfactored", "concatenative-unfactored", "factored",
+    "position-only", "block-sparse-additive"])
+@pytest.mark.parametrize("mode", ["tags", "char-lstm", "external"])
+def test_parse_batch_gives_each_sentences_own_parse(variant, mode):
+    assert len(BATCH_TREES) > PARSE_PACK
+    extra = {"external_dim": 5} if mode == "external" else {}
+    model = tiny_model(BATCH_TREES, mode, variant, seed=2, **extra)
+    sentences = [t.sentence() for t in BATCH_TREES]
+    rng = np.random.default_rng(3)
+    externals = ([rng.standard_normal((len(s), 5)) for s in sentences]
+                 if extra else None)
+    controls = [AttentionControl(window=(2, "strict"))]
+    if variant in FACTORED_VARIANTS:
+        controls.append(AttentionControl(disable_content=(False, True),
+                                         disable_position=(True, False)))
+    for control in controls:
+        batch = model.parse_batch(sentences, control=control,
+                                  externals=externals)
+        lone = [model.parse(s, control=control,
+                            external=externals[k] if extra else None)
+                for k, s in enumerate(sentences)]
+        assert [t.render() for t in batch] == [t.render() for t in lone]
+        one = model.parse_batch(sentences[:1], control=control,
+                                externals=externals[:1] if extra else None)
+        assert one == lone[:1]
 
 
 def test_pack_of_one_is_the_sentence_path_and_packs_refuse_records():

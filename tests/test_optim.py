@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spanparser.optim import (
-    ADAM_BETAS, ADAM_EPS, OptimizerError, Parameter, ParameterStore,
+    ADAM_BETAS, ADAM_EPS, BLOCK, OptimizerError, Parameter, ParameterStore,
     adam_step, embedding_init, glorot_uniform,
 )
 
@@ -74,9 +74,10 @@ def test_adam_two_steps_track_reference_formula():
 
 def test_in_place_adam_is_bitwise_the_reference_expressions():
     # several parameters of different shapes share the scratch buffers;
-    # step 3 has no gradient for "b"
+    # step 3 has no gradient for "b"; "d" spans two whole blocks and a
+    # partial third
     rng = np.random.default_rng(5)
-    shapes = {"a": (3, 4), "b": (7,), "c": (2, 5)}
+    shapes = {"a": (3, 4), "b": (7,), "c": (2, 5), "d": (2, BLOCK + 123)}
     store = ParameterStore()
     ref = {}
     for name, shape in shapes.items():
@@ -133,6 +134,39 @@ def test_nonfinite_gradient_aborts_without_mutation():
     bad.tensor.grad = np.array([np.inf, 0.0])
     with pytest.raises(OptimizerError):
         adam_step(store, lr=0.1)
+
+    # a NaN deep in a later block of a large parameter
+    big = store.add("c", np.ones(2 * BLOCK + 5))
+    bad.tensor.grad = np.ones(2)
+    big.tensor.grad = np.ones(2 * BLOCK + 5)
+    big.tensor.grad[BLOCK + 7] = np.nan
+    with pytest.raises(OptimizerError) as e:
+        adam_step(store, lr=0.1)
+    assert "'c'" in str(e.value)
+    for p in (good, bad, big):
+        assert np.all(p.data == 1.0) and p.steps == 0
+        assert not p.m.any() and not p.v.any()
+        assert p.grad is not None
+
+    # finite gradients whose squares overflow are accepted
+    big.tensor.grad[BLOCK + 7] = 1e160
+    big.tensor.grad[0] = -1e160
+    with np.errstate(over="ignore"):
+        adam_step(store, lr=0.1)
+    assert big.steps == 1 and np.all(np.isfinite(big.data))
+
+
+def test_non_contiguous_parameter_is_rejected_before_any_update():
+    # a block of a strided array would be a copy, and its update lost
+    store = ParameterStore()
+    good = store.add("a", np.ones(3))
+    strided = store.add("b", np.ones((4, 3)))
+    strided.tensor.data = np.ones((3, 4)).T
+    good.tensor.grad = np.ones(3)
+    with pytest.raises(OptimizerError) as e:
+        adam_step(store, lr=0.1)
+    assert "'b'" in str(e.value)
+    assert np.all(good.data == 1.0) and good.steps == 0
 
 
 def test_glorot_and_embedding_init_scales():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spanparser import training
 from spanparser.autodiff import backward
 from spanparser.checkpoint import save_checkpoint
 from spanparser.training import (
@@ -120,6 +121,45 @@ def test_scripted_f1_drives_halving_and_best_restore():
     # the model is left at the iterate that scored 50
     for name, p in model.store.items():
         assert np.array_equal(p.data, snapshots[0][name]), name
+
+
+def test_final_best_iterate_is_kept_without_a_snapshot(monkeypatch):
+    # F1 rises at every evaluation: each best iterate but the last is
+    # copied just before the step that leaves it, and the last is the
+    # model itself, so nothing is copied or restored at the end
+    model = fresh_model()
+    script = iter([10.0, 20.0, 30.0])
+    events = []
+    evaluated = {}
+
+    def eval_fn(m, d):
+        events.append("eval")
+        evaluated.update((n, p.data.copy()) for n, p in m.store.items())
+        return next(script)
+
+    def snapshot():
+        events.append("snapshot")
+        return {n: p.data.copy() for n, p in model.store.items()}
+
+    def adam_step(params, lr, step=training.adam_step):
+        events.append("step")
+        step(params, lr)
+
+    def restore(snap):
+        raise AssertionError("the final iterate is the best; no restore")
+
+    monkeypatch.setattr(model.store, "snapshot", snapshot)
+    monkeypatch.setattr(model.store, "restore", restore)
+    monkeypatch.setattr("spanparser.training.adam_step", adam_step)
+    result = train(model, TREES, TREES[:2], cfg(max_epochs=3),
+                   eval_fn=eval_fn)
+    assert result.best_f1 == 30.0
+    assert result.state.best_params is None
+    # 2 batches per epoch; each snapshot comes right before a step
+    assert events == ["step", "step", "eval", "snapshot", "step", "step",
+                      "eval", "snapshot", "step", "step", "eval"]
+    for name, p in model.store.items():
+        assert np.array_equal(p.data, evaluated[name]), name
 
 
 def test_improvement_must_be_strict():
