@@ -17,6 +17,7 @@ cfg = EncoderConfig(num_layers=2, d_model=32, num_heads=2, d_k=8, d_v=8,
 store = ParameterStore()
 rng = np.random.default_rng(0)
 enc = Encoder(store, cfg, rng)
+store.allocate()
 print("encoder holds %d values in %d parameters"
       % (store.num_values(), len(store)))
 

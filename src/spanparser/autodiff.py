@@ -53,29 +53,6 @@ class Tensor:
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape, self.requires_grad)
 
-    # convenience operators; all defined in terms of the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    @property
-    def T(self):
-        return transpose(self)
-
-    def item(self):
-        return float(self.data)
-
 
 def tensor(data, requires_grad=False):
     return Tensor(data, requires_grad=requires_grad)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .optim import ParameterStore, glorot_uniform
+from .optim import ParameterStore, glorot_uniform, ones
 from .trees import BinaryTree, gold_spans
 
 NULL_ID = 0  # LabelInventory reserves id 0 for the dummy label
@@ -116,11 +116,11 @@ class SpanScorer:
         self.num_labels = num_labels
         glorot = partial(glorot_uniform, rng)
         self.m1 = store.add("scorer.m1", (d_model, hidden), glorot)
-        self.c1 = store.add("scorer.c1", (hidden,), np.zeros)
-        self.ln_gain = store.add("scorer.ln.gain", (hidden,), np.ones)
-        self.ln_bias = store.add("scorer.ln.bias", (hidden,), np.zeros)
+        self.c1 = store.add("scorer.c1", (hidden,))
+        self.ln_gain = store.add("scorer.ln.gain", (hidden,), ones)
+        self.ln_bias = store.add("scorer.ln.bias", (hidden,))
         self.m2 = store.add("scorer.m2", (hidden, num_labels - 1), glorot)
-        self.c2 = store.add("scorer.c2", (num_labels - 1,), np.zeros)
+        self.c2 = store.add("scorer.c2", (num_labels - 1,))
 
     def project(self, rows: Tensor) -> Tensor:
         """[k, d_model] rows times M_1: [k, hidden]."""

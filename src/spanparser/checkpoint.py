@@ -12,15 +12,18 @@ Byte layout (all integers little-endian):
 The header records both model configs, the vocabulary, the label inventory,
 the construction seed, and for every parameter its name and shape, so a
 checkpoint is self-describing: loading rebuilds the model from the header
-with the payload as its parameters.
+and reads the payload into its parameter store's data arena, whose layout
+the header's parameter list must equal, in order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -39,8 +42,7 @@ def save_checkpoint(model: SpanParser, path) -> None:
     file in the same directory, which then replaces ``path``, so a save
     that fails or is killed part-way leaves the previous file whole (the
     file is not fsynced, so this does not cover a power loss)."""
-    params = [{"name": name, "shape": list(p.data.shape)}
-              for name, p in model.store.items()]
+    model.store.check_views()
     header = {
         "format": "span-parser-checkpoint",
         "encoder_config": dataclasses.asdict(model.encoder_config),
@@ -48,7 +50,8 @@ def save_checkpoint(model: SpanParser, path) -> None:
         "vocab": model.vocab.to_dict(),
         "labels": model.labels.to_dict(),
         "seed": model.seed,
-        "params": params,
+        "params": [{"name": p.name, "shape": list(p.shape)}
+                   for p in model.store],
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     tmp = "%s.%s.tmp" % (os.fspath(path), os.urandom(6).hex())
@@ -59,8 +62,7 @@ def save_checkpoint(model: SpanParser, path) -> None:
             fh.write(struct.pack("<I", FORMAT_VERSION))
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            for _, p in model.store.items():
-                fh.write(np.ascontiguousarray(p.data, dtype="<f8").data)
+            fh.write(np.ascontiguousarray(model.store.data, dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -68,9 +70,9 @@ def save_checkpoint(model: SpanParser, path) -> None:
 
 
 def load_checkpoint(path) -> SpanParser:
-    """Rebuild the model a checkpoint describes.  The payload is read once
-    into one float64 buffer and every parameter is a view of it; no random
-    initialization is drawn."""
+    """Rebuild the model a checkpoint describes.  The model is built
+    without drawing an initialization, and the payload is read straight
+    into its store's data arena."""
     with open(path, "rb") as fh:
         preamble = fh.read(_PREAMBLE)
         if preamble[:8] != MAGIC:
@@ -86,37 +88,28 @@ def load_checkpoint(path) -> SpanParser:
         header = json.loads(fh.read(header_len).decode("utf-8"))
         payload_bytes = os.fstat(fh.fileno()).st_size - _PREAMBLE - header_len
 
-        recorded = header["params"]
-        offsets, total = [], 0
-        for entry in recorded:
-            count = int(np.prod(entry["shape"], dtype=np.int64))
-            offsets.append((entry, total, total + count))
-            total += count
-            if 8 * total > payload_bytes:
-                raise ValueError("checkpoint payload is truncated at %r"
-                                 % entry["name"])
-        buffer = np.empty(total, dtype="<f8")
-        arrays = {entry["name"]: buffer[start:end].reshape(entry["shape"])
-                  for entry, start, end in offsets}
-        if len(arrays) != len(offsets):
-            raise ValueError("checkpoint lists a parameter name twice")
-
         model = SpanParser(
             EncoderConfig(**header["encoder_config"]),
             LexicalConfig(**header["lexical_config"]),
             Vocabulary.from_dict(header["vocab"]),
             LabelInventory.from_dict(header["labels"]),
             seed=header.get("seed", 0),
-            preset=arrays,
+            draw=False,
         )
-        unused = [name for name in arrays if name not in model.store]
-        if unused:
-            raise ValueError("checkpoint parameter %r does not exist in the "
-                             "rebuilt model" % unused[0])
+        for k, (got, want) in enumerate(itertools.zip_longest(
+                [(e["name"], tuple(e["shape"])) for e in header["params"]],
+                [(p.name, p.shape) for p in model.store])):
+            if got != want:
+                raise ValueError("checkpoint parameter %d (name, shape) is "
+                                 "%s and does not match the model's %s"
+                                 % (k, got, want))
 
-        if fh.readinto(memoryview(buffer).cast("B")) != buffer.nbytes:
+        data = model.store.data
+        if fh.readinto(memoryview(data).cast("B")) != data.nbytes:
             raise ValueError("checkpoint payload is truncated")
-        trailing = payload_bytes - buffer.nbytes
+        if sys.byteorder == "big":
+            data.byteswap(inplace=True)
+        trailing = payload_bytes - data.nbytes
         if trailing:
             raise ValueError("checkpoint has %d trailing bytes" % trailing)
     return model

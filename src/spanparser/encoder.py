@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .optim import ParameterStore, glorot_uniform, embedding_init
+from .optim import ParameterStore, embedding_init, glorot_uniform, ones
 
 VARIANTS = (
     "additive-unfactored",
@@ -191,10 +191,11 @@ def _add_streams(store, prefix, suffixes, roles):
             for suffix in suffixes]
 
 
-def _weight(rng, shape, scheme, fans=None):
-    if scheme == "normal":
-        return rng.standard_normal(shape) * 0.02
-    return glorot_uniform(rng, shape, fans)
+def _weight(rng, out, scheme, fans=None):
+    if scheme == "glorot":
+        return glorot_uniform(rng, out, fans)
+    rng.standard_normal(out=out)
+    out *= 0.02
 
 
 class MultiHeadAttention:
@@ -307,8 +308,8 @@ class FeedForward:
         dff = config.d_ff // len(suffixes)
         weight = functools.partial(_weight, rng, scheme=config.init_scheme)
         self.streams = _add_streams(store, prefix, suffixes, (
-            ("w1", (d, dff), weight), ("b1", (dff,), np.zeros),
-            ("w2", (dff, d), weight), ("b2", (d,), np.zeros)))
+            ("w1", (d, dff), weight), ("b1", (dff,), None),
+            ("w2", (dff, d), weight), ("b2", (d,), None)))
 
     def forward(self, x: Tensor, train: bool, rng, relu_p: float) -> Tensor:
         outs = []
@@ -328,10 +329,10 @@ class EncoderLayer:
         self.attn = MultiHeadAttention(store, prefix + ".attn", config, rng)
         self.ffn = FeedForward(store, prefix + ".ffn", config, rng)
         d = config.d_model
-        self.ln1_gain = store.add(prefix + ".ln1.gain", (d,), np.ones)
-        self.ln1_bias = store.add(prefix + ".ln1.bias", (d,), np.zeros)
-        self.ln2_gain = store.add(prefix + ".ln2.gain", (d,), np.ones)
-        self.ln2_bias = store.add(prefix + ".ln2.bias", (d,), np.zeros)
+        self.ln1_gain = store.add(prefix + ".ln1.gain", (d,), ones)
+        self.ln1_bias = store.add(prefix + ".ln1.bias", (d,))
+        self.ln2_gain = store.add(prefix + ".ln2.gain", (d,), ones)
+        self.ln2_bias = store.add(prefix + ".ln2.bias", (d,))
 
     def forward(self, x, positions, penalty, disable_content,
                 disable_position, train, rng, record=None, mask=None):

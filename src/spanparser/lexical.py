@@ -138,12 +138,11 @@ class CharLSTM:
                 "w_h": store.add("lexical.char_lstm.%s.w_h" % tag,
                                  (self.hidden, 4 * self.hidden), glorot),
                 "b": store.add("lexical.char_lstm.%s.b" % tag,
-                               (4 * self.hidden,), np.zeros),
+                               (4 * self.hidden,)),
             }
         self.proj = store.add("lexical.char_lstm.proj",
                               (2 * self.hidden, slot_dim), glorot)
-        self.proj_bias = store.add("lexical.char_lstm.proj_bias",
-                                   (slot_dim,), np.zeros)
+        self.proj_bias = store.add("lexical.char_lstm.proj_bias", (slot_dim,))
 
     def _run_direction(self, ids: np.ndarray, mask: np.ndarray, weights,
                        train: bool, rng) -> Tensor:

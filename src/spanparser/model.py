@@ -23,13 +23,13 @@ class SpanParser:
 
     Construction is deterministic in ``seed``; two parsers built from equal
     configs, vocabularies, and seeds are identical parameter for parameter.
-    ``preset`` (parameter name -> array, as a checkpoint loader supplies)
-    replaces the random initialization, which is then never drawn.
+    With ``draw`` false no initialization is drawn and every parameter is
+    zero, for a checkpoint loader to read its payload into ``store.data``.
     """
 
     def __init__(self, encoder_config: EncoderConfig,
                  lexical_config: LexicalConfig, vocab: Vocabulary,
-                 labels: LabelInventory, seed: int = 0, preset: dict = None):
+                 labels: LabelInventory, seed: int = 0, draw: bool = True):
         if len(labels) < 2:
             raise ValueError("label inventory has no real labels")
         self.encoder_config = encoder_config.validate()
@@ -38,12 +38,13 @@ class SpanParser:
         self.labels = labels
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.store = ParameterStore(preset)
+        self.store = ParameterStore()
         self.lexical = LexicalModel(self.store, vocab, lexical_config,
                                     encoder_config.content_dim, rng)
         self.encoder = Encoder(self.store, encoder_config, rng)
         self.scorer = SpanScorer(self.store, encoder_config.d_model,
                                  encoder_config.span_hidden, len(labels), rng)
+        self.store.allocate(draw)
 
     def num_parameters(self) -> int:
         return self.store.num_values()

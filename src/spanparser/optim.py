@@ -18,16 +18,17 @@ class OptimizerError(RuntimeError):
 
 
 class Parameter:
-    """A named trainable tensor together with its Adam moment estimates."""
+    """A named trainable tensor: values ``start:stop`` of its store's data
+    arena, whose view ``tensor`` holds once the store is allocated."""
 
-    __slots__ = ("name", "tensor", "m", "v", "steps")
+    __slots__ = ("name", "shape", "start", "stop", "tensor")
 
-    def __init__(self, name: str, data):
+    def __init__(self, name: str, shape, start: int):
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
-        self.m = np.zeros(self.tensor.shape)
-        self.v = np.zeros(self.tensor.shape)
-        self.steps = 0
+        self.shape = tuple(shape)
+        self.start = start
+        self.stop = start + int(np.prod(self.shape, dtype=np.int64))
+        self.tensor = None
 
     @property
     def data(self):
@@ -41,43 +42,63 @@ class Parameter:
         self.tensor.grad = None
 
     def __repr__(self):
-        return "Parameter(%r, shape=%s)" % (self.name, self.tensor.shape)
+        return "Parameter(%r, shape=%s)" % (self.name, self.shape)
 
 
 class ParameterStore:
-    """Ordered registry of parameters; insertion order defines checkpoint
-    layout, so construction must be deterministic.
-
-    ``preset``, when given, maps every parameter name to its array (a
-    loaded checkpoint's payload): parameters added with an ``init`` then
-    take their preset array and draw nothing.
+    """Ordered registry of parameters over three flat float64 arenas of
+    one layout: ``data`` (every parameter's values, in insertion order) and
+    Adam's moments ``m`` and ``v``; ``steps`` counts Adam steps.  ``add``
+    records the layout, then ``allocate`` creates the arenas and writes
+    each initialization into its view.  Insertion order defines the
+    checkpoint layout, so construction must be deterministic.
     """
 
-    def __init__(self, preset: dict = None):
+    def __init__(self):
         self._params = {}
-        self._preset = preset
+        self._inits = []
+        self.size = 0
+        self.data = self.m = self.v = None
+        self.steps = 0
 
-    def add(self, name: str, data, init=None) -> Parameter:
-        """Register a parameter.  ``data`` is its array, or its shape when
-        ``init`` is given; ``init(shape)`` then builds the array, unless a
-        preset replaces it."""
+    def add(self, name: str, shape, init=None) -> Parameter:
+        """Register a parameter of ``shape``.  ``init(out)``, if given,
+        fills its view when the store is allocated; without one it stays
+        zero."""
+        if self.data is not None:
+            raise ValueError("cannot add parameter %r: the store is "
+                             "already allocated" % name)
         if name in self._params:
             raise ValueError("duplicate parameter name %r" % name)
-        if init is not None:
-            shape = tuple(data)
-            if self._preset is None:
-                data = init(shape)
-            elif name not in self._preset:
-                raise ValueError("no preset array for parameter %r" % name)
-            else:
-                data = self._preset[name]
-                if data.shape != shape:
-                    raise ValueError("preset for parameter %r has shape %s "
-                                     "but the model expects %s"
-                                     % (name, data.shape, shape))
-        p = Parameter(name, data)
+        p = Parameter(name, shape, self.size)
+        self.size = p.stop
         self._params[name] = p
+        self._inits.append(init)
         return p
+
+    def allocate(self, draw: bool = True) -> None:
+        """Create the zeroed arenas, give every parameter its view, and run
+        each ``init`` in insertion order (none when ``draw`` is false)."""
+        self.data, self.m, self.v = (np.zeros(self.size) for _ in range(3))
+        for p, init in zip(self, self._inits):
+            p.tensor = Tensor(self.data[p.start:p.stop].reshape(p.shape),
+                              requires_grad=True)
+            if draw and init is not None:
+                init(p.tensor.data)
+        self._inits = None
+
+    def check_views(self) -> None:
+        """Raise ValueError, naming the parameter, unless every tensor still
+        holds its view of the data arena (``p.data[...] = x`` keeps it,
+        ``p.tensor.data = x`` does not)."""
+        start = self.data.ctypes.data
+        for p in self:
+            a = p.tensor.data
+            if (a.base is not self.data or a.shape != p.shape
+                    or a.ctypes.data != start + 8 * p.start
+                    or not a.flags.c_contiguous):
+                raise ValueError("parameter %r no longer holds its view of "
+                                 "the store's data arena" % p.name)
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -95,75 +116,80 @@ class ParameterStore:
         return self._params.items()
 
     def num_values(self) -> int:
-        return sum(p.data.size for p in self)
+        return self.size
 
-    def snapshot(self) -> dict:
-        """A copy of every parameter's values, by name."""
-        return {name: p.data.copy() for name, p in self.items()}
+    def snapshot(self) -> np.ndarray:
+        """A copy of the data arena."""
+        return self.data.copy()
 
-    def restore(self, snap: dict) -> None:
-        """Copy a snapshot's values back into the parameters' own arrays."""
-        for name, p in self.items():
-            np.copyto(p.data, snap[name])
+    def restore(self, snap: np.ndarray) -> None:
+        """Copy a snapshot back into the data arena."""
+        np.copyto(self.data, snap)
 
 
-def glorot_uniform(rng: np.random.Generator, shape, fans=None) -> np.ndarray:
-    """Glorot/Xavier uniform init for weight matrices.  ``fans`` overrides
+def glorot_uniform(rng: np.random.Generator, out: np.ndarray,
+                   fans=None) -> None:
+    """Glorot/Xavier uniform init of ``out`` in place; bitwise
+    ``rng.uniform(-limit, limit, out.shape)``.  ``fans`` overrides
     (fan_in, fan_out), so a stack of per-head blocks keeps each block's own
     limit."""
-    fan_in, fan_out = fans if fans is not None else (shape[0], shape[-1])
+    fan_in, fan_out = fans or (out.shape[0], out.shape[-1])
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    rng.random(out=out)
+    out *= 2 * limit
+    out -= limit
 
 
-def embedding_init(rng: np.random.Generator, shape) -> np.ndarray:
-    """Normal embeddings scaled to keep row norms O(1): N(0, 1)/sqrt(dim)."""
-    return rng.standard_normal(shape) / np.sqrt(shape[-1])
+def embedding_init(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Normal embeddings scaled to keep row norms O(1), N(0, 1)/sqrt(dim),
+    drawn into ``out`` in place."""
+    rng.standard_normal(out=out)
+    out /= np.sqrt(out.shape[-1])
 
 
-def adam_step(params, lr: float,
+def ones(out: np.ndarray) -> None:
+    out.fill(1.0)
+
+
+def adam_step(store: ParameterStore, lr: float,
               betas=ADAM_BETAS, eps: float = ADAM_EPS) -> None:
-    """One Adam update over ``params`` (any iterable of Parameter).
+    """One Adam update of every parameter in ``store``.
 
     Parameters without gradients are treated as having zero gradient (their
-    moments still decay).  Non-finite gradients abort before any state is
-    touched, so a failed step leaves the model unchanged.  ``data``, ``m``
-    and ``v`` are updated in place with the operations of
+    moments still decay).  A gradient whose square sum is not finite (NaN,
+    infinity, or so large that v would overflow) aborts before any state is
+    touched, so a failed step leaves the model unchanged.  The ``data``,
+    ``m`` and ``v`` arenas are updated in place with the operations of
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
     data -= lr m_hat / (sqrt(v_hat) + eps) in that order.  Every operation
-    is elementwise, so they run block by block (BLOCK values at a time,
-    through two BLOCK-sized scratch buffers): a block's operands stay in
-    cache from the first operation to the last, and the result is bitwise
-    that of whole-array operations.
+    is elementwise, so they run block by block over each parameter's slice
+    of the arenas (BLOCK values at a time, through two BLOCK-sized scratch
+    buffers): a block's operands stay in cache from the first operation to
+    the last, and the result is bitwise that of whole-array operations.
     """
-    params = list(params)
+    store.check_views()
     b1, b2 = betas
-    for p in params:
-        # blocks are slices of a flat view, which only a contiguous array has
-        if not p.data.flags.c_contiguous:
-            raise OptimizerError(
-                "parameter %r is not a contiguous array" % p.name)
+    for p in store:
         if p.grad is None:
             continue
         g = np.ravel(p.grad)
-        # one read of g; the square sum overflows only for |g| near 1e154,
-        # which the exact test then tells apart from inf and NaN
+        # one read of g; an infinite sum also means some square overflows
         with np.errstate(over="ignore"):
             square_sum = np.dot(g, g)
-        if not (np.isfinite(square_sum) or np.all(np.isfinite(g))):
+        if not np.isfinite(square_sum):
             raise OptimizerError(
-                "non-finite gradient for parameter %r" % p.name)
+                "non-finite gradient square sum for parameter %r" % p.name)
+    store.steps += 1
+    m_corr = 1.0 - b1 ** store.steps
+    v_corr = 1.0 - b2 ** store.steps
     scratch = np.empty(BLOCK), np.empty(BLOCK)
-    for p in params:
-        p.steps += 1
-        m_corr = 1.0 - b1 ** p.steps
-        v_corr = 1.0 - b2 ** p.steps
-        data, m, v = p.data.reshape(-1), p.m.reshape(-1), p.v.reshape(-1)
+    data, m, v = store.data, store.m, store.v
+    for p in store:
         grad = None if p.grad is None else np.ravel(p.grad)
-        for start in range(0, data.size, BLOCK):
-            end = min(start + BLOCK, data.size)
+        for start in range(p.start, p.stop, BLOCK):
+            end = min(start + BLOCK, p.stop)
             x, mb, vb = data[start:end], m[start:end], v[start:end]
-            g = 0.0 if grad is None else grad[start:end]
+            g = 0.0 if grad is None else grad[start - p.start:end - p.start]
             a, b = scratch[0][:end - start], scratch[1][:end - start]
             np.multiply(mb, b1, out=mb)
             np.multiply(g, 1.0 - b1, out=a)

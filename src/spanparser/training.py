@@ -42,16 +42,17 @@ class TrainConfig:
 class TrainState:
     """Schedule and selection state of a training run.
 
-    ``best_params`` is the snapshot of the best dev iterate, taken just
-    before the first Adam step after the evaluation that found it.  It is
-    None before the first evaluation and while the model still is the best
-    iterate, so also after training when the final evaluation was the best.
+    ``best_params`` is the snapshot of the best dev iterate (a copy of the
+    store's data arena), taken just before the first Adam step after the
+    evaluation that found it.  It is None before the first evaluation and
+    while the model still is the best iterate, so also after training when
+    the final evaluation was the best.
     """
 
     lr: float = 0.0
     batches_seen: int = 0
     best_f1: float = -1.0
-    best_params: dict = None
+    best_params: np.ndarray = None
     epochs_since_improvement: int = 0
     num_halvings: int = 0
 

@@ -244,6 +244,7 @@ def tiny_encoder(variant="factored", seed=0, num_layers=2, d_model=16,
                         span_hidden=12, **kw)
     store = ParameterStore()
     encoder = Encoder(store, cfg, np.random.default_rng(seed))
+    store.allocate()
     return encoder, store, cfg
 
 

@@ -88,6 +88,7 @@ def test_span_scorer_matches_numpy_reimplementation():
     store = ParameterStore()
     rng = np.random.default_rng(3)
     scorer = SpanScorer(store, d_model=10, hidden=7, num_labels=4, rng=rng)
+    store.allocate()
     v = rng.standard_normal((6, 10))
     out = scorer.forward(scorer.project(tensor(v))).data
     h = v @ store["scorer.m1"].data + store["scorer.c1"].data
@@ -128,7 +129,8 @@ def test_projected_span_scores_match_span_vector_scores():
     rng = np.random.default_rng(11)
     store = ParameterStore()
     scorer = SpanScorer(store, d_model=10, hidden=7, num_labels=4, rng=rng)
-    store["scorer.c1"].tensor.data = rng.standard_normal(7)
+    store.allocate()
+    store["scorer.c1"].data[...] = rng.standard_normal(7)
     n = 6
     y = tensor(rng.standard_normal((n + 2, 10)), requires_grad=True)
     out = scorer.forward(span_vectors(scorer.project(fenceposts(y)), n))

@@ -1,3 +1,4 @@
+import errno
 import json
 import struct
 
@@ -20,7 +21,7 @@ def trained_like_model(seed=0, **kw):
     # perturb away from the seed-deterministic init so the payload matters
     rng = np.random.default_rng(99)
     for p in model.store:
-        p.tensor.data = p.data + rng.standard_normal(p.data.shape)
+        p.data[...] += rng.standard_normal(p.shape)
     return model
 
 
@@ -113,28 +114,99 @@ def test_shape_mismatch_rejected(tmp_path):
     model = trained_like_model()
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack_from("<Q", raw, 12)
-    header = json.loads(raw[20:20 + header_len].decode("utf-8"))
-    header["params"][0]["shape"] = [1, 1]
-    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    out = raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + header_len:]
-    path.write_bytes(out)
+    rewrite_header(path, lambda h: h["params"][0].update(shape=[1, 1]))
     with pytest.raises(ValueError) as e:
         load_checkpoint(path)
     assert "shape" in str(e.value)
 
 
-def test_failed_save_leaves_previous_file(tmp_path):
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the checkpoint at ``path``."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, 12)
+    header = json.loads(raw[20:20 + header_len].decode("utf-8"))
+    edit(header)
+    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob
+                     + raw[20 + header_len:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["params"].reverse(),
+    lambda h: h["params"].insert(1, h["params"][0]),
+    lambda h: h["params"].pop(),
+], ids=["reordered", "duplicated", "missing"])
+def test_parameter_list_must_match_the_model_in_order(tmp_path, edit):
+    model = trained_like_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError) as e:
+        load_checkpoint(path)
+    assert "does not match" in str(e.value)
+
+
+def test_failed_save_leaves_previous_file(tmp_path, monkeypatch):
     model = trained_like_model()
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     before = path.read_bytes()
-    model.store["scorer.m1"].tensor.data = np.array(["not a number"])
-    with pytest.raises(ValueError):
+    model.store.data[0] += 1.0
+
+    class DiskFull:
+        """A file whose payload write stops part-way with ENOSPC."""
+
+        def __init__(self, name, mode):
+            self.fh = open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if isinstance(data, memoryview):
+                self.fh.write(bytes(data)[:64])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr("spanparser.checkpoint.open", DiskFull,
+                        raising=False)
+    with pytest.raises(OSError):
         save_checkpoint(model, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_save_rejects_a_rebound_parameter(tmp_path):
+    model = trained_like_model()
+    p = model.store["scorer.m1"]
+    p.tensor.data = p.data.copy()
+    with pytest.raises(ValueError) as e:
+        save_checkpoint(model, tmp_path / "m.ckpt")
+    assert "'scorer.m1'" in str(e.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def assert_views_tile_the_arena(store):
+    assert store.data.flags.c_contiguous and store.data.flags.owndata
+    offset = 0
+    for p in store:
+        assert p.data.base is store.data and p.data.flags.writeable
+        assert p.data.ctypes.data == store.data.ctypes.data + 8 * offset
+        offset += p.data.size
+    assert offset == store.data.size == store.m.size == store.v.size
+
+
+def test_parameters_tile_the_data_arena(tmp_path):
+    model = trained_like_model(mode="char-lstm", char_lstm_hidden=6)
+    assert_views_tile_the_arena(model.store)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    again = load_checkpoint(path)
+    assert_views_tile_the_arena(again.store)
+    assert np.array_equal(again.store.data, model.store.data)
 
 
 def test_load_draws_no_init_and_shares_one_buffer(tmp_path, monkeypatch):

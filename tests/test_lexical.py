@@ -21,6 +21,7 @@ def make(mode, slot=16, **kw):
     cfg = LexicalConfig(mode=mode, **kw)
     store = ParameterStore()
     model = LexicalModel(store, VOCAB, cfg, slot, np.random.default_rng(0))
+    store.allocate()
     return model, store, cfg
 
 

@@ -119,8 +119,7 @@ def test_scripted_f1_drives_halving_and_best_restore():
     # two improvement-free stretches of two epochs each trigger two halvings
     assert result.state.num_halvings == 2
     # the model is left at the iterate that scored 50
-    for name, p in model.store.items():
-        assert np.array_equal(p.data, snapshots[0][name]), name
+    assert np.array_equal(model.store.data, snapshots[0])
 
 
 def test_final_best_iterate_is_kept_without_a_snapshot(monkeypatch):
@@ -130,16 +129,16 @@ def test_final_best_iterate_is_kept_without_a_snapshot(monkeypatch):
     model = fresh_model()
     script = iter([10.0, 20.0, 30.0])
     events = []
-    evaluated = {}
+    evaluated = []
 
     def eval_fn(m, d):
         events.append("eval")
-        evaluated.update((n, p.data.copy()) for n, p in m.store.items())
+        evaluated.append(m.store.data.copy())
         return next(script)
 
     def snapshot():
         events.append("snapshot")
-        return {n: p.data.copy() for n, p in model.store.items()}
+        return model.store.data.copy()
 
     def adam_step(params, lr, step=training.adam_step):
         events.append("step")
@@ -158,8 +157,7 @@ def test_final_best_iterate_is_kept_without_a_snapshot(monkeypatch):
     # 2 batches per epoch; each snapshot comes right before a step
     assert events == ["step", "step", "eval", "snapshot", "step", "step",
                       "eval", "snapshot", "step", "step", "eval"]
-    for name, p in model.store.items():
-        assert np.array_equal(p.data, evaluated[name]), name
+    assert np.array_equal(model.store.data, evaluated[-1])
 
 
 def test_improvement_must_be_strict():
