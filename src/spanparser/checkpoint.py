@@ -23,9 +23,6 @@ import itertools
 import json
 import os
 import struct
-import sys
-
-import numpy as np
 
 from .encoder import EncoderConfig
 from .lexical import LexicalConfig
@@ -62,7 +59,7 @@ def save_checkpoint(model: SpanParser, path) -> None:
             fh.write(struct.pack("<I", FORMAT_VERSION))
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            fh.write(np.ascontiguousarray(model.store.data, dtype="<f8").data)
+            fh.write(model.store.data.data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -105,10 +102,8 @@ def load_checkpoint(path) -> SpanParser:
                                  % (k, got, want))
 
         data = model.store.data
-        if fh.readinto(memoryview(data).cast("B")) != data.nbytes:
+        if fh.readinto(data) != data.nbytes:
             raise ValueError("checkpoint payload is truncated")
-        if sys.byteorder == "big":
-            data.byteswap(inplace=True)
         trailing = payload_bytes - data.nbytes
         if trailing:
             raise ValueError("checkpoint has %d trailing bytes" % trailing)

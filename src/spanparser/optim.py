@@ -46,12 +46,13 @@ class Parameter:
 
 
 class ParameterStore:
-    """Ordered registry of parameters over three flat float64 arenas of
-    one layout: ``data`` (every parameter's values, in insertion order) and
-    Adam's moments ``m`` and ``v``; ``steps`` counts Adam steps.  ``add``
-    records the layout, then ``allocate`` creates the arenas and writes
-    each initialization into its view.  Insertion order defines the
-    checkpoint layout, so construction must be deterministic.
+    """Ordered registry of parameters over three flat float64 arenas of one
+    layout, little-endian like the checkpoint payload: ``data`` (every
+    parameter's values, in insertion order) and Adam's moments ``m`` and
+    ``v``; ``steps`` counts Adam steps.  ``add`` records the layout, then
+    ``allocate`` creates the arenas and writes each initialization into its
+    view.  Insertion order defines the checkpoint layout, so construction
+    must be deterministic.
     """
 
     def __init__(self):
@@ -79,7 +80,8 @@ class ParameterStore:
     def allocate(self, draw: bool = True) -> None:
         """Create the zeroed arenas, give every parameter its view, and run
         each ``init`` in insertion order (none when ``draw`` is false)."""
-        self.data, self.m, self.v = (np.zeros(self.size) for _ in range(3))
+        self.data, self.m, self.v = (np.zeros(self.size, dtype="<f8")
+                                     for _ in range(3))
         for p, init in zip(self, self._inits):
             p.tensor = Tensor(self.data[p.start:p.stop].reshape(p.shape),
                               requires_grad=True)
@@ -118,9 +120,11 @@ class ParameterStore:
     def num_values(self) -> int:
         return self.size
 
-    def snapshot(self) -> np.ndarray:
-        """A copy of the data arena."""
-        return self.data.copy()
+    def snapshot(self, out: np.ndarray = None) -> np.ndarray:
+        """A copy of the data arena, into ``out`` (an earlier one) if given."""
+        out = np.empty_like(self.data) if out is None else out
+        np.copyto(out, self.data)
+        return out
 
     def restore(self, snap: np.ndarray) -> None:
         """Copy a snapshot back into the data arena."""
@@ -156,11 +160,12 @@ def adam_step(store: ParameterStore, lr: float,
     """One Adam update of every parameter in ``store``.
 
     Parameters without gradients are treated as having zero gradient (their
-    moments still decay).  A gradient whose square sum is not finite (NaN,
-    infinity, or so large that v would overflow) aborts before any state is
-    touched, so a failed step leaves the model unchanged.  The ``data``,
-    ``m`` and ``v`` arenas are updated in place with the operations of
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    moments still decay).  A gradient whose square sum ``np.dot(g, g)`` is
+    not finite (NaN, infinity, a value above about 1.3e154, or n values near
+    1.3e154 / sqrt(n), whose squares overflow only in the sum) aborts before
+    any state is touched, so a failed step leaves the model unchanged.
+    The ``data``, ``m`` and ``v`` arenas are updated in place with
+    the operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
     data -= lr m_hat / (sqrt(v_hat) + eps) in that order.  Every operation
     is elementwise, so they run block by block over each parameter's slice
     of the arenas (BLOCK values at a time, through two BLOCK-sized scratch
@@ -173,7 +178,7 @@ def adam_step(store: ParameterStore, lr: float,
         if p.grad is None:
             continue
         g = np.ravel(p.grad)
-        # one read of g; an infinite sum also means some square overflows
+        # one read of g; the sum can overflow where no single square does
         with np.errstate(over="ignore"):
             square_sum = np.dot(g, g)
         if not np.isfinite(square_sum):

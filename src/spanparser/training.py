@@ -129,6 +129,7 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
                           for k in range(1, config.evals_per_epoch + 1)})
     loss_sum, loss_sentences = 0.0, 0
     best_unsaved = False    # the model is the best iterate, not yet copied
+    best_copy = None        # the one array every snapshot of this run fills
 
     def run_eval():
         nonlocal loss_sum, loss_sentences, best_unsaved
@@ -172,7 +173,7 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
             state.batches_seen += 1
             state.lr = lr_schedule(state.batches_seen, state, config)
             if best_unsaved:
-                state.best_params = model.store.snapshot()
+                state.best_params = best_copy = model.store.snapshot(best_copy)
                 best_unsaved = False
             adam_step(model.store, state.lr)
             loss_sum += batch_value

@@ -47,6 +47,11 @@ def test_snapshot_restore_is_a_deep_copy():
     assert np.array_equal(p.data, np.arange(4.0))
     snap[0] = 99.0
     assert p.data[0] == 0.0
+    # a later snapshot can be written into an earlier one's array
+    p.data[...] += 1
+    assert store.snapshot(snap) is snap
+    assert np.array_equal(snap, np.arange(4.0) + 1)
+    assert not np.shares_memory(snap, store.data)
 
 
 def test_adam_first_step_matches_hand_computation():

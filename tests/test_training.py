@@ -125,20 +125,23 @@ def test_scripted_f1_drives_halving_and_best_restore():
 def test_final_best_iterate_is_kept_without_a_snapshot(monkeypatch):
     # F1 rises at every evaluation: each best iterate but the last is
     # copied just before the step that leaves it, and the last is the
-    # model itself, so nothing is copied or restored at the end
+    # model itself, so nothing is copied or restored at the end; the
+    # second copy goes into the array of the first
     model = fresh_model()
     script = iter([10.0, 20.0, 30.0])
     events = []
     evaluated = []
+    snapshots = []
 
     def eval_fn(m, d):
         events.append("eval")
         evaluated.append(m.store.data.copy())
         return next(script)
 
-    def snapshot():
+    def snapshot(out=None, take=model.store.snapshot):
         events.append("snapshot")
-        return model.store.data.copy()
+        snapshots.append((out, take(out)))
+        return snapshots[-1][1]
 
     def adam_step(params, lr, step=training.adam_step):
         events.append("step")
@@ -158,6 +161,9 @@ def test_final_best_iterate_is_kept_without_a_snapshot(monkeypatch):
     assert events == ["step", "step", "eval", "snapshot", "step", "step",
                       "eval", "snapshot", "step", "step", "eval"]
     assert np.array_equal(model.store.data, evaluated[-1])
+    (first_out, first), (second_out, second) = snapshots
+    assert first_out is None and second_out is first and second is first
+    assert np.array_equal(second, evaluated[1])
 
 
 def test_improvement_must_be_strict():
