@@ -3,7 +3,8 @@
 Just enough of a tensor library for this parser: 2-d matrices plus scalars,
 per-head [H, T, d] stacks for batched attention (one sentence, or a padded
 pack of several), the primitives the encoder/decoder expressions need, and
-exact gradient accumulation.
+exact gradient accumulation, in place for a leaf that owns a gradient
+buffer (:class:`GradLeaf`: a parameter's view of its store's grad arena).
 Everything is float64 and single threaded; determinism and
 finite-difference-tight gradients matter more than speed at this scale.
 
@@ -34,9 +35,11 @@ class Tensor:
     ``grad`` of a leaf is populated by :func:`backward` and accumulates
     across calls until cleared.  Non-leaf tensors record their parents and
     a function mapping the output gradient to per-parent gradients.
+    ``grad_view`` is None: only a :class:`GradLeaf` owns a gradient buffer.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
+    grad_view = None
 
     def __init__(self, data, requires_grad=False, parents=(), grad_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -52,6 +55,20 @@ class Tensor:
 
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape, self.requires_grad)
+
+
+class GradLeaf(Tensor):
+    """A leaf whose gradient arrives in place in ``grad_view``, a buffer of
+    its shape that it owns.  Its ``grad`` is None or ``grad_view``: the
+    first contribution of a :func:`backward` after ``grad`` was set to None
+    overwrites the buffer, so a gradient kept across that call must be
+    copied.  Setting ``grad_view`` to None makes it a plain leaf again."""
+
+    __slots__ = ("grad_view",)
+
+    def __init__(self, data, grad_view):
+        super().__init__(data, requires_grad=True)
+        self.grad_view = grad_view
 
 
 def tensor(data, requires_grad=False):
@@ -143,13 +160,21 @@ REDUCTION_BLOCK = 384
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise _dimerr("matmul", a.shape, b.shape)
-    return _result(a.data @ b.data, (a, b),
-                   lambda g: (g @ b.data.T, _rows_product(a.data, g)))
+
+    def grad_fn(g):
+        if b.grad is None and b.grad_view is not None:
+            # b's first contribution: computed straight into its buffer
+            b.grad = _rows_product(a.data, g, out=b.grad_view)
+            return g @ b.data.T, None
+        return g @ b.data.T, _rows_product(a.data, g)
+
+    return _result(a.data @ b.data, (a, b), grad_fn)
 
 
-def _rows_product(a, g):
-    """a.T @ g, summed over blocks of at most REDUCTION_BLOCK rows."""
-    out = a[:REDUCTION_BLOCK].T @ g[:REDUCTION_BLOCK]
+def _rows_product(a, g, out=None):
+    """a.T @ g, summed over blocks of at most REDUCTION_BLOCK rows, into
+    ``out`` if given."""
+    out = np.matmul(a[:REDUCTION_BLOCK].T, g[:REDUCTION_BLOCK], out=out)
     for start in range(REDUCTION_BLOCK, a.shape[0], REDUCTION_BLOCK):
         stop = start + REDUCTION_BLOCK
         out += a[start:stop].T @ g[start:stop]
@@ -400,10 +425,18 @@ def sum_all(x: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``grad`` of every leaf tensor (one
     without a backward closure, such as a parameter) on the gradient path.
-    ``loss`` must be scalar.  Repeated calls without clearing gradients add
-    up.  Intermediate tensors get no ``grad``: each one's gradient is
-    dropped as soon as it has been passed on to its parents, so at most
-    the gradients of the graph's current frontier are alive at once.
+    ``loss`` must be scalar.  Intermediate tensors get no ``grad``: each
+    one's gradient is dropped as soon as it has been passed on to its
+    parents, so at most the gradients of the graph's current frontier are
+    alive at once.
+
+    A leaf with a ``grad_view`` (a :class:`GradLeaf`) gets each
+    contribution c1, c2, ... in place as it is computed: with ``grad``
+    None its buffer becomes c1, then c1 + c2, ...; with a ``grad`` from
+    an earlier call, old + c1, then + c2, ...  Any other leaf sums this
+    call's contributions first and then adds them once, old + (c1 + c2 +
+    ...).  So repeated calls without clearing gradients add up, and with
+    cleared gradients both kinds of leaf get bitwise the same gradient.
     """
     if loss.data.shape != ():
         raise ValueError("backward requires a scalar loss, got shape %s"
@@ -418,17 +451,33 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node._grad_fn is None:
-            node.grad = g if node.grad is None else node.grad + g
+            _arrive(node, g)
             continue
         parent_grads = node._grad_fn(g)
         for parent, pg in zip(node._parents, parent_grads):
             if pg is None or not parent.requires_grad:
+                continue
+            if parent.grad_view is not None:
+                _arrive(parent, pg)
                 continue
             key = id(parent)
             if key in pass_grads:
                 pass_grads[key] = pass_grads[key] + pg
             else:
                 pass_grads[key] = pg
+
+
+def _arrive(leaf: Tensor, g) -> None:
+    """Add a gradient to a leaf's ``grad``, in its ``grad_view`` if any."""
+    view = leaf.grad_view
+    if view is None:
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
+    elif leaf.grad is None:
+        np.copyto(view, g)
+        leaf.grad = view
+    else:
+        np.add(leaf.grad, g, out=view)
+        leaf.grad = view
 
 
 def _toposort(root: Tensor):

@@ -66,10 +66,25 @@ def save_checkpoint(model: SpanParser, path) -> None:
         raise
 
 
+def _config(cls, entries):
+    """``cls(**entries)`` once every entry is a field of ``cls`` holding a
+    value of the field's type (an int also serves as a float)."""
+    types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    for key, value in entries.items():
+        want = types.get(key)
+        if want is None:
+            raise ValueError("unknown %s key %r" % (cls.__name__, key))
+        if type(value) is not want and (want, type(value)) != (float, int):
+            raise ValueError("%s %s is %r, expected %s"
+                             % (cls.__name__, key, value, want.__name__))
+    return cls(**entries)
+
+
 def load_checkpoint(path) -> SpanParser:
     """Rebuild the model a checkpoint describes.  The model is built
     without drawing an initialization, and the payload is read straight
-    into its store's data arena."""
+    into its store's data arena.  A file that is not a whole, well-formed
+    checkpoint raises ValueError naming the file and the problem."""
     with open(path, "rb") as fh:
         preamble = fh.read(_PREAMBLE)
         if preamble[:8] != MAGIC:
@@ -82,20 +97,28 @@ def load_checkpoint(path) -> SpanParser:
             raise ValueError("checkpoint format version %d is not supported "
                              "(expected %d)" % (version, FORMAT_VERSION))
         (header_len,) = struct.unpack_from("<Q", preamble, 12)
-        header = json.loads(fh.read(header_len).decode("utf-8"))
         payload_bytes = os.fstat(fh.fileno()).st_size - _PREAMBLE - header_len
-
-        model = SpanParser(
-            EncoderConfig(**header["encoder_config"]),
-            LexicalConfig(**header["lexical_config"]),
-            Vocabulary.from_dict(header["vocab"]),
-            LabelInventory.from_dict(header["labels"]),
-            seed=header.get("seed", 0),
-            draw=False,
-        )
+        if payload_bytes < 0:
+            raise ValueError("checkpoint %s header length %d runs past the "
+                             "end of the file" % (path, header_len))
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            model = SpanParser(
+                _config(EncoderConfig, header["encoder_config"]),
+                _config(LexicalConfig, header["lexical_config"]),
+                Vocabulary.from_dict(header["vocab"]),
+                LabelInventory.from_dict(header["labels"]),
+                seed=header.get("seed", 0),
+                draw=False,
+            )
+            listed = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            problem = ("no %s entry" % exc if isinstance(exc, KeyError)
+                       else "%s: %s" % (type(exc).__name__, exc))
+            raise ValueError("checkpoint %s has a malformed header: %s"
+                             % (path, problem)) from exc
         for k, (got, want) in enumerate(itertools.zip_longest(
-                [(e["name"], tuple(e["shape"])) for e in header["params"]],
-                [(p.name, p.shape) for p in model.store])):
+                listed, [(p.name, p.shape) for p in model.store])):
             if got != want:
                 raise ValueError("checkpoint parameter %d (name, shape) is "
                                  "%s and does not match the model's %s"

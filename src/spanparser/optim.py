@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import GradLeaf
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -18,8 +18,9 @@ class OptimizerError(RuntimeError):
 
 
 class Parameter:
-    """A named trainable tensor: values ``start:stop`` of its store's data
-    arena, whose view ``tensor`` holds once the store is allocated."""
+    """A named trainable tensor: values ``start:stop`` of its store's
+    arenas.  Once the store is allocated, ``tensor`` holds its view of the
+    data arena, and its gradient, if any, is its view of the grad arena."""
 
     __slots__ = ("name", "shape", "start", "stop", "tensor")
 
@@ -39,6 +40,8 @@ class Parameter:
         return self.tensor.grad
 
     def clear_grad(self):
+        """Drop the gradient without zeroing it: the next backward
+        overwrites the grad view."""
         self.tensor.grad = None
 
     def __repr__(self):
@@ -46,20 +49,21 @@ class Parameter:
 
 
 class ParameterStore:
-    """Ordered registry of parameters over three flat float64 arenas of one
+    """Ordered registry of parameters over four flat float64 arenas of one
     layout, little-endian like the checkpoint payload: ``data`` (every
-    parameter's values, in insertion order) and Adam's moments ``m`` and
-    ``v``; ``steps`` counts Adam steps.  ``add`` records the layout, then
-    ``allocate`` creates the arenas and writes each initialization into its
-    view.  Insertion order defines the checkpoint layout, so construction
-    must be deterministic.
+    parameter's values, in insertion order), ``grad`` (where backward
+    writes their gradients) and Adam's moments ``m`` and ``v``; ``steps``
+    counts Adam steps.  ``add`` records the layout, then ``allocate``
+    creates the arenas and writes each initialization into its view.
+    Insertion order defines the checkpoint layout, so construction must be
+    deterministic.
     """
 
     def __init__(self):
         self._params = {}
         self._inits = []
         self.size = 0
-        self.data = self.m = self.v = None
+        self.data = self.grad = self.m = self.v = None
         self.steps = 0
 
     def add(self, name: str, shape, init=None) -> Parameter:
@@ -78,13 +82,15 @@ class ParameterStore:
         return p
 
     def allocate(self, draw: bool = True) -> None:
-        """Create the zeroed arenas, give every parameter its view, and run
-        each ``init`` in insertion order (none when ``draw`` is false)."""
-        self.data, self.m, self.v = (np.zeros(self.size, dtype="<f8")
-                                     for _ in range(3))
+        """Create the zeroed arenas, give every parameter its views, and
+        run each ``init`` in insertion order (none when ``draw`` is false).
+        ``np.zeros`` maps a large arena lazily, so the pages of ``grad``,
+        ``m`` and ``v`` of a model that never trains are never touched."""
+        self.data, self.grad, self.m, self.v = (
+            np.zeros(self.size, dtype="<f8") for _ in range(4))
         for p, init in zip(self, self._inits):
-            p.tensor = Tensor(self.data[p.start:p.stop].reshape(p.shape),
-                              requires_grad=True)
+            p.tensor = GradLeaf(self.data[p.start:p.stop].reshape(p.shape),
+                                self.grad[p.start:p.stop].reshape(p.shape))
             if draw and init is not None:
                 init(p.tensor.data)
         self._inits = None

@@ -313,3 +313,50 @@ def test_backward_stores_grads_on_leaves_only():
     assert ref_h.grad is not None
     assert np.array_equal(w.grad, ref_w.grad)
     assert np.array_equal(b.grad, ref_b.grad)
+
+
+def test_backward_writes_leaf_grads_into_their_views():
+    # as above, but w and b own gradient buffers (filled with NaN, so any
+    # value not overwritten shows); w reaches the loss along three paths,
+    # once as the right operand of a product, which writes its first
+    # contribution straight into the buffer
+    def graph(views):
+        rng = np.random.default_rng(15)
+        w, b = (ad.GradLeaf(rng.standard_normal(shape),
+                            np.full(shape, np.nan)) if views
+                else leaf(rng, *shape) for shape in ((4, 3), (3,)))
+        x = tensor(rng.standard_normal((5, 4)))
+        h = ad.relu(ad.add(ad.matmul(x, w), b))
+        gram = ad.matmul(ad.transpose(w), w)
+        out = ad.layer_norm(ad.add(h, ad.matmul(h, gram)), b, b)
+        return w, b, ad.sum_all(ad.mul(out, out))
+
+    w, b, loss = graph(views=True)
+    buffers = w.grad_view, b.grad_view
+    backward(loss)
+    assert w.grad is buffers[0] and b.grad is buffers[1]
+    ref_w, ref_b, ref_loss = graph(views=False)
+    _backward_keeping_every_grad(ref_loss)
+    assert np.array_equal(w.grad, ref_w.grad)
+    assert np.array_equal(b.grad, ref_b.grad)
+
+
+def test_cleared_view_is_overwritten_and_uncleared_one_adds_in_order():
+    # after clearing, a backward overwrites the buffer (5, then 3); without
+    # clearing, each contribution is added to it in turn: from 1, adding
+    # 1e16 and then -1e16 gives 0, while a plain leaf adds their exact sum
+    def second_loss(x):
+        return ad.add(ad.sum_all(ad.mul_const(x, 1e16)),
+                      ad.sum_all(ad.mul_const(x, -1e16)))
+
+    x = ad.GradLeaf(np.ones((1, 1)), np.full((1, 1), 5.0))
+    backward(ad.sum_all(ad.mul_const(x, 3.0)))
+    assert x.grad is x.grad_view and x.grad[0, 0] == 3.0
+    x.grad = None
+    plain = tensor(np.ones((1, 1)), requires_grad=True)
+    for t in (x, plain):
+        backward(ad.sum_all(t))
+        assert t.grad[0, 0] == 1.0
+        backward(second_loss(t))
+    assert x.grad is x.grad_view and x.grad[0, 0] == 0.0   # (1 + c1) + c2
+    assert plain.grad[0, 0] == 1.0                         # 1 + (c1 + c2)

@@ -224,3 +224,31 @@ def test_load_draws_no_init_and_shares_one_buffer(tmp_path, monkeypatch):
     assert base is not None
     assert all(p.data.base is base and p.data.flags.writeable
                for p in again.store)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda h: h.pop("params"), "no 'params' entry"),
+    (lambda h: h["encoder_config"].update(colour=1),
+     "unknown EncoderConfig key 'colour'"),
+    (lambda h: h["encoder_config"].update(d_model="16"),
+     "EncoderConfig d_model is '16', expected int"),
+], ids=["no-params", "unknown-config-key", "string-d_model"])
+def test_malformed_header_names_the_file_and_the_problem(tmp_path, edit,
+                                                         problem):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(trained_like_model(), path)
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError) as e:
+        load_checkpoint(path)
+    assert str(path) in str(e.value) and problem in str(e.value)
+
+
+def test_header_length_past_the_end_of_the_file_is_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(trained_like_model(), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<Q", raw, 12, len(raw))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as e:
+        load_checkpoint(path)
+    assert str(path) in str(e.value) and "past the end" in str(e.value)

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
+from spanparser.autodiff import backward
+from spanparser.checkpoint import load_checkpoint, save_checkpoint
 from spanparser.optim import (
     ADAM_BETAS, ADAM_EPS, BLOCK, OptimizerError, ParameterStore, adam_step,
     embedding_init, glorot_uniform, ones,
 )
+from spanparser.toydata import toy_treebank
+
+from support import tiny_model
+
+TREES = toy_treebank(6, seed=4)
 
 
 def filled(values):
@@ -257,3 +264,74 @@ def test_parameter_wraps_requires_grad_tensor():
     p.tensor.grad = np.ones((2, 2))
     p.clear_grad()
     assert p.grad is None
+
+
+def batch_grads(model, seed=5):
+    """Every parameter's gradient (a copy, or None) after a cleared
+    backward of one packed training batch of TREES."""
+    for p in model.store:
+        p.clear_grad()
+    batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
+    _, loss = model.batch_loss(batch, train=True,
+                               rng=np.random.default_rng(seed))
+    assert loss is not None
+    backward(loss)
+    return {name: None if p.grad is None else p.grad.copy()
+            for name, p in model.store.items()}
+
+
+def assert_grads_are_arena_views(store):
+    grads = [p for p in store if p.grad is not None]
+    assert grads
+    for p in grads:
+        assert p.grad is p.tensor.grad_view
+        assert p.grad.base is store.grad and p.grad.shape == p.shape
+        assert p.grad.ctypes.data == store.grad.ctypes.data + 8 * p.start
+        assert np.array_equal(p.grad.ravel(), store.grad[p.start:p.stop])
+
+
+def test_backward_fills_the_grad_arena_of_fresh_and_loaded_models(tmp_path):
+    model = tiny_model(TREES, mode="char-lstm")
+    store = model.store
+    assert all(a.shape == (store.size,) and a.dtype == "<f8"
+               for a in (store.data, store.grad, store.m, store.v))
+    batch_grads(model)
+    assert_grads_are_arena_views(model.store)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    again = load_checkpoint(path)
+    assert not again.store.grad.any()
+    assert all(p.grad is None for p in again.store)
+    batch_grads(again)
+    assert_grads_are_arena_views(again.store)
+    # clearing zeroes nothing; the next backward overwrites the view
+    p = again.store["scorer.m1"]
+    before = p.grad.copy()
+    p.clear_grad()
+    assert p.grad is None and np.array_equal(p.tensor.grad_view, before)
+    p.tensor.grad_view.fill(np.nan)
+    assert np.array_equal(batch_grads(again)["scorer.m1"], before)
+    assert p.grad is p.tensor.grad_view
+    # training's own steps drop each gradient, and keep the views
+    adam_step(again.store, lr=1e-3)
+    assert all(p.grad is None for p in again.store)
+
+
+@pytest.mark.parametrize("variant", [
+    "additive-unfactored", "concatenative-unfactored", "factored",
+    "position-only", "block-sparse-additive"])
+@pytest.mark.parametrize("mode", ["tags", "char-lstm"])
+def test_arena_gradients_are_bitwise_the_plain_leaf_gradients(variant, mode):
+    model = tiny_model(TREES, mode, variant, seed=2)
+    in_arena = batch_grads(model)
+    for p in model.store:
+        p.tensor.grad_view = None
+    plain = batch_grads(model)
+    assert any(p.grad is not None and p.grad.base is None
+               for p in model.store)
+    assert in_arena.keys() == plain.keys()
+    for name, grad in in_arena.items():
+        if grad is None:
+            assert plain[name] is None, name
+        else:
+            assert np.array_equal(grad, plain[name]), name

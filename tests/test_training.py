@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spanparser import training
+from spanparser import (EncoderConfig, LabelInventory, LexicalConfig,
+                        SpanParser, Vocabulary, toy_treebank, training)
 from spanparser.autodiff import backward
 from spanparser.checkpoint import save_checkpoint
 from spanparser.training import (
@@ -291,3 +294,31 @@ def test_batch_loss_finite_differences_with_dropout():
     err = gradcheck(loss, list(model.store), np.random.default_rng(2),
                     coords=2)
     assert err < 1e-5
+
+
+def test_backward_of_a_training_step_allocates_no_gradients(monkeypatch):
+    # the parameter gradients go into the store's grad arena, so the
+    # traced memory a backward leaves behind is far below the store's size
+    trees = toy_treebank(20, seed=4)
+    model = SpanParser(
+        EncoderConfig(num_layers=2, d_model=64, num_heads=4, d_k=16, d_v=16,
+                      d_ff=128, span_hidden=64),
+        LexicalConfig(mode="char-lstm", char_embedding_dim=16,
+                      char_lstm_hidden=32),
+        Vocabulary.from_trees(trees), LabelInventory.from_trees(trees))
+    growth = []
+
+    def traced_backward(loss):
+        before = tracemalloc.get_traced_memory()[0]
+        backward(loss)
+        growth.append(tracemalloc.get_traced_memory()[0] - before)
+
+    monkeypatch.setattr(training, "backward", traced_backward)
+    tracemalloc.start()
+    try:
+        train(model, trees, trees[:2], cfg(batch_size=10, max_epochs=1),
+              eval_fn=lambda m, d: 0.0)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == 2
+    assert growth[1] < 0.1 * model.store.size * 8
