@@ -3,8 +3,9 @@
 Just enough of a tensor library for this parser: 2-d matrices plus scalars,
 per-head [H, T, d] stacks for batched attention (one sentence, or a padded
 pack of several), the primitives the encoder/decoder expressions need, and
-exact gradient accumulation, in place for a leaf that owns a gradient
-buffer (:class:`GradLeaf`: a parameter's view of its store's grad arena).
+exact gradient accumulation.  Gradients reach only :class:`GradLeaf`
+tensors, each of which owns a gradient buffer (a parameter's is its view of
+its store's grad arena) and has every contribution added into it in place.
 Everything is float64 and single threaded; determinism and
 finite-difference-tight gradients matter more than speed at this scale.
 
@@ -30,22 +31,18 @@ def _dimerr(op, *shapes):
 
 
 class Tensor:
-    """A dense float64 array with optional gradient tracking.
-
-    ``grad`` of a leaf is populated by :func:`backward` and accumulates
-    across calls until cleared.  Non-leaf tensors record their parents and
-    a function mapping the output gradient to per-parent gradients.
-    ``grad_view`` is None: only a :class:`GradLeaf` owns a gradient buffer.
+    """A dense float64 array, and for a non-leaf tensor its parents and a
+    function mapping the output gradient to per-parent gradients.
+    ``requires_grad`` marks a tensor that a :class:`GradLeaf` reaches
+    through its parents.  :func:`backward` gives a ``grad`` to leaves only.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
-    grad_view = None
 
-    def __init__(self, data, requires_grad=False, parents=(), grad_fn=None):
+    def __init__(self, data, parents=(), grad_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in parents)
+        self.requires_grad = any(p.requires_grad for p in parents)
         self._parents = tuple(parents)
         self._grad_fn = grad_fn
 
@@ -58,21 +55,25 @@ class Tensor:
 
 
 class GradLeaf(Tensor):
-    """A leaf whose gradient arrives in place in ``grad_view``, a buffer of
-    its shape that it owns.  Its ``grad`` is None or ``grad_view``: the
-    first contribution of a :func:`backward` after ``grad`` was set to None
+    """A differentiable leaf whose gradient arrives in place in
+    ``grad_view``, a buffer of its shape that it owns (zeroed and its own
+    unless one is given).  Its ``grad`` is None or ``grad_view``: the first
+    contribution of a :func:`backward` after ``grad`` was set to None
     overwrites the buffer, so a gradient kept across that call must be
-    copied.  Setting ``grad_view`` to None makes it a plain leaf again."""
+    copied."""
 
     __slots__ = ("grad_view",)
 
-    def __init__(self, data, grad_view):
-        super().__init__(data, requires_grad=True)
-        self.grad_view = grad_view
+    def __init__(self, data, grad_view=None):
+        super().__init__(data)
+        self.requires_grad = True
+        self.grad_view = (np.zeros(self.data.shape) if grad_view is None
+                          else grad_view)
 
 
 def tensor(data, requires_grad=False):
-    return Tensor(data, requires_grad=requires_grad)
+    """A constant, or with ``requires_grad`` a :class:`GradLeaf`."""
+    return GradLeaf(data) if requires_grad else Tensor(data)
 
 
 class _GradMode:
@@ -162,7 +163,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise _dimerr("matmul", a.shape, b.shape)
 
     def grad_fn(g):
-        if b.grad is None and b.grad_view is not None:
+        if b.grad is None and isinstance(b, GradLeaf):
             # b's first contribution: computed straight into its buffer
             b.grad = _rows_product(a.data, g, out=b.grad_view)
             return g @ b.data.T, None
@@ -423,20 +424,16 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into ``grad`` of every leaf tensor (one
-    without a backward closure, such as a parameter) on the gradient path.
-    ``loss`` must be scalar.  Intermediate tensors get no ``grad``: each
-    one's gradient is dropped as soon as it has been passed on to its
-    parents, so at most the gradients of the graph's current frontier are
-    alive at once.
+    """Accumulate d(loss)/d(leaf) into ``grad`` of every :class:`GradLeaf`
+    on the gradient path.  ``loss`` must be scalar.  Intermediate tensors
+    get no ``grad``: each one's gradient is dropped as soon as it has been
+    passed on to its parents, so at most the gradients of the graph's
+    current frontier are alive at once.
 
-    A leaf with a ``grad_view`` (a :class:`GradLeaf`) gets each
-    contribution c1, c2, ... in place as it is computed: with ``grad``
-    None its buffer becomes c1, then c1 + c2, ...; with a ``grad`` from
-    an earlier call, old + c1, then + c2, ...  Any other leaf sums this
-    call's contributions first and then adds them once, old + (c1 + c2 +
-    ...).  So repeated calls without clearing gradients add up, and with
-    cleared gradients both kinds of leaf get bitwise the same gradient.
+    A leaf gets each contribution c1, c2, ... in its buffer as it is
+    computed: with ``grad`` None the buffer becomes c1, then c1 + c2, ...;
+    with a ``grad`` from an earlier call, old + c1, then + c2, ...  So
+    repeated calls without clearing gradients add up.
     """
     if loss.data.shape != ():
         raise ValueError("backward requires a scalar loss, got shape %s"
@@ -450,34 +447,28 @@ def backward(loss: Tensor) -> None:
         g = pass_grads.pop(id(node), None)
         if g is None:
             continue
-        if node._grad_fn is None:
+        if isinstance(node, GradLeaf):
             _arrive(node, g)
             continue
-        parent_grads = node._grad_fn(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        for parent, pg in zip(node._parents, node._grad_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            if parent.grad_view is not None:
-                _arrive(parent, pg)
-                continue
             key = id(parent)
-            if key in pass_grads:
+            if isinstance(parent, GradLeaf):
+                _arrive(parent, pg)
+            elif key in pass_grads:
                 pass_grads[key] = pass_grads[key] + pg
             else:
                 pass_grads[key] = pg
 
 
-def _arrive(leaf: Tensor, g) -> None:
-    """Add a gradient to a leaf's ``grad``, in its ``grad_view`` if any."""
-    view = leaf.grad_view
-    if view is None:
-        leaf.grad = g if leaf.grad is None else leaf.grad + g
-    elif leaf.grad is None:
-        np.copyto(view, g)
-        leaf.grad = view
+def _arrive(leaf: GradLeaf, g) -> None:
+    """Add a gradient to a leaf's ``grad``, in its ``grad_view``."""
+    if leaf.grad is None:
+        np.copyto(leaf.grad_view, g)
     else:
-        np.add(leaf.grad, g, out=view)
-        leaf.grad = view
+        np.add(leaf.grad, g, out=leaf.grad_view)
+    leaf.grad = leaf.grad_view
 
 
 def _toposort(root: Tensor):

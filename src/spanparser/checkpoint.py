@@ -94,8 +94,9 @@ def load_checkpoint(path) -> SpanParser:
                              % path)
         (version,) = struct.unpack_from("<I", preamble, 8)
         if version != FORMAT_VERSION:
-            raise ValueError("checkpoint format version %d is not supported "
-                             "(expected %d)" % (version, FORMAT_VERSION))
+            raise ValueError("checkpoint %s format version %d is not "
+                             "supported (expected %d)"
+                             % (path, version, FORMAT_VERSION))
         (header_len,) = struct.unpack_from("<Q", preamble, 12)
         payload_bytes = os.fstat(fh.fileno()).st_size - _PREAMBLE - header_len
         if payload_bytes < 0:
@@ -120,14 +121,15 @@ def load_checkpoint(path) -> SpanParser:
         for k, (got, want) in enumerate(itertools.zip_longest(
                 listed, [(p.name, p.shape) for p in model.store])):
             if got != want:
-                raise ValueError("checkpoint parameter %d (name, shape) is "
-                                 "%s and does not match the model's %s"
-                                 % (k, got, want))
+                raise ValueError("checkpoint %s parameter %d (name, shape) "
+                                 "is %s and does not match the model's %s"
+                                 % (path, k, got, want))
 
         data = model.store.data
         if fh.readinto(data) != data.nbytes:
-            raise ValueError("checkpoint payload is truncated")
+            raise ValueError("checkpoint %s payload is truncated" % path)
         trailing = payload_bytes - data.nbytes
         if trailing:
-            raise ValueError("checkpoint has %d trailing bytes" % trailing)
+            raise ValueError("checkpoint %s has %d trailing bytes"
+                             % (path, trailing))
     return model

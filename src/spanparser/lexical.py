@@ -286,35 +286,36 @@ def write_vector_file(path, sentences) -> None:
 def read_vector_file(path):
     """Read the format written by :func:`write_vector_file`.
 
-    Returns (list of [n, dim] arrays, dim).
+    Returns (list of [n, dim] arrays, dim).  Malformed input raises
+    ValueError naming the path and the line.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     pos = 0
 
-    def next_line():
+    def next_line(what, width, kind=int):
+        """The next non-blank line's ``width`` values (ints are counts)."""
         nonlocal pos
         while pos < len(lines) and not lines[pos].strip():
             pos += 1
         if pos >= len(lines):
             raise ValueError("%s: unexpected end of file" % path)
         pos += 1
-        return lines[pos - 1].split()
+        try:
+            values = [kind(x) for x in lines[pos - 1].split()]
+        except ValueError:
+            values = []
+        if len(values) != width or kind is int and min(values) < 0:
+            raise ValueError("%s: line %d: expected %s, got %r"
+                             % (path, pos, what, lines[pos - 1]))
+        return values
 
-    header = next_line()
-    if len(header) != 2:
-        raise ValueError("%s: header must be 'num_sentences dim'" % path)
-    count, dim = int(header[0]), int(header[1])
+    count, dim = next_line("'num_sentences dim', two counts", 2)
     out = []
     for _ in range(count):
-        (n_str,) = next_line()
-        n = int(n_str)
+        (n,) = next_line("a token count", 1)
         mat = np.empty((n, dim))
         for i in range(n):
-            row = next_line()
-            if len(row) != dim:
-                raise ValueError("%s: line %d has %d values, expected %d"
-                                 % (path, pos, len(row), dim))
-            mat[i] = [float(x) for x in row]
+            mat[i] = next_line("%d numbers" % dim, dim, float)
         out.append(mat)
     return out, dim

@@ -97,16 +97,21 @@ class ParameterStore:
 
     def check_views(self) -> None:
         """Raise ValueError, naming the parameter, unless every tensor still
-        holds its view of the data arena (``p.data[...] = x`` keeps it,
-        ``p.tensor.data = x`` does not)."""
-        start = self.data.ctypes.data
+        holds its views of the data and grad arenas (``p.data[...] = x``
+        keeps them, ``p.tensor.data = x`` does not) and its ``grad`` is
+        None or its grad view."""
         for p in self:
-            a = p.tensor.data
-            if (a.base is not self.data or a.shape != p.shape
-                    or a.ctypes.data != start + 8 * p.start
-                    or not a.flags.c_contiguous):
-                raise ValueError("parameter %r no longer holds its view of "
-                                 "the store's data arena" % p.name)
+            t = p.tensor
+            for a, arena, kind in ((t.data, self.data, "data"),
+                                   (t.grad_view, self.grad, "grad")):
+                if (a.base is not arena or a.shape != p.shape
+                        or a.ctypes.data != arena.ctypes.data + 8 * p.start
+                        or not a.flags.c_contiguous):
+                    raise ValueError("parameter %r no longer holds its view "
+                                     "of the store's %s arena" % (p.name, kind))
+            if t.grad is not None and t.grad is not t.grad_view:
+                raise ValueError("parameter %r has a gradient that is not "
+                                 "its grad view" % p.name)
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -165,55 +170,55 @@ def adam_step(store: ParameterStore, lr: float,
               betas=ADAM_BETAS, eps: float = ADAM_EPS) -> None:
     """One Adam update of every parameter in ``store``.
 
-    Parameters without gradients are treated as having zero gradient (their
-    moments still decay).  A gradient whose square sum ``np.dot(g, g)`` is
-    not finite (NaN, infinity, a value above about 1.3e154, or n values near
-    1.3e154 / sqrt(n), whose squares overflow only in the sum) aborts before
-    any state is touched, so a failed step leaves the model unchanged.
-    The ``data``, ``m`` and ``v`` arenas are updated in place with
-    the operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
-    data -= lr m_hat / (sqrt(v_hat) + eps) in that order.  Every operation
-    is elementwise, so they run block by block over each parameter's slice
-    of the arenas (BLOCK values at a time, through two BLOCK-sized scratch
-    buffers): a block's operands stay in cache from the first operation to
-    the last, and the result is bitwise that of whole-array operations.
+    A parameter without a gradient has zero gradient (its grad view is
+    zeroed; its moments still decay).  If the grad arena's square sum is
+    not finite (a NaN, an infinity, a value above about 1.3e154, or values
+    whose squares overflow only in the sum), the step raises, naming the
+    parameter that holds the largest |g| (the first NaN, if any), and
+    leaves ``data``, ``m``, ``v`` and ``steps`` untouched.  Otherwise the
+    arenas are updated in place with the operations of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    data -= lr m_hat / (sqrt(v_hat) + eps), in that order, in one pass of
+    BLOCK values at a time through two BLOCK-sized scratch buffers.  Every
+    operation is elementwise, so a block's operands stay in cache from the
+    first operation to the last, and the result is bitwise that of
+    whole-array operations.
     """
     store.check_views()
     b1, b2 = betas
     for p in store:
         if p.grad is None:
-            continue
-        g = np.ravel(p.grad)
-        # one read of g; the sum can overflow where no single square does
-        with np.errstate(over="ignore"):
-            square_sum = np.dot(g, g)
-        if not np.isfinite(square_sum):
-            raise OptimizerError(
-                "non-finite gradient square sum for parameter %r" % p.name)
+            p.tensor.grad_view.fill(0.0)
+    grad = store.grad
+    # one read of the arena; the sum can overflow where no single square does
+    with np.errstate(over="ignore"):
+        square_sum = np.dot(grad, grad)
+    if not np.isfinite(square_sum):
+        k = np.argmax(np.abs(grad))
+        name = next(p.name for p in store if k < p.stop)
+        raise OptimizerError("non-finite gradient square sum; parameter %r "
+                             "holds the largest |g|" % name)
     store.steps += 1
     m_corr = 1.0 - b1 ** store.steps
     v_corr = 1.0 - b2 ** store.steps
     scratch = np.empty(BLOCK), np.empty(BLOCK)
-    data, m, v = store.data, store.m, store.v
+    for start in range(0, store.size, BLOCK):
+        x, mb, vb, g = (arena[start:start + BLOCK] for arena in
+                        (store.data, store.m, store.v, grad))
+        a, b = (s[:x.size] for s in scratch)
+        np.multiply(mb, b1, out=mb)
+        np.multiply(g, 1.0 - b1, out=a)
+        np.add(mb, a, out=mb)
+        np.multiply(vb, b2, out=vb)
+        np.square(g, out=a)
+        np.multiply(a, 1.0 - b2, out=a)
+        np.add(vb, a, out=vb)
+        np.divide(mb, m_corr, out=a)    # m_hat
+        np.divide(vb, v_corr, out=b)    # v_hat
+        np.sqrt(b, out=b)
+        np.add(b, eps, out=b)
+        np.multiply(a, lr, out=a)
+        np.divide(a, b, out=a)
+        np.subtract(x, a, out=x)
     for p in store:
-        grad = None if p.grad is None else np.ravel(p.grad)
-        for start in range(p.start, p.stop, BLOCK):
-            end = min(start + BLOCK, p.stop)
-            x, mb, vb = data[start:end], m[start:end], v[start:end]
-            g = 0.0 if grad is None else grad[start - p.start:end - p.start]
-            a, b = scratch[0][:end - start], scratch[1][:end - start]
-            np.multiply(mb, b1, out=mb)
-            np.multiply(g, 1.0 - b1, out=a)
-            np.add(mb, a, out=mb)
-            np.multiply(vb, b2, out=vb)
-            np.square(g, out=a)
-            np.multiply(a, 1.0 - b2, out=a)
-            np.add(vb, a, out=vb)
-            np.divide(mb, m_corr, out=a)    # m_hat
-            np.divide(vb, v_corr, out=b)    # v_hat
-            np.sqrt(b, out=b)
-            np.add(b, eps, out=b)
-            np.multiply(a, lr, out=a)
-            np.divide(a, b, out=a)
-            np.subtract(x, a, out=x)
         p.clear_grad()

@@ -73,6 +73,41 @@ def leaf_gradcheck(build, leaves, seed=0, tol=1e-6, coords=8):
     assert err < tol, "finite differences disagree: %g" % err
 
 
+def plain_leaf(data):
+    """A plain Tensor marked ``requires_grad = True``: a leaf owning no
+    gradient buffer, for :func:`reference_backward`."""
+    t = Tensor(data)
+    t.requires_grad = True
+    return t
+
+
+def reference_backward(loss):
+    """The accumulation order of backward, storing every node's grad: the
+    contributions to a node are summed in arrival order.  Run on a graph
+    whose leaves are plain tensors (:func:`plain_leaf`), so no product
+    writes a gradient into a GradLeaf's buffer."""
+    order = ad._toposort(loss)
+    grads = {id(loss): np.ones(())}
+    for node in reversed(order):
+        g = grads.get(id(node))
+        if g is None:
+            continue
+        node.grad = g if node.grad is None else node.grad + g
+        if node._grad_fn is None:
+            continue
+        for parent, pg in zip(node._parents, node._grad_fn(g)):
+            if parent.requires_grad:
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg
+
+
+def set_grad(p, g):
+    """Give parameter ``p`` the gradient ``g``, written into its grad view
+    as backward would."""
+    np.copyto(p.tensor.grad_view, g)
+    p.tensor.grad = p.tensor.grad_view
+
+
 def random_chart(rng, n, num_labels):
     """Random span scores with the dummy label pinned at zero."""
     chart = np.zeros((n + 1, n + 1, num_labels))

@@ -5,6 +5,7 @@ import spanparser.autodiff as ad
 from spanparser.autodiff import DimensionError, Tensor, backward, tensor
 
 from support import leaf_gradcheck as check
+from support import plain_leaf, reference_backward
 
 
 def leaf(rng, *shape):
@@ -275,28 +276,11 @@ def test_packed_heads_pad_each_sentence_and_invert():
         ad.merge_heads(leaf(rng, 9, 3, 2), mask)
 
 
-def _backward_keeping_every_grad(loss):
-    """The accumulation order of backward, storing every node's grad."""
-    order = ad._toposort(loss)
-    grads = {id(loss): np.ones(())}
-    for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None:
-            continue
-        node.grad = g if node.grad is None else node.grad + g
-        if node._grad_fn is None:
-            continue
-        for parent, pg in zip(node._parents, node._grad_fn(g)):
-            if parent.requires_grad:
-                key = id(parent)
-                grads[key] = grads[key] + pg if key in grads else pg
-
-
 def test_backward_stores_grads_on_leaves_only():
-    def graph():
+    def graph(make_leaf):
         rng = np.random.default_rng(15)
-        w = leaf(rng, 4, 3)
-        b = leaf(rng, 3)
+        w = make_leaf(rng.standard_normal((4, 3)))
+        b = make_leaf(rng.standard_normal(3))
         x = tensor(rng.standard_normal((5, 4)))
         h = ad.relu(ad.add(ad.matmul(x, w), b))
         # w and b reach the loss along several paths
@@ -304,39 +288,38 @@ def test_backward_stores_grads_on_leaves_only():
         out = ad.layer_norm(ad.add(h, ad.matmul(h, gram)), b, b)
         return w, b, h, out
 
-    w, b, h, out = graph()
+    w, b, h, out = graph(ad.GradLeaf)
     loss = ad.sum_all(ad.mul(out, out))
     backward(loss)
     assert h.grad is None and out.grad is None and loss.grad is None
-    ref_w, ref_b, ref_h, ref_out = graph()
-    _backward_keeping_every_grad(ad.sum_all(ad.mul(ref_out, ref_out)))
+    ref_w, ref_b, ref_h, ref_out = graph(plain_leaf)
+    reference_backward(ad.sum_all(ad.mul(ref_out, ref_out)))
     assert ref_h.grad is not None
     assert np.array_equal(w.grad, ref_w.grad)
     assert np.array_equal(b.grad, ref_b.grad)
 
 
 def test_backward_writes_leaf_grads_into_their_views():
-    # as above, but w and b own gradient buffers (filled with NaN, so any
-    # value not overwritten shows); w reaches the loss along three paths,
-    # once as the right operand of a product, which writes its first
-    # contribution straight into the buffer
-    def graph(views):
+    # as above, but the buffers are given and filled with NaN, so any value
+    # not overwritten shows; w reaches the loss along three paths, once as
+    # the right operand of a product, which writes its first contribution
+    # straight into the buffer
+    def graph(make_leaf):
         rng = np.random.default_rng(15)
-        w, b = (ad.GradLeaf(rng.standard_normal(shape),
-                            np.full(shape, np.nan)) if views
-                else leaf(rng, *shape) for shape in ((4, 3), (3,)))
+        w, b = (make_leaf(rng.standard_normal(shape), shape)
+                for shape in ((4, 3), (3,)))
         x = tensor(rng.standard_normal((5, 4)))
         h = ad.relu(ad.add(ad.matmul(x, w), b))
         gram = ad.matmul(ad.transpose(w), w)
         out = ad.layer_norm(ad.add(h, ad.matmul(h, gram)), b, b)
         return w, b, ad.sum_all(ad.mul(out, out))
 
-    w, b, loss = graph(views=True)
+    w, b, loss = graph(lambda x, shape: ad.GradLeaf(x, np.full(shape, np.nan)))
     buffers = w.grad_view, b.grad_view
     backward(loss)
     assert w.grad is buffers[0] and b.grad is buffers[1]
-    ref_w, ref_b, ref_loss = graph(views=False)
-    _backward_keeping_every_grad(ref_loss)
+    ref_w, ref_b, ref_loss = graph(lambda x, shape: plain_leaf(x))
+    reference_backward(ref_loss)
     assert np.array_equal(w.grad, ref_w.grad)
     assert np.array_equal(b.grad, ref_b.grad)
 
@@ -344,19 +327,26 @@ def test_backward_writes_leaf_grads_into_their_views():
 def test_cleared_view_is_overwritten_and_uncleared_one_adds_in_order():
     # after clearing, a backward overwrites the buffer (5, then 3); without
     # clearing, each contribution is added to it in turn: from 1, adding
-    # 1e16 and then -1e16 gives 0, while a plain leaf adds their exact sum
-    def second_loss(x):
-        return ad.add(ad.sum_all(ad.mul_const(x, 1e16)),
-                      ad.sum_all(ad.mul_const(x, -1e16)))
-
+    # 1e16 and then -1e16 gives (1 + c1) + c2 = 0, not 1 + (c1 + c2) = 1
     x = ad.GradLeaf(np.ones((1, 1)), np.full((1, 1), 5.0))
     backward(ad.sum_all(ad.mul_const(x, 3.0)))
     assert x.grad is x.grad_view and x.grad[0, 0] == 3.0
     x.grad = None
-    plain = tensor(np.ones((1, 1)), requires_grad=True)
-    for t in (x, plain):
-        backward(ad.sum_all(t))
-        assert t.grad[0, 0] == 1.0
-        backward(second_loss(t))
-    assert x.grad is x.grad_view and x.grad[0, 0] == 0.0   # (1 + c1) + c2
-    assert plain.grad[0, 0] == 1.0                         # 1 + (c1 + c2)
+    backward(ad.sum_all(x))
+    assert x.grad[0, 0] == 1.0
+    backward(ad.add(ad.sum_all(ad.mul_const(x, 1e16)),
+                    ad.sum_all(ad.mul_const(x, -1e16))))
+    assert x.grad is x.grad_view and x.grad[0, 0] == 0.0
+
+
+def test_a_leaf_requiring_grad_owns_a_zeroed_buffer():
+    data = np.arange(6.0).reshape(2, 3)
+    x = tensor(data, requires_grad=True)
+    assert isinstance(x, ad.GradLeaf) and x.requires_grad and x.grad is None
+    assert x.grad_view.shape == (2, 3) and not x.grad_view.any()
+    assert not np.shares_memory(x.grad_view, data)
+    assert type(tensor(data)) is Tensor and not tensor(data).requires_grad
+    # a leaf that is itself the loss gets d(loss)/d(loss) = 1
+    s = tensor(2.0, requires_grad=True)
+    backward(s)
+    assert s.grad is s.grad_view and s.grad == 1.0

@@ -85,7 +85,7 @@ def test_unknown_version_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError) as e:
         load_checkpoint(path)
-    assert "version 99" in str(e.value)
+    assert "version 99" in str(e.value) and str(path) in str(e.value)
 
 
 def test_truncated_payload_rejected(tmp_path):
@@ -96,7 +96,7 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(raw[:-16])
     with pytest.raises(ValueError) as e:
         load_checkpoint(path)
-    assert "truncated" in str(e.value)
+    assert "truncated" in str(e.value) and str(path) in str(e.value)
 
 
 def test_trailing_garbage_rejected(tmp_path):
@@ -107,7 +107,7 @@ def test_trailing_garbage_rejected(tmp_path):
     path.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(ValueError) as e:
         load_checkpoint(path)
-    assert "trailing" in str(e.value)
+    assert "trailing" in str(e.value) and str(path) in str(e.value)
 
 
 def test_shape_mismatch_rejected(tmp_path):
@@ -117,7 +117,7 @@ def test_shape_mismatch_rejected(tmp_path):
     rewrite_header(path, lambda h: h["params"][0].update(shape=[1, 1]))
     with pytest.raises(ValueError) as e:
         load_checkpoint(path)
-    assert "shape" in str(e.value)
+    assert "shape" in str(e.value) and str(path) in str(e.value)
 
 
 def rewrite_header(path, edit):
@@ -143,7 +143,7 @@ def test_parameter_list_must_match_the_model_in_order(tmp_path, edit):
     rewrite_header(path, edit)
     with pytest.raises(ValueError) as e:
         load_checkpoint(path)
-    assert "does not match" in str(e.value)
+    assert "does not match" in str(e.value) and str(path) in str(e.value)
 
 
 def test_failed_save_leaves_previous_file(tmp_path, monkeypatch):

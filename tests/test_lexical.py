@@ -206,3 +206,17 @@ def test_vector_file_errors(tmp_path):
         read_vector_file(path)
     with pytest.raises(ValueError):
         write_vector_file(tmp_path / "x.txt", [])
+
+
+@pytest.mark.parametrize("text, line", [
+    ("2 x\n", 1),                          # a non-integer header
+    ("1 2\n1 0\n0.0 1.0\n", 2),            # a count line with two tokens
+    ("1 2\n1\n0.0 one\n", 3),              # a non-numeric value
+    ("1 -2\n1\n\n", 1),                    # a negative dimension
+], ids=["header", "count", "value", "negative-dim"])
+def test_malformed_vector_file_names_the_path_and_line(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as e:
+        read_vector_file(path)
+    assert "%s: line %d:" % (path, line) in str(e.value)

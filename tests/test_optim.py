@@ -9,7 +9,7 @@ from spanparser.optim import (
 )
 from spanparser.toydata import toy_treebank
 
-from support import tiny_model
+from support import plain_leaf, reference_backward, set_grad, tiny_model
 
 TREES = toy_treebank(6, seed=4)
 
@@ -67,7 +67,7 @@ def test_adam_first_step_matches_hand_computation():
     store = store_of(x=np.array([1.0, -2.0, 3.0]))
     p = store["x"]
     g = np.array([0.5, -1.5, 0.0])
-    p.tensor.grad = g.copy()
+    set_grad(p, g)
     adam_step(store, lr=0.1)
     b1, b2 = ADAM_BETAS
     m = (1 - b1) * g
@@ -94,7 +94,7 @@ def test_adam_two_steps_track_reference_formula():
     x = x0.copy()
     for t in (1, 2):
         g = rng.standard_normal(5)
-        p.tensor.grad = g.copy()
+        set_grad(p, g)
         adam_step(store, lr=0.01)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
@@ -104,9 +104,10 @@ def test_adam_two_steps_track_reference_formula():
 
 
 def test_in_place_adam_is_bitwise_the_reference_expressions():
-    # several parameters of different shapes share the scratch buffers;
-    # step 3 has no gradient for "b"; "d" spans two whole blocks and a
-    # partial third
+    # one pass of blocks over the arenas, some of which span two
+    # parameters; step 3 has no gradient for "b", whose grad view still
+    # holds step 2's gradient; "d" spans two whole blocks and a partial
+    # third
     rng = np.random.default_rng(5)
     shapes = {"a": (3, 4), "b": (7,), "c": (2, 5), "d": (2, BLOCK + 123)}
     ref = {name: [rng.standard_normal(shape), np.zeros(shape),
@@ -118,7 +119,10 @@ def test_in_place_adam_is_bitwise_the_reference_expressions():
         for name, p in store.items():
             g = None if (t, name) == (3, "b") else rng.standard_normal(
                 shapes[name])
-            p.tensor.grad = None if g is None else g.copy()
+            if g is None:
+                p.clear_grad()
+            else:
+                set_grad(p, g)
             g = 0.0 if g is None else g
             x, m, v = ref[name]
             m = b1 * m + (1.0 - b1) * g
@@ -136,7 +140,7 @@ def test_in_place_adam_is_bitwise_the_reference_expressions():
 
 def test_missing_gradient_decays_moments():
     store = store_of(x=np.zeros(2))
-    store["x"].tensor.grad = np.ones(2)
+    set_grad(store["x"], np.ones(2))
     adam_step(store, lr=0.0)
     m1 = store.m.copy()
     adam_step(store, lr=0.0)  # no grad this time
@@ -154,21 +158,21 @@ def test_nonfinite_gradient_aborts_without_mutation():
         for p in (good, bad):
             assert p.grad is not None
 
-    good.tensor.grad = np.ones(2)
-    bad.tensor.grad = np.array([1.0, np.nan])
+    set_grad(good, np.ones(2))
+    set_grad(bad, [1.0, np.nan])
     with pytest.raises(OptimizerError) as e:
         adam_step(store, lr=0.1)
     assert "'b'" in str(e.value)
     # nothing moved, no moments updated, grads still present
     assert_untouched()
 
-    bad.tensor.grad = np.array([np.inf, 0.0])
+    set_grad(bad, [np.inf, 0.0])
     with pytest.raises(OptimizerError):
         adam_step(store, lr=0.1)
 
     # a NaN deep in a later block of a large parameter
-    bad.tensor.grad = np.ones(2)
-    big.tensor.grad = np.ones(2 * BLOCK + 5)
+    set_grad(bad, np.ones(2))
+    set_grad(big, np.ones(2 * BLOCK + 5))
     big.tensor.grad[BLOCK + 7] = np.nan
     with pytest.raises(OptimizerError) as e:
         adam_step(store, lr=0.1)
@@ -186,13 +190,42 @@ def test_nonfinite_gradient_aborts_without_mutation():
     assert_untouched()
     assert big.grad is not None
 
+    # so are gradients whose own square sums are finite (1.44e308 and
+    # 1.69e308) when the square sum of the whole arena is not
+    set_grad(good, [1.2e154, 0.0])
+    set_grad(bad, [0.0, 1.3e154])
+    set_grad(big, np.ones(2 * BLOCK + 5))
+    with pytest.raises(OptimizerError) as e:
+        adam_step(store, lr=0.1)
+    assert "'b'" in str(e.value)
+    assert_untouched()
+
+
+@pytest.mark.parametrize("fault", ["foreign gradient", "rebound grad view"])
+def test_gradient_outside_the_grad_arena_is_rejected_before_any_update(
+        fault):
+    # either would leave the arena's own, stale values to the update
+    store = store_of(a=np.ones(3), b=np.ones((4, 3)))
+    set_grad(store["a"], np.ones(3))
+    b = store["b"].tensor
+    if fault == "foreign gradient":
+        b.grad = np.ones((4, 3))
+    else:
+        b.grad_view = np.ones((4, 3))
+        b.grad = b.grad_view
+    with pytest.raises(ValueError) as e:
+        adam_step(store, lr=0.1)
+    assert "'b'" in str(e.value)
+    assert np.all(store.data == 1.0) and store.steps == 0
+    assert not store.m.any() and not store.v.any()
+
 
 def test_rebound_parameter_is_rejected_before_any_update():
     # a tensor whose array is no longer its view of the data arena would
     # be left out of the update, and of a saved checkpoint
     store = store_of(a=np.ones(3), b=np.ones((4, 3)), c=np.ones(2))
     good = store["a"]
-    good.tensor.grad = np.ones(3)
+    set_grad(good, np.ones(3))
     b = store["b"]
     for rebound in (np.ones((4, 3)), np.ones((3, 4)).T,
                     store.data[3:15].reshape(3, 4),
@@ -261,7 +294,7 @@ def test_parameter_wraps_requires_grad_tensor():
     store.allocate()
     assert p.tensor.requires_grad
     assert p.grad is None
-    p.tensor.grad = np.ones((2, 2))
+    set_grad(p, np.ones((2, 2)))
     p.clear_grad()
     assert p.grad is None
 
@@ -322,16 +355,18 @@ def test_backward_fills_the_grad_arena_of_fresh_and_loaded_models(tmp_path):
     "position-only", "block-sparse-additive"])
 @pytest.mark.parametrize("mode", ["tags", "char-lstm"])
 def test_arena_gradients_are_bitwise_the_plain_leaf_gradients(variant, mode):
+    # the same batch with every parameter a plain leaf, through the
+    # reference accumulation that keeps every node's gradient
     model = tiny_model(TREES, mode, variant, seed=2)
     in_arena = batch_grads(model)
     for p in model.store:
-        p.tensor.grad_view = None
-    plain = batch_grads(model)
-    assert any(p.grad is not None and p.grad.base is None
-               for p in model.store)
-    assert in_arena.keys() == plain.keys()
-    for name, grad in in_arena.items():
-        if grad is None:
-            assert plain[name] is None, name
+        p.tensor = plain_leaf(p.data)
+    batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
+    _, loss = model.batch_loss(batch, train=True,
+                               rng=np.random.default_rng(5))
+    reference_backward(loss)
+    for name, p in model.store.items():
+        if in_arena[name] is None:
+            assert p.grad is None, name
         else:
-            assert np.array_equal(grad, plain[name]), name
+            assert np.array_equal(in_arena[name], p.grad), name
