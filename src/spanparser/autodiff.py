@@ -6,8 +6,10 @@ pack of several), the primitives the encoder/decoder expressions need, and
 exact gradient accumulation.  Gradients reach only :class:`GradLeaf`
 tensors, each of which owns a gradient buffer (a parameter's is its view of
 its store's grad arena) and has every contribution added into it in place.
-Everything is float64 and single threaded; determinism and
-finite-difference-tight gradients matter more than speed at this scale.
+Everything is float64.  :func:`backward` applies the contributions to large
+leaves on a worker thread beside the main one, each leaf's in the order the
+graph produces them, so gradients are bitwise those of one thread;
+determinism and finite-difference-tight gradients matter more than speed.
 
 Broadcasting is deliberately limited to the cases the model uses (a 1-d bias
 added to the rows of a matrix, constant masks); anything else raises a
@@ -17,6 +19,8 @@ DimensionError naming the operation and the offending shapes.
 from __future__ import annotations
 
 import contextlib
+import functools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -163,10 +167,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise _dimerr("matmul", a.shape, b.shape)
 
     def grad_fn(g):
-        if b.grad is None and isinstance(b, GradLeaf):
-            # b's first contribution: computed straight into its buffer
-            b.grad = _rows_product(a.data, g, out=b.grad_view)
-            return g @ b.data.T, None
+        if isinstance(b, GradLeaf):
+            # computed where it is applied, straight into b's buffer if it
+            # is b's first contribution
+            return g @ b.data.T, functools.partial(_rows_product, a.data, g)
         return g @ b.data.T, _rows_product(a.data, g)
 
     return _result(a.data @ b.data, (a, b), grad_fn)
@@ -423,6 +427,11 @@ def sum_all(x: Tensor) -> Tensor:
 # backward pass
 
 
+# a GradLeaf of at least this many values has its gradient contributions
+# applied on backward's worker thread
+WORKER_LEAF_SIZE = 1 << 16
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``grad`` of every :class:`GradLeaf`
     on the gradient path.  ``loss`` must be scalar.  Intermediate tensors
@@ -434,6 +443,15 @@ def backward(loss: Tensor) -> None:
     computed: with ``grad`` None the buffer becomes c1, then c1 + c2, ...;
     with a ``grad`` from an earlier call, old + c1, then + c2, ...  So
     repeated calls without clearing gradients add up.
+
+    Contributions to leaves of at least WORKER_LEAF_SIZE values, including
+    the weight products ``a.T @ g`` that matmul hands over uncomputed for
+    them, are applied on one worker thread in the order they are produced,
+    while this thread carries on down the graph; the worker touches nothing
+    but those leaves' buffers and ``grad``.  So every leaf's buffer sees the
+    same operations in the same order as on one thread, and the bits are
+    the same.  The call returns once the worker has applied everything,
+    and raises the worker's first exception, if any.
     """
     if loss.data.shape != ():
         raise ValueError("backward requires a scalar loss, got shape %s"
@@ -443,32 +461,52 @@ def backward(loss: Tensor) -> None:
 
     order = _toposort(loss)
     pass_grads = {id(loss): np.ones(())}
-    for node in reversed(order):
-        g = pass_grads.pop(id(node), None)
-        if g is None:
-            continue
-        if isinstance(node, GradLeaf):
-            _arrive(node, g)
-            continue
-        for parent, pg in zip(node._parents, node._grad_fn(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            key = id(parent)
-            if isinstance(parent, GradLeaf):
-                _arrive(parent, pg)
-            elif key in pass_grads:
-                pass_grads[key] = pass_grads[key] + pg
+    # the executor starts its thread at the first submit, so a graph of
+    # small leaves only starts none
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        applied = []
+
+        def arrive(leaf, g):
+            if leaf.grad_view.size >= WORKER_LEAF_SIZE:
+                applied.append(worker.submit(_arrive, leaf, g))
             else:
-                pass_grads[key] = pg
+                _arrive(leaf, g)
+
+        for node in reversed(order):
+            g = pass_grads.pop(id(node), None)
+            if g is None:
+                continue
+            if isinstance(node, GradLeaf):
+                arrive(node, g)
+                continue
+            for parent, pg in zip(node._parents, node._grad_fn(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                key = id(parent)
+                if isinstance(parent, GradLeaf):
+                    arrive(parent, pg)
+                elif key in pass_grads:
+                    pass_grads[key] = pass_grads[key] + pg
+                else:
+                    pass_grads[key] = pg
+        for f in applied:
+            f.result()
 
 
 def _arrive(leaf: GradLeaf, g) -> None:
-    """Add a gradient to a leaf's ``grad``, in its ``grad_view``."""
-    if leaf.grad is None:
-        np.copyto(leaf.grad_view, g)
+    """Add a contribution to a leaf's ``grad``, in its ``grad_view``.  ``g``
+    is an array or a callable computing one (into ``out=`` if given)."""
+    view = leaf.grad_view
+    if callable(g):
+        if leaf.grad is None:
+            g(out=view)
+        else:
+            view += g()
+    elif leaf.grad is None:
+        np.copyto(view, g)
     else:
-        np.add(leaf.grad, g, out=leaf.grad_view)
-    leaf.grad = leaf.grad_view
+        np.add(view, g, out=view)
+    leaf.grad = view
 
 
 def _toposort(root: Tensor):

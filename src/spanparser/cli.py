@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 Every run is deterministic given the config, seed, and input files and
 the BLAS thread count; for small models the checkpoint a training run
 writes is also byte-identical with one and with two BLAS threads (see the
-README for why larger ones can differ).
+README for why larger ones can differ).  Training uses every usable CPU
+(Adam's blocked pass split across threads, large weights' gradients
+applied on a worker thread), and its bits do not depend on how many there
+are; parsing runs on one thread.
 """
 
 from __future__ import annotations

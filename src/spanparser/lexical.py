@@ -273,6 +273,9 @@ def write_vector_file(path, sentences) -> None:
     if not sentences:
         raise ValueError("no sentences to write")
     dim = sentences[0].shape[1]
+    if dim == 0:
+        raise ValueError("%s: vectors must have at least one value, got "
+                         "[n, 0] matrices" % path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%d %d\n" % (len(sentences), dim))
         for mat in sentences:
@@ -311,6 +314,9 @@ def read_vector_file(path):
         return values
 
     count, dim = next_line("'num_sentences dim', two counts", 2)
+    if dim == 0:
+        raise ValueError("%s: line %d: the dimension must be positive, got 0"
+                         % (path, pos))
     out = []
     for _ in range(count):
         (n,) = next_line("a token count", 1)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .autodiff import GradLeaf
@@ -11,6 +15,9 @@ ADAM_EPS = 1e-8
 # values per block of adam_step: its six block-sized operands (data, m, v,
 # the gradient and two scratch buffers) take 1.5 MB
 BLOCK = 32768
+# fewest blocks a thread of adam_step takes (about 3 ms of work), so a
+# store of fewer than twice as many is updated on the calling thread alone
+MIN_WORKER_BLOCKS = 8
 
 
 class OptimizerError(RuntimeError):
@@ -166,26 +173,51 @@ def ones(out: np.ndarray) -> None:
     out.fill(1.0)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def adam_step(store: ParameterStore, lr: float,
               betas=ADAM_BETAS, eps: float = ADAM_EPS) -> None:
     """One Adam update of every parameter in ``store``.
 
-    A parameter without a gradient has zero gradient (its grad view is
-    zeroed; its moments still decay).  If the grad arena's square sum is
-    not finite (a NaN, an infinity, a value above about 1.3e154, or values
-    whose squares overflow only in the sum), the step raises, naming the
-    parameter that holds the largest |g| (the first NaN, if any), and
-    leaves ``data``, ``m``, ``v`` and ``steps`` untouched.  Otherwise the
-    arenas are updated in place with the operations of
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
-    data -= lr m_hat / (sqrt(v_hat) + eps), in that order, in one pass of
-    BLOCK values at a time through two BLOCK-sized scratch buffers.  Every
-    operation is elementwise, so a block's operands stay in cache from the
-    first operation to the last, and the result is bitwise that of
-    whole-array operations.
+    ``lr`` must be finite and not negative, ``eps`` finite and positive and
+    each beta in [0, 1); otherwise the step raises ValueError naming the
+    argument.  A parameter without a gradient has zero gradient (its grad
+    view is zeroed; its moments still decay).  If the grad arena's square
+    sum is not finite (a NaN, an infinity, a value above about 1.3e154, or
+    values whose squares overflow only in the sum), the step raises
+    OptimizerError, naming the parameter that holds the largest |g| (the
+    first NaN, if any).  Either way ``data``, ``m``, ``v`` and ``steps``
+    are left untouched.  Otherwise the arenas are updated in place with the
+    operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    data -= lr m_hat / (sqrt(v_hat) + eps), in that order, BLOCK values at
+    a time through two BLOCK-sized scratch buffers.  Every operation is
+    elementwise, so a block's operands stay in cache from the first
+    operation to the last, and the result is bitwise that of whole-array
+    operations.
+
+    The blocks are split into contiguous pieces, one for each of up to
+    :func:`usable_cpus` threads, each taking at least MIN_WORKER_BLOCKS
+    blocks; the calling thread updates the first piece, and a single piece
+    starts no thread.  Since every value goes through the same operations
+    whichever thread runs them, the result does not depend on the split.
     """
-    store.check_views()
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise ValueError("adam_step: lr must be finite and not negative, "
+                         "got %r" % (lr,))
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError("adam_step: eps must be finite and positive, "
+                         "got %r" % (eps,))
     b1, b2 = betas
+    for name, beta in (("beta1", b1), ("beta2", b2)):
+        if not 0.0 <= beta < 1.0:
+            raise ValueError("adam_step: %s must be in [0, 1), got %r"
+                             % (name, beta))
+    store.check_views()
     for p in store:
         if p.grad is None:
             p.tensor.grad_view.fill(0.0)
@@ -199,12 +231,31 @@ def adam_step(store: ParameterStore, lr: float,
         raise OptimizerError("non-finite gradient square sum; parameter %r "
                              "holds the largest |g|" % name)
     store.steps += 1
-    m_corr = 1.0 - b1 ** store.steps
-    v_corr = 1.0 - b2 ** store.steps
+    coefficients = (lr, b1, b2, eps, 1.0 - b1 ** store.steps,
+                    1.0 - b2 ** store.steps)
+    blocks = -(-store.size // BLOCK)
+    pieces = max(1, min(usable_cpus(), blocks // MIN_WORKER_BLOCKS))
+    bounds = [min(store.size, BLOCK * (blocks * k // pieces))
+              for k in range(pieces + 1)]
+    with ThreadPoolExecutor(max(1, pieces - 1)) as pool:
+        futures = [pool.submit(_adam_blocks, store, coefficients, start, stop)
+                   for start, stop in zip(bounds[1:-1], bounds[2:])]
+        _adam_blocks(store, coefficients, bounds[0], bounds[1])
+        for f in futures:
+            f.result()
+    for p in store:
+        p.clear_grad()
+
+
+def _adam_blocks(store, coefficients, start, stop):
+    """The Adam update of values ``start:stop`` of the arenas, BLOCK at a
+    time through two scratch buffers of this call's own."""
+    lr, b1, b2, eps, m_corr, v_corr = coefficients
     scratch = np.empty(BLOCK), np.empty(BLOCK)
-    for start in range(0, store.size, BLOCK):
-        x, mb, vb, g = (arena[start:start + BLOCK] for arena in
-                        (store.data, store.m, store.v, grad))
+    for lo in range(start, stop, BLOCK):
+        hi = min(lo + BLOCK, stop)
+        x, mb, vb, g = (arena[lo:hi] for arena in
+                        (store.data, store.m, store.v, store.grad))
         a, b = (s[:x.size] for s in scratch)
         np.multiply(mb, b1, out=mb)
         np.multiply(g, 1.0 - b1, out=a)
@@ -220,5 +271,3 @@ def adam_step(store: ParameterStore, lr: float,
         np.multiply(a, lr, out=a)
         np.divide(a, b, out=a)
         np.subtract(x, a, out=x)
-    for p in store:
-        p.clear_grad()

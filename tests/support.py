@@ -83,9 +83,9 @@ def plain_leaf(data):
 
 def reference_backward(loss):
     """The accumulation order of backward, storing every node's grad: the
-    contributions to a node are summed in arrival order.  Run on a graph
-    whose leaves are plain tensors (:func:`plain_leaf`), so no product
-    writes a gradient into a GradLeaf's buffer."""
+    contributions to a node are summed in arrival order, on this thread.
+    A GradLeaf's grad becomes a new array, its buffer left as it was, and
+    a product matmul hands over uncomputed is computed here."""
     order = ad._toposort(loss)
     grads = {id(loss): np.ones(())}
     for node in reversed(order):
@@ -97,6 +97,7 @@ def reference_backward(loss):
             continue
         for parent, pg in zip(node._parents, node._grad_fn(g)):
             if parent.requires_grad:
+                pg = pg() if callable(pg) else pg
                 key = id(parent)
                 grads[key] = grads[key] + pg if key in grads else pg
 

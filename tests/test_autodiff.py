@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -292,11 +294,13 @@ def test_backward_stores_grads_on_leaves_only():
     loss = ad.sum_all(ad.mul(out, out))
     backward(loss)
     assert h.grad is None and out.grad is None and loss.grad is None
-    ref_w, ref_b, ref_h, ref_out = graph(plain_leaf)
-    reference_backward(ad.sum_all(ad.mul(ref_out, ref_out)))
-    assert ref_h.grad is not None
-    assert np.array_equal(w.grad, ref_w.grad)
-    assert np.array_equal(b.grad, ref_b.grad)
+    # the reference takes plain leaves and GradLeaf parameters alike
+    for make_leaf in (plain_leaf, ad.GradLeaf):
+        ref_w, ref_b, ref_h, ref_out = graph(make_leaf)
+        reference_backward(ad.sum_all(ad.mul(ref_out, ref_out)))
+        assert ref_h.grad is not None
+        assert np.array_equal(w.grad, ref_w.grad)
+        assert np.array_equal(b.grad, ref_b.grad)
 
 
 def test_backward_writes_leaf_grads_into_their_views():
@@ -324,19 +328,49 @@ def test_backward_writes_leaf_grads_into_their_views():
     assert np.array_equal(b.grad, ref_b.grad)
 
 
-def test_cleared_view_is_overwritten_and_uncleared_one_adds_in_order():
+def test_cleared_view_is_overwritten_and_uncleared_one_adds_in_order(
+        monkeypatch):
     # after clearing, a backward overwrites the buffer (5, then 3); without
     # clearing, each contribution is added to it in turn: from 1, adding
-    # 1e16 and then -1e16 gives (1 + c1) + c2 = 0, not 1 + (c1 + c2) = 1
-    x = ad.GradLeaf(np.ones((1, 1)), np.full((1, 1), 5.0))
-    backward(ad.sum_all(ad.mul_const(x, 3.0)))
-    assert x.grad is x.grad_view and x.grad[0, 0] == 3.0
-    x.grad = None
-    backward(ad.sum_all(x))
-    assert x.grad[0, 0] == 1.0
-    backward(ad.add(ad.sum_all(ad.mul_const(x, 1e16)),
-                    ad.sum_all(ad.mul_const(x, -1e16))))
-    assert x.grad is x.grad_view and x.grad[0, 0] == 0.0
+    # 1e16 and then -1e16 gives (1 + c1) + c2 = 0, not 1 + (c1 + c2) = 1;
+    # the same on this thread and on backward's worker thread
+    for size in (ad.WORKER_LEAF_SIZE, 0):
+        monkeypatch.setattr(ad, "WORKER_LEAF_SIZE", size)
+        x = ad.GradLeaf(np.ones((1, 1)), np.full((1, 1), 5.0))
+        backward(ad.sum_all(ad.mul_const(x, 3.0)))
+        assert x.grad is x.grad_view and x.grad[0, 0] == 3.0
+        x.grad = None
+        backward(ad.sum_all(x))
+        assert x.grad[0, 0] == 1.0
+        backward(ad.add(ad.sum_all(ad.mul_const(x, 1e16)),
+                        ad.sum_all(ad.mul_const(x, -1e16))))
+        assert x.grad is x.grad_view and x.grad[0, 0] == 0.0
+        # the first product overwrites the cleared buffer (7): 2 + 3, not
+        # 7 + 2 + 3; later ones are added in turn, in the order backward
+        # reaches them: (5 - 1e16) + 1e16 = 4, not 5 + (-1e16 + 1e16) = 5
+        x.grad = None
+        x.grad_view.fill(7.0)
+        backward(ad.add(ad.sum_all(ad.matmul(tensor([[2.0]]), x)),
+                        ad.sum_all(ad.matmul(tensor([[3.0]]), x))))
+        assert x.grad is x.grad_view and x.grad[0, 0] == 5.0, size
+        backward(ad.add(ad.sum_all(ad.matmul(tensor([[1e16]]), x)),
+                        ad.sum_all(ad.matmul(tensor([[-1e16]]), x))))
+        assert x.grad[0, 0] == 4.0, size
+
+
+def test_an_exception_on_the_backward_worker_surfaces(monkeypatch):
+    # a buffer of the wrong shape fails where the contribution is applied;
+    # the graph's other leaf still gets its gradient, and the worker ends
+    monkeypatch.setattr(ad, "WORKER_LEAF_SIZE", 0)
+    x = ad.GradLeaf(np.ones((2, 2)), np.zeros((3, 3)))
+    y = ad.GradLeaf(np.ones((2, 2)))
+    threads = threading.active_count()
+    with pytest.raises(ValueError):
+        backward(ad.sum_all(ad.matmul(y, x)))
+    assert threading.active_count() == threads
+    assert x.grad is None
+    assert y.grad is y.grad_view and np.array_equal(y.grad, np.full((2, 2),
+                                                                    2.0))
 
 
 def test_a_leaf_requiring_grad_owns_a_zeroed_buffer():

@@ -208,12 +208,22 @@ def test_vector_file_errors(tmp_path):
         write_vector_file(tmp_path / "x.txt", [])
 
 
+def test_zero_width_vectors_are_not_written(tmp_path):
+    # each row would be an empty line, which reading skips as blank
+    path = tmp_path / "empty.txt"
+    with pytest.raises(ValueError) as e:
+        write_vector_file(path, [np.zeros((2, 0)), np.zeros((1, 0))])
+    assert str(path) in str(e.value)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("text, line", [
     ("2 x\n", 1),                          # a non-integer header
     ("1 2\n1 0\n0.0 1.0\n", 2),            # a count line with two tokens
     ("1 2\n1\n0.0 one\n", 3),              # a non-numeric value
     ("1 -2\n1\n\n", 1),                    # a negative dimension
-], ids=["header", "count", "value", "negative-dim"])
+    ("\n2 0\n1\n\n1\n\n", 2),              # a dimension of 0
+], ids=["header", "count", "value", "negative-dim", "zero-dim"])
 def test_malformed_vector_file_names_the_path_and_line(tmp_path, text, line):
     path = tmp_path / "bad.txt"
     path.write_text(text)

@@ -1,11 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import spanparser.autodiff as ad
+from spanparser import optim
 from spanparser.autodiff import backward
 from spanparser.checkpoint import load_checkpoint, save_checkpoint
 from spanparser.optim import (
-    ADAM_BETAS, ADAM_EPS, BLOCK, OptimizerError, ParameterStore, adam_step,
-    embedding_init, glorot_uniform, ones,
+    ADAM_BETAS, ADAM_EPS, BLOCK, MIN_WORKER_BLOCKS, OptimizerError,
+    ParameterStore, adam_step, embedding_init, glorot_uniform, ones,
 )
 from spanparser.toydata import toy_treebank
 
@@ -17,6 +22,18 @@ TREES = toy_treebank(6, seed=4)
 def filled(values):
     """An init that copies ``values`` into the parameter's view."""
     return lambda out: np.copyto(out, values)
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads as often as the interpreter allows, so that main and
+    worker threads interleave at every bytecode boundary they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def store_of(**arrays):
@@ -103,13 +120,12 @@ def test_adam_two_steps_track_reference_formula():
         assert np.allclose(p.data, x, atol=1e-14)
 
 
-def test_in_place_adam_is_bitwise_the_reference_expressions():
-    # one pass of blocks over the arenas, some of which span two
-    # parameters; step 3 has no gradient for "b", whose grad view still
-    # holds step 2's gradient; "d" spans two whole blocks and a partial
-    # third
-    rng = np.random.default_rng(5)
-    shapes = {"a": (3, 4), "b": (7,), "c": (2, 5), "d": (2, BLOCK + 123)}
+def assert_adam_is_the_reference_expressions(shapes, missing, seed=5):
+    """Five steps of adam_step on a store of ``shapes`` equal, bit for bit,
+    the whole-array expressions of each parameter's update; at step t the
+    parameter ``missing[t]`` gets no gradient, its grad view still holding
+    an earlier step's."""
+    rng = np.random.default_rng(seed)
     ref = {name: [rng.standard_normal(shape), np.zeros(shape),
                   np.zeros(shape)] for name, shape in shapes.items()}
     store = store_of(**{name: x for name, (x, _, _) in ref.items()})
@@ -117,7 +133,7 @@ def test_in_place_adam_is_bitwise_the_reference_expressions():
     for t in range(1, 6):
         lr = 0.01 * t
         for name, p in store.items():
-            g = None if (t, name) == (3, "b") else rng.standard_normal(
+            g = None if missing.get(t) == name else rng.standard_normal(
                 shapes[name])
             if g is None:
                 p.clear_grad()
@@ -136,6 +152,93 @@ def test_in_place_adam_is_bitwise_the_reference_expressions():
             assert np.array_equal(p.data, x)
             assert np.array_equal(store.m[p.start:p.stop], m.ravel())
             assert np.array_equal(store.v[p.start:p.stop], v.ravel())
+    assert store.steps == 5
+
+
+def test_in_place_adam_is_bitwise_the_reference_expressions():
+    # one pass of blocks over the arenas, some of which span two
+    # parameters; step 3 has no gradient for "b"; "d" spans two whole
+    # blocks and a partial third
+    assert_adam_is_the_reference_expressions(
+        {"a": (3, 4), "b": (7,), "c": (2, 5), "d": (2, BLOCK + 123)},
+        missing={3: "b"})
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_threaded_adam_is_bitwise_the_reference_expressions(
+        cpus, monkeypatch, short_switch_interval):
+    # 42 blocks, the last one partial, split into min(cpus, 42 // 8)
+    # pieces that tile the arenas; a piece boundary falls inside "e"
+    pieces = []
+    blocks = optim._adam_blocks
+
+    def recorded(store, coefficients, start, stop):
+        pieces.append((start, stop, threading.get_ident()))
+        blocks(store, coefficients, start, stop)
+
+    monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(optim, "_adam_blocks", recorded)
+    shapes = {"a": (3, 4), "b": (7,), "c": (2, 5), "d": (2, BLOCK + 123),
+              "e": (40, BLOCK - 7)}
+    size = sum(int(np.prod(shape)) for shape in shapes.values())
+    assert size // BLOCK == 41 and size % BLOCK
+    assert_adam_is_the_reference_expressions(shapes, missing={2: "e",
+                                                              4: "a"})
+    expected = min(cpus, 42 // MIN_WORKER_BLOCKS)
+    for step in range(5):
+        ranges = sorted(pieces[step * expected:(step + 1) * expected])
+        assert [r[0] for r in ranges] == [0] + [r[1] for r in ranges[:-1]]
+        assert ranges[-1][1] == size
+        assert all(start % BLOCK == 0 for start, _, _ in ranges)
+        # the calling thread updates the first piece, workers the others
+        main = threading.main_thread().ident
+        assert [ident == main for _, _, ident in ranges] == (
+            [True] + [False] * (expected - 1))
+    assert len(pieces) == 5 * expected
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("lr", -1e-3), ("lr", np.inf), ("lr", np.nan),
+    ("eps", 0.0), ("eps", -1e-8), ("eps", np.inf), ("eps", np.nan),
+    ("beta1", -0.1), ("beta1", 1.0), ("beta2", 1.5), ("beta2", np.nan),
+])
+def test_bad_adam_arguments_raise_before_any_update(argument, value):
+    store = store_of(a=np.ones(3), b=np.ones((2, 2)))
+    set_grad(store["a"], np.full(3, 0.5))
+    set_grad(store["b"], np.ones((2, 2)))
+    adam_step(store, lr=0.1)
+    set_grad(store["a"], np.ones(3))
+    before = [a.copy() for a in (store.data, store.m, store.v, store.grad)]
+    kwargs = {"lr": 0.1, "eps": ADAM_EPS, "betas": list(ADAM_BETAS)}
+    if argument.startswith("beta"):
+        kwargs["betas"][int(argument[-1]) - 1] = value
+    else:
+        kwargs[argument] = value
+    with pytest.raises(ValueError) as e:
+        adam_step(store, **kwargs)
+    assert argument in str(e.value)
+    for a, b in zip((store.data, store.m, store.v, store.grad), before):
+        assert np.array_equal(a, b)
+    assert store.steps == 1
+    assert store["a"].grad is not None and store["b"].grad is None
+
+
+def test_an_exception_in_an_adam_worker_surfaces(monkeypatch):
+    blocks = optim._adam_blocks
+
+    def failing(store, coefficients, start, stop):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker piece %d:%d" % (start, stop))
+        blocks(store, coefficients, start, stop)
+
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(optim, "_adam_blocks", failing)
+    store = store_of(a=np.ones(2 * MIN_WORKER_BLOCKS * BLOCK))
+    set_grad(store["a"], np.ones(store.size))
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="worker piece"):
+        adam_step(store, lr=0.1)
+    assert threading.active_count() == threads
 
 
 def test_missing_gradient_decays_moments():
@@ -354,19 +457,38 @@ def test_backward_fills_the_grad_arena_of_fresh_and_loaded_models(tmp_path):
     "additive-unfactored", "concatenative-unfactored", "factored",
     "position-only", "block-sparse-additive"])
 @pytest.mark.parametrize("mode", ["tags", "char-lstm"])
-def test_arena_gradients_are_bitwise_the_plain_leaf_gradients(variant, mode):
+def test_arena_gradients_are_bitwise_the_plain_leaf_gradients(
+        variant, mode, monkeypatch, short_switch_interval):
     # the same batch with every parameter a plain leaf, through the
-    # reference accumulation that keeps every node's gradient
+    # reference accumulation that keeps every node's gradient; the arena
+    # gradients are taken as training takes them, where the toy leaves are
+    # all below backward's worker size, and with every leaf's
+    # contributions applied on the worker thread
     model = tiny_model(TREES, mode, variant, seed=2)
-    in_arena = batch_grads(model)
+    arrive = ad._arrive
+    on_worker = []
+
+    def recorded(leaf, g):
+        on_worker.append(threading.current_thread()
+                         is not threading.main_thread())
+        arrive(leaf, g)
+
+    monkeypatch.setattr(ad, "_arrive", recorded)
+    in_arena = {}
+    for size in (ad.WORKER_LEAF_SIZE, 0):
+        monkeypatch.setattr(ad, "WORKER_LEAF_SIZE", size)
+        in_arena[size] = batch_grads(model)
+        assert on_worker and set(on_worker) == {size == 0}, size
+        on_worker.clear()
     for p in model.store:
         p.tensor = plain_leaf(p.data)
     batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
     _, loss = model.batch_loss(batch, train=True,
                                rng=np.random.default_rng(5))
     reference_backward(loss)
-    for name, p in model.store.items():
-        if in_arena[name] is None:
-            assert p.grad is None, name
-        else:
-            assert np.array_equal(in_arena[name], p.grad), name
+    for size, grads in in_arena.items():
+        for name, p in model.store.items():
+            if grads[name] is None:
+                assert p.grad is None, (name, size)
+            else:
+                assert np.array_equal(grads[name], p.grad), (name, size)
