@@ -21,13 +21,13 @@ store.allocate()
 print("encoder holds %d values in %d parameters"
       % (store.num_values(), len(store)))
 
-# content rows for a 6-token sentence (start and stop included); in the
-# real model these come from the lexical layer
+# content rows for a 6-token sentence (start and stop included), a pack of
+# one; in the real model these come from the lexical layer
 T = 6
 content = ad.tensor(rng.standard_normal((T, cfg.content_dim)) * 0.3)
 
 record = {}
-y = enc.encode(content, record=record)
+y = enc.encode(content, [T], record=record)
 print("output shape:", y.data.shape)
 probs = record[(0, 0)]
 print("layer 0 head 0 attention, query row 2:", np.round(probs[2], 3),
@@ -35,7 +35,7 @@ print("layer 0 head 0 attention, query row 2:", np.round(probs[2], 3),
 
 # strict window: probability mass outside |i-j| <= 1 is exactly zero
 record = {}
-enc.encode(content, control=AttentionControl(window=(1, "strict")),
+enc.encode(content, [T], control=AttentionControl(window=(1, "strict")),
            record=record)
 probs = record[(0, 0)]
 off_band = [probs[i, j] for i in range(T) for j in range(T)
@@ -44,13 +44,13 @@ print("strict d=1, largest off-band probability:", max(off_band))
 
 # relaxed window keeps the two boundary tokens on each side visible
 record = {}
-enc.encode(content, control=AttentionControl(window=(1, "relaxed")),
+enc.encode(content, [T], control=AttentionControl(window=(1, "relaxed")),
            record=record)
 print("relaxed d=1, P(query 3 -> key 0):", record[(0, 0)][3, 0])
 
 # disabling both factored terms leaves a uniform attention distribution
 record = {}
-enc.encode(content,
+enc.encode(content, [T],
            control=AttentionControl(disable_content=(True, True),
                                     disable_position=(True, True)),
            record=record)

@@ -7,7 +7,8 @@ import numpy as np
 
 import spanparser.autodiff as ad
 from spanparser.chart import (
-    cky_decode, hamming_delta, hinge_loss, loss_augmented_decode, tree_score,
+    cky_decode, hamming_delta, hinge_loss, loss_augmented_decode, margin_loss,
+    tree_score,
 )
 from spanparser.trees import gold_spans
 from spanparser.vocab import LabelInventory
@@ -63,5 +64,6 @@ result = hinge_loss(scores, n, gold)
 print("hinge value %.6f (violator %s)"
       % (result.value, "found" if result.violator else "none"))
 if result.violator is not None:
-    ad.backward(result.loss)
+    # the pack's loss: here a pack of one sentence
+    ad.backward(margin_loss(scores, [result]))
     print("gradient rows touched:", int((scores.grad != 0).any(1).sum()))

@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Just enough of a tensor library for this parser: 2-d matrices plus scalars,
-per-head [H, T, d] stacks for batched attention (one sentence, or a padded
-pack of several), the primitives the encoder/decoder expressions need, and
+per-head [B * H, Tmax, d] stacks for batched attention over a padded pack
+of sentences, the primitives the encoder/decoder expressions need, and
 exact gradient accumulation.  Gradients reach only :class:`GradLeaf`
 tensors, each of which owns a gradient buffer (a parameter's is its view of
 its store's grad arena) and has every contribution added into it in place.
@@ -204,51 +204,42 @@ def transpose(x: Tensor) -> Tensor:
                    lambda g: (g.swapaxes(-1, -2),))
 
 
-def split_heads(x: Tensor, heads: int, mask=None) -> Tensor:
-    """[T, heads * d] -> [heads, T, d]: column block h becomes head h.
-
-    With ``mask``, a [B, Tmax] boolean array whose row b marks the first
-    T_b of Tmax slots, ``x`` is a pack of B sentences' rows, one after the
-    other: [sum T_b, heads * d] -> [B * heads, Tmax, d], stack b * heads + h
-    holding sentence b's head h, zero beyond its T_b rows."""
+def split_heads(x: Tensor, heads: int, mask) -> Tensor:
+    """[sum T_b, heads * d] -> [B * heads, Tmax, d]: ``x`` is a pack of B
+    sentences' rows, one after the other, and ``mask`` a [B, Tmax] boolean
+    array whose row b marks the first T_b of Tmax slots.  Stack
+    b * heads + h holds column block h of sentence b's rows, zero beyond
+    its T_b rows."""
     if (x.data.ndim != 2 or heads < 1 or x.shape[1] % heads != 0
-            or mask is not None and mask.sum() != x.shape[0]):
-        raise _dimerr("split_heads(%d)" % heads, x.shape)
+            or mask.sum() != x.shape[0]):
+        raise _dimerr("split_heads(%d)" % heads, x.shape, mask.shape)
     return _result(_split(x.data, heads, mask), (x,),
                    lambda g: (_merge(g, mask),))
 
 
-def merge_heads(x: Tensor, mask=None) -> Tensor:
-    """The inverse of split_heads: [heads, T, d] -> [T, heads * d], or
-    with a pack's ``mask`` [B * heads, Tmax, d] -> [sum T_b, heads * d],
-    the padding rows dropped."""
-    if (x.data.ndim != 3 or mask is not None
-            and (x.shape[0] % mask.shape[0] or x.shape[1] != mask.shape[1])):
-        raise _dimerr("merge_heads", x.shape)
-    heads = x.shape[0] // (1 if mask is None else mask.shape[0])
+def merge_heads(x: Tensor, mask) -> Tensor:
+    """The inverse of split_heads: [B * heads, Tmax, d] ->
+    [sum T_b, heads * d], the padding rows dropped."""
+    if (x.data.ndim != 3 or x.shape[0] % mask.shape[0]
+            or x.shape[1] != mask.shape[1]):
+        raise _dimerr("merge_heads", x.shape, mask.shape)
+    heads = x.shape[0] // mask.shape[0]
     return _result(_merge(x.data, mask), (x,),
                    lambda g: (_split(g, heads, mask),))
 
 
 def _split(rows, heads, mask):
-    T, width = rows.shape
-    d = width // heads
-    if mask is None:
-        return rows.reshape(T, heads, d).transpose(1, 0, 2)
     B, Tmax = mask.shape
-    out = np.zeros((B, heads, Tmax, d))
-    out.transpose(0, 2, 1, 3)[mask] = rows.reshape(T, heads, d)
-    return out.reshape(B * heads, Tmax, d)
+    out = np.zeros((B, heads, Tmax, rows.shape[1] // heads))
+    out.transpose(0, 2, 1, 3)[mask] = rows.reshape(rows.shape[0], heads, -1)
+    return out.reshape(B * heads, Tmax, -1)
 
 
 def _merge(stack, mask):
-    S, T, d = stack.shape
-    if mask is None:
-        return stack.transpose(1, 0, 2).reshape(T, S * d)
+    S, Tmax, d = stack.shape
     B = mask.shape[0]
-    heads = S // B
-    rows = stack.reshape(B, heads, T, d).transpose(0, 2, 1, 3)[mask]
-    return rows.reshape(-1, heads * d)
+    rows = stack.reshape(B, S // B, Tmax, d).transpose(0, 2, 1, 3)[mask]
+    return rows.reshape(rows.shape[0], -1)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

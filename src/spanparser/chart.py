@@ -64,34 +64,30 @@ def span_row(i, j, n: int):
     return i * n - i * (i - 1) // 2 + (j - i - 1)
 
 
-def fenceposts(y: Tensor, lengths=None) -> Tensor:
-    """The fencepost rows u_k = [fwd_k ; bwd_{k+1}], k = 0..n, of an
-    encoder output with boundary rows: [n+1, d_model].
-
-    With ``lengths``, ``y`` is a pack of sentences with those token counts
-    (boundaries included), one after the other, and the result stacks
-    every sentence's fencepost rows in the same order."""
+def fenceposts(y: Tensor, lengths) -> Tensor:
+    """The fencepost rows u_k = [fwd_k ; bwd_{k+1}], k = 0..n, of every
+    sentence of a pack: ``y`` holds the encoder output of sentences with
+    the token counts ``lengths`` (boundaries included), one after the
+    other, and the result stacks each one's [n+1, d_model] rows in the
+    same order."""
     # forward annotations are the even columns, backward ones the odd
     fwd = ad.take_cols(y, np.arange(0, y.shape[1], 2))
     bwd = ad.take_cols(y, np.arange(1, y.shape[1], 2))
     # every row but each sentence's stop row starts a fencepost
-    stops = np.cumsum([y.shape[0]] if lengths is None else lengths) - 1
+    stops = np.cumsum(lengths) - 1
     k = np.delete(np.arange(y.shape[0]), stops)
     return ad.concat([ad.take_rows(fwd, k), ad.take_rows(bwd, k + 1)],
                      axis=1)
 
 
-def span_vectors(rows: Tensor, n) -> Tensor:
-    """rows[j] - rows[i] for every span of all_spans(n), as one [S, width]
-    tensor.  ``rows`` holds one row per fencepost: fenceposts(y) gives the
-    span vectors, its projection SpanScorer.project gives M_1 v.
-
-    ``n`` may be a list of word counts, for the fencepost rows of a pack:
-    the result then stacks every sentence's spans in all_spans order."""
-    words = [n] if np.ndim(n) == 0 else list(n)
+def span_vectors(rows: Tensor, words) -> Tensor:
+    """rows[j] - rows[i] for every span (i, j), in all_spans(n) order, of
+    every sentence of a pack, as one [S, width] tensor.  ``rows`` holds the
+    fencepost rows of sentences of ``words`` words, one after the other:
+    fenceposts gives the span vectors, SpanScorer.project of it M_1 v."""
     if rows.shape[0] != sum(words) + len(words):
         raise ValueError("got %d fencepost rows, expected %d for %s words"
-                         % (rows.shape[0], sum(words) + len(words), n))
+                         % (rows.shape[0], sum(words) + len(words), words))
     first = np.cumsum([0] + [m + 1 for m in words[:-1]])
     starts, ends = (np.concatenate([f + span_index(m)[side]
                                     for f, m in zip(first, words)])
@@ -103,9 +99,9 @@ class SpanScorer:
     """s(i,j,.) = M_2 relu(LayerNorm(M_1 v + c_1)) + c_2 over real labels.
 
     ``project`` applies M_1 to fencepost rows and ``forward`` the rest to
-    the differences of projected rows, so a sentence's scores are
-    ``forward(span_vectors(project(fenceposts(y)), n))``.  The dummy label
-    is never parameterized; its score is the constant 0 added when the
+    the differences of projected rows, so a pack's scores are
+    ``forward(span_vectors(project(fenceposts(y, lengths)), words))``.
+    The dummy label is never parameterized; its score is the constant 0 added when the
     chart is assembled.
     """
 
@@ -253,8 +249,8 @@ class HingeResult:
 
     __slots__ = ("loss", "value", "delta", "gold_score", "violator", "terms")
 
-    def __init__(self, loss, value, delta, gold_score, violator, terms=None):
-        self.loss = loss            # scalar Tensor (0 tensor when satisfied)
+    def __init__(self, value, delta, gold_score, violator, terms=None):
+        self.loss = None            # the hinge Tensor, once one is built
         self.value = value          # the hinge as a float
         self.delta = delta          # Hamming distance to the violator
         self.gold_score = gold_score
@@ -265,27 +261,23 @@ class HingeResult:
 
 
 def hinge_loss(scores: Tensor, n: int, gold: BinaryTree,
-               offset: int = None) -> HingeResult:
-    """Margin loss max(0, max_T [s(T) + Delta(T, T*)] - s(T*)).
+               offset: int = 0) -> HingeResult:
+    """Margin max(0, max_T [s(T) + Delta(T, T*)] - s(T*)) of one sentence
+    of the pack ``scores``, the [S, num_labels-1] tensor from SpanScorer
+    whose rows from ``offset`` on hold this sentence's spans in
+    all_spans(n) order.
 
-    ``scores`` is the [S, num_labels-1] tensor from SpanScorer in
-    all_spans(n) order.  When some tree violates the margin, the returned
-    loss is differentiable and its gradient touches exactly the violator's
-    and the gold tree's span scores.
-
-    With an ``offset``, ``scores`` is a pack of several sentences' score
-    rows, this sentence's starting at that row, and a violator's loss is
-    None: margin_loss takes every sentence's terms from the pack at once,
-    so no sentence builds a gradient the size of the pack.
+    Builds no loss: when some tree violates the margin, the result's
+    ``terms`` name the violator's and the gold tree's span scores, and
+    margin_loss takes every sentence's terms from the pack at once, so no
+    sentence builds a gradient the size of the pack.
     """
-    lone = offset is None
-    offset = 0 if lone else offset
     chart = build_chart(scores.data[offset:offset + n * (n + 1) // 2], n)
     gold_triples = gold_spans(gold)
     s_gold = tree_score(chart, gold)
     violator, objective = loss_augmented_decode(chart, gold_triples)
     if objective - s_gold <= 0.0:
-        return HingeResult(Tensor(0.0), 0.0, 0, s_gold, None)
+        return HingeResult(0.0, 0, s_gold, None)
 
     def entries(triples):
         real = np.array([t for t in triples if t[2] != NULL_ID],
@@ -298,10 +290,7 @@ def hinge_loss(scores: Tensor, n: int, gold: BinaryTree,
     value = (scores.data[vr, vc].sum() - scores.data[gr, gc].sum()) + delta
     terms = (np.concatenate([vr, gr]), np.concatenate([vc, gc]),
              np.repeat([1.0, -1.0], [len(vr), len(gr)]))
-    result = HingeResult(None, float(value), delta, s_gold, violator, terms)
-    if lone:
-        result.loss = margin_loss(scores, [result])
-    return result
+    return HingeResult(float(value), delta, s_gold, violator, terms)
 
 
 def margin_loss(scores: Tensor, results):

@@ -229,24 +229,22 @@ class MultiHeadAttention:
                 ("w_v", (d_io, heads * d_v), (d_io, d_v)),
                 ("w_o", (heads * d_v, d_io), (d_v, d_io)))])
 
-    def forward(self, x: Tensor, positions: Tensor, penalty,
+    def forward(self, x: Tensor, positions: Tensor, mask, penalty,
                 disable_content: bool, disable_position: bool,
-                train: bool, rng, dropout_p: float, record=None,
-                mask=None) -> Tensor:
-        """Sum of every head's contribution, shape [T, d_model].
+                train: bool, rng, dropout_p: float, record=None) -> Tensor:
+        """Sum of every head's contribution, shape [sum T_b, d_model].
 
-        ``penalty`` is an additive logit mask (0 where allowed) or None.
-        ``positions`` carries the original position embeddings for
-        position-only queries; ignored otherwise.  ``record``, if a list,
-        receives the [H, T, T] attention probabilities before dropout.
-        ``mask``, when given, makes ``x`` a pack of sentences (see
-        :func:`autodiff.split_heads`): every sentence attends within
-        itself through one padded [B * H, Tmax, Tmax] stack, and
-        ``penalty`` must then mask the padded keys.
+        ``x`` is a pack of sentences whose [B, Tmax] ``mask`` marks each
+        one's rows (see :func:`autodiff.split_heads`); each attends within
+        itself through one padded [B * H, Tmax, Tmax] stack.  ``penalty``
+        is an additive logit mask (0 where allowed) or None.  ``positions``
+        carries the original position embeddings for position-only
+        queries; ignored otherwise.  ``record``, if a list, receives the
+        [B * H, Tmax, Tmax] attention probabilities before dropout.
         """
-        contexts = self._contexts(x, positions, penalty, disable_content,
-                                  disable_position, train, rng, dropout_p,
-                                  record, mask)
+        contexts = self._contexts(x, positions, mask, penalty,
+                                  disable_content, disable_position, train,
+                                  rng, dropout_p, record)
         outs = [ad.matmul(ad.merge_heads(ctx, mask), stream["w_o"].tensor)
                 for ctx, stream in zip(contexts, self.streams)]
         return ad.concat(outs, axis=1)
@@ -254,21 +252,21 @@ class MultiHeadAttention:
     def head_outputs(self, x: Tensor, positions: Tensor, penalty,
                      disable_content: bool, disable_position: bool,
                      train: bool, rng, dropout_p: float) -> Tensor:
-        """Each head's own contribution, shape [H, T, d_model]; these sum
-        to :meth:`forward`."""
-        contexts = self._contexts(x, positions, penalty, disable_content,
-                                  disable_position, train, rng, dropout_p)
+        """Each head's own contribution to one sentence, shape
+        [H, T, d_model]; these sum to :meth:`forward`."""
+        mask = np.ones((1, x.shape[0]), dtype=bool)
+        contexts = self._contexts(x, positions, mask, penalty,
+                                  disable_content, disable_position, train,
+                                  rng, dropout_p)
         # w_o's row block h is head h's [d_v, d_out] output matrix
         return ad.concat(
             [ad.bmm(ctx, ad.reshape(stream["w_o"].tensor,
                                     (self.num_heads, ctx.shape[2], -1)))
              for ctx, stream in zip(contexts, self.streams)], axis=2)
 
-    def _contexts(self, x, positions, penalty, disable_content,
-                  disable_position, train, rng, dropout_p, record=None,
-                  mask=None):
-        """Per stream, the [H, T, d_v] attention-weighted values
-        ([B * H, Tmax, d_v] for a pack)."""
+    def _contexts(self, x, positions, mask, penalty, disable_content,
+                  disable_position, train, rng, dropout_p, record=None):
+        """Per stream, the [B * H, Tmax, d_v] attention-weighted values."""
         heads = self.num_heads
         inputs = ad.split_cols(x, len(self.streams))
         # AttentionControl allows disable flags only with two streams
@@ -286,7 +284,7 @@ class MultiHeadAttention:
             term = ad.scale(ad.bmm(q, ad.transpose(k)), inv)
             logits = term if logits is None else ad.add(logits, term)
         if logits is None:
-            B, T = (1, x.shape[0]) if mask is None else mask.shape
+            B, T = mask.shape
             logits = Tensor(np.zeros((B * heads, T, T)))
         if penalty is not None:
             logits = ad.add_const(logits, penalty)
@@ -334,12 +332,12 @@ class EncoderLayer:
         self.ln2_gain = store.add(prefix + ".ln2.gain", (d,), ones)
         self.ln2_bias = store.add(prefix + ".ln2.bias", (d,))
 
-    def forward(self, x, positions, penalty, disable_content,
-                disable_position, train, rng, record=None, mask=None):
+    def forward(self, x, positions, mask, penalty, disable_content,
+                disable_position, train, rng, record=None):
         cfg = self.config
-        attn = self.attn.forward(x, positions, penalty, disable_content,
-                                 disable_position, train, rng,
-                                 cfg.attention_dropout, record, mask)
+        attn = self.attn.forward(x, positions, mask, penalty,
+                                 disable_content, disable_position, train,
+                                 rng, cfg.attention_dropout, record)
         attn = ad.dropout(attn, cfg.residual_dropout, rng, train)
         x = ad.layer_norm(ad.add(x, attn), self.ln1_gain.tensor,
                           self.ln1_bias.tensor)
@@ -362,80 +360,72 @@ class Encoder:
         self.layers = [EncoderLayer(store, "encoder.layer%d" % i, config, rng)
                        for i in range(config.num_layers)]
 
-    def encode(self, content, train: bool = False, rng=None,
+    def encode(self, x: Tensor, lengths=None, train: bool = False, rng=None,
                control: AttentionControl = None, record=None) -> Tensor:
-        """Encode a sentence; ``content`` is [T, content_dim] with rows for
-        the start and stop tokens included.
-
-        ``content`` may also be a list of such matrices, a pack of
-        sentences: the result then holds every sentence's [T_b, d_model]
-        rows one after the other.  Row-wise work (projections, feed-forward,
-        layer norms) runs once over all the pack's rows, and attention runs
-        every sentence on its own through one padded stack per layer.  A
-        pack of one computes exactly what a lone sentence does.
+        """Encode a pack of sentences: ``x`` holds every sentence's
+        [T_b, content_dim] content rows, start and stop rows included, one
+        after the other, and ``lengths`` the T_b (None for one sentence).
+        The result holds every sentence's [T_b, d_model] rows in the same
+        order.  Row-wise work (projections, feed-forward, layer norms) runs
+        once over all the pack's rows, and attention runs every sentence on
+        its own through one padded stack per layer.
 
         ``record``, if given, is a dict filled with attention probabilities
         keyed (layer, head) -> [T, T] arrays; it needs a single sentence.
         """
         cfg = self.config
-        contents = [content] if isinstance(content, Tensor) else list(content)
-        if not contents:
-            raise ValueError("nothing to encode")
-        lengths = [c.shape[0] for c in contents]
-        for c in contents:
-            if c.shape[0] > cfg.max_sentence_length:
-                raise ValueError(
-                    "sentence has %d tokens with boundaries; the position "
-                    "table holds %d" % (c.shape[0], cfg.max_sentence_length))
-            if c.shape[1] != cfg.content_dim:
-                raise ValueError("content is %s but variant %r wants width %d"
-                                 % (c.shape, cfg.variant, cfg.content_dim))
-        if record is not None and len(contents) > 1:
+        lengths = [x.shape[0]] if lengths is None else list(lengths)
+        if x.data.ndim != 2 or x.shape[1] != cfg.content_dim:
+            raise ValueError("content is %s but variant %r wants width %d"
+                             % (x.shape, cfg.variant, cfg.content_dim))
+        if not lengths or sum(lengths) != x.shape[0] or min(lengths) < 1:
+            raise ValueError("%d content rows do not split into sentences "
+                             "of %s tokens" % (x.shape[0], lengths))
+        if max(lengths) > cfg.max_sentence_length:
+            raise ValueError(
+                "sentence has %d tokens with boundaries; the position "
+                "table holds %d" % (max(lengths), cfg.max_sentence_length))
+        if record is not None and len(lengths) > 1:
             raise ValueError("attention can be recorded for one sentence "
-                             "only, not a pack of %d" % len(contents))
+                             "only, not a pack of %d" % len(lengths))
         if control is not None:
             control.validate(cfg)
 
         positions = ad.take_rows(self.position_table.tensor,
                                  np.concatenate([np.arange(T)
                                                  for T in lengths]))
-        x = compose_input(ad.concat(contents, axis=0), positions, cfg.variant)
-
-        mask = None
-        if len(lengths) > 1:
-            mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        x = compose_input(x, positions, cfg.variant)
+        mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
         penalty = self._penalty(lengths, control)
         all_on = (False,) * cfg.num_layers
         off_c = control and control.disable_content or all_on
         off_p = control and control.disable_position or all_on
         for i, layer in enumerate(self.layers):
             layer_record = [] if record is not None else None
-            x = layer.forward(x, positions, penalty, bool(off_c[i]),
-                              bool(off_p[i]), train, rng, layer_record, mask)
+            x = layer.forward(x, positions, mask, penalty, bool(off_c[i]),
+                              bool(off_p[i]), train, rng, layer_record)
             if record is not None:
                 for h, probs in enumerate(layer_record[0]):
                     record[(i, h)] = probs
         return x
 
     def _penalty(self, lengths, control):
-        """The additive logit mask of a sentence ([T, T], or None without a
-        window) or of a pack ([B * H, Tmax, Tmax], its padded keys masked
-        too).  Every window keeps the diagonal, so no real query row is
-        left empty."""
+        """The additive [B * H, Tmax, Tmax] logit mask of a pack, masking
+        each sentence's padded keys and the keys outside its window; None
+        when there is neither.  Every window keeps the diagonal, so no real
+        query row is left empty."""
         distance, mode = self.config.window_distance, self.config.window_mode
         if control is not None and control.window is not None:
             distance, mode = control.window
         if distance is None or distance < 0:
             distance = math.inf
-        if len(lengths) == 1 and distance == math.inf:
+        if distance == math.inf and min(lengths) == max(lengths):
             return None
         Tmax = max(lengths)
         allow = np.zeros((len(lengths), Tmax, Tmax), dtype=bool)
         for b, T in enumerate(lengths):
             allow[b, :T, :T] = build_window_mask(T, distance, mode)
         penalty = np.where(allow, 0.0, MASK_PENALTY)
-        if len(lengths) == 1:
-            return penalty[0]
         return np.repeat(penalty, self.config.num_heads, axis=0)
 
 

@@ -64,11 +64,9 @@ class LexicalConfig:
 
 
 def _char_id_seq(vocab: Vocabulary, word: str):
-    if word == START:
-        return [vocab.char_id(START)]
-    if word == STOP:
-        return [vocab.char_id(STOP)]
-    return [vocab.char_id(ch) for ch in word]
+    if word in (START, STOP):
+        return [vocab.char_id(word)]
+    return vocab.char_ids(word)
 
 
 class CharConcat:
@@ -115,7 +113,7 @@ class CharLSTM:
     """Bidirectional character LSTM; the final states of both directions are
     concatenated and projected to the content slot width.
 
-    All of a sentence's words run as one batch: shorter words stop updating
+    All of a pack's words run as one batch: shorter words stop updating
     via a per-step mask (h = h_new * m + h_old * (1 - m)), so each word's
     final state is the state at its last real character.
     """
@@ -185,7 +183,7 @@ class CharLSTM:
 
 
 class LexicalModel:
-    """Maps a tagged sentence to the [n+2, slot_dim] content matrix."""
+    """Maps a pack of tagged sentences to their stacked content rows."""
 
     def __init__(self, store: ParameterStore, vocab: Vocabulary,
                  config: LexicalConfig, slot_dim: int, rng):
@@ -219,47 +217,56 @@ class LexicalModel:
                 "lexical.external_boundaries", (2, slot_dim),
                 partial(embedding_init, rng))
 
-    def content_vectors(self, sentence, train: bool = False, rng=None,
-                        external: np.ndarray = None) -> Tensor:
-        """``sentence`` is a list of (word, tag) pairs without boundaries.
-
-        ``external`` is the [n, external_dim] pretrained matrix for this
-        sentence (external mode only).
-        """
+    def content_vectors(self, sentences, train: bool = False, rng=None,
+                        externals=None) -> Tensor:
+        """Each sentence's [n+2, slot_dim] rows, boundaries included, one
+        after the other, for a pack of lists of (word, tag) pairs.  Each
+        table is looked up, each dropout mask drawn and the character modes
+        run once per pack.  ``externals`` gives each sentence's
+        [n, external_dim] pretrained matrix (external mode only)."""
         cfg = self.config
-        words = [START] + [w for w, _ in sentence] + [STOP]
-
         if cfg.mode == "external":
-            if external is None:
-                raise ValueError("lexical mode is external but no vectors "
-                                 "were supplied for the sentence")
-            if external.shape != (len(sentence), cfg.external_dim):
-                raise ValueError(
-                    "external vectors are %s but the sentence needs (%d, %d)"
-                    % (external.shape, len(sentence), cfg.external_dim))
-            inner = ad.matmul(Tensor(external), self.external_proj.tensor)
-            bounds = self.external_boundaries.tensor
-            start = ad.take_rows(bounds, [0])
-            stop = ad.take_rows(bounds, [1])
-            out = ad.concat([start, inner, stop], axis=0)
-            return ad.row_dropout(out, cfg.word_dropout, rng, train)
-
+            return self._external_rows(sentences, externals, train, rng)
+        tokens = [pair for sentence in sentences
+                  for pair in [(START, START), *sentence, (STOP, STOP)]]
+        words = [w for w, _ in tokens]
         total = None
         if self.word_emb is not None:
             ids = [self.vocab.word_id(w) for w in words]
             rows = ad.take_rows(self.word_emb.tensor, ids)
             total = ad.row_dropout(rows, cfg.word_dropout, rng, train)
         if cfg.mode == "tags":
-            tags = [START] + [t for _, t in sentence] + [STOP]
-            ids = [self.vocab.tag_id(t) for t in tags]
+            ids = [self.vocab.tag_id(t) for _, t in tokens]
             rows = ad.take_rows(self.tag_emb.tensor, ids)
             rows = ad.row_dropout(rows, cfg.tag_dropout, rng, train)
-            total = rows if total is None else ad.add(total, rows)
         else:
             rows = self.chars.forward(words, train, rng)
             rows = ad.row_dropout(rows, cfg.morph_dropout, rng, train)
-            total = rows if total is None else ad.add(total, rows)
-        return total
+        return rows if total is None else ad.add(total, rows)
+
+    def _external_rows(self, sentences, externals, train, rng):
+        """Each sentence's projected vectors between the learned start and
+        stop rows.  In the product each sits between two zero rows, so that
+        no product has one row: numpy hands those to another BLAS routine,
+        whose bits differ."""
+        dim = self.config.external_dim
+        vectors = np.zeros((sum(len(s) + 2 for s in sentences), dim))
+        # row k of the projection is row k + 2 of ``rows``
+        ids = np.arange(2, len(vectors) + 2)
+        first = 0
+        for k, sentence in enumerate(sentences):
+            ext = None if externals is None else externals[k]
+            n, shape = len(sentence), getattr(ext, "shape", None)
+            if shape != (n, dim):
+                raise ValueError("lexical mode is external: sentence %d needs "
+                                 "(%d, %d) vectors, got %s" % (k, n, dim, shape))
+            vectors[first + 1:first + n + 1] = ext
+            ids[first], ids[first + n + 1] = 0, 1
+            first += n + 2
+        projected = ad.matmul(Tensor(vectors), self.external_proj.tensor)
+        rows = ad.concat([self.external_boundaries.tensor, projected], axis=0)
+        return ad.row_dropout(ad.take_rows(rows, ids),
+                              self.config.word_dropout, rng, train)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +275,22 @@ class LexicalModel:
 
 def write_vector_file(path, sentences) -> None:
     """Write per-token vectors: a `num_sentences dim` header, then for each
-    sentence its token count on one line and one vector per line."""
+    sentence its token count on one line and one vector per line.
+
+    Every sentence is checked to be an [n, dim] matrix of one dim >= 1
+    before the file is opened; ValueError names the path and the sentence."""
     sentences = [np.asarray(m, dtype=np.float64) for m in sentences]
     if not sentences:
         raise ValueError("no sentences to write")
-    dim = sentences[0].shape[1]
-    if dim == 0:
-        raise ValueError("%s: vectors must have at least one value, got "
-                         "[n, 0] matrices" % path)
+    dim = sentences[0].shape[1] if sentences[0].ndim == 2 else None
+    for k, mat in enumerate(sentences):
+        if mat.ndim != 2 or mat.shape[1] != dim or dim == 0:
+            raise ValueError("%s: sentence %d is a %s array, not an [n, dim] "
+                             "matrix of the first sentence's dim, at least 1"
+                             % (path, k, mat.shape))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%d %d\n" % (len(sentences), dim))
         for mat in sentences:
-            if mat.ndim != 2 or mat.shape[1] != dim:
-                raise ValueError("all sentences must be [n, %d] matrices" % dim)
             fh.write("%d\n" % mat.shape[0])
             for row in mat:
                 fh.write(" ".join(repr(float(x)) for x in row) + "\n")

@@ -60,19 +60,15 @@ class SpanParser:
                     control=None, externals=None, record=None):
         """Score a pack of tagged sentences in one pass: the
         [sum of num_spans, num_labels-1] tensor holding each sentence's
-        span scores in turn.  Lexical content is built per sentence;
-        the encoder and the span scorer each run once over the pack.
-        ``externals`` gives each sentence's pretrained vectors (external
-        mode)."""
+        span scores in turn.  The lexical layer, the encoder and the span
+        scorer each run once over the pack.  ``externals`` gives each
+        sentence's pretrained vectors (external mode)."""
         if not sentences or not all(sentences):
             raise ValueError("cannot score an empty sentence")
-        if externals is None:
-            externals = [None] * len(sentences)
-        contents = [self.lexical.content_vectors(s, train, rng, ext)
-                    for s, ext in zip(sentences, externals)]
         words = [len(s) for s in sentences]
         lengths = [n + 2 for n in words]
-        y = self.encoder.encode(contents, train, rng, control, record)
+        x = self.lexical.content_vectors(sentences, train, rng, externals)
+        y = self.encoder.encode(x, lengths, train, rng, control, record)
         projected = self.scorer.project(fenceposts(y, lengths))
         return self.scorer.forward(span_vectors(projected, words))
 
@@ -99,8 +95,6 @@ class SpanParser:
         gives each sentence's pretrained vectors (external mode).  A
         packed sentence's scores equal its lone ones up to rounding (a
         pack of one is bitwise ``parse``)."""
-        if externals is None:
-            externals = [None] * len(sentences)
         order = sorted(range(len(sentences)),
                        key=lambda k: len(sentences[k]))
         trees = [None] * len(sentences)
@@ -109,12 +103,12 @@ class SpanParser:
             with ad.no_grad():
                 scores = self.pack_scores(
                     [sentences[k] for k in pack], control=control,
-                    externals=[externals[k] for k in pack]).data
+                    externals=externals and [externals[k] for k in pack])
             offset = 0
             for k in pack:
                 n = len(sentences[k])
                 size = n * (n + 1) // 2
-                chart = build_chart(scores[offset:offset + size], n)
+                chart = build_chart(scores.data[offset:offset + size], n)
                 offset += size
                 btree, _ = cky_decode(chart, sentences[k])
                 trees[k] = debinarize(btree, self.labels)
@@ -127,10 +121,15 @@ class SpanParser:
 
     def sentence_loss(self, sentence, gold_binary, train: bool = True,
                       rng=None, external=None):
-        """HingeResult for one sentence against its binarized gold tree."""
+        """HingeResult for one sentence against its binarized gold tree,
+        its ``loss`` the differentiable hinge (a 0 tensor when the margin
+        holds)."""
         scores = self.span_score_tensor(sentence, train=train, rng=rng,
                                         external=external)
-        return hinge_loss(scores, len(sentence), gold_binary)
+        result = hinge_loss(scores, len(sentence), gold_binary)
+        loss = margin_loss(scores, [result])
+        result.loss = ad.tensor(0.0) if loss is None else loss
+        return result
 
     def batch_loss(self, batch, train: bool = True, rng=None):
         """One packed pass over a mini-batch of (sentence, gold_binary,

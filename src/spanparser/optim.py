@@ -21,7 +21,7 @@ MIN_WORKER_BLOCKS = 8
 
 
 class OptimizerError(RuntimeError):
-    """Raised when an update cannot be applied safely (non-finite grads)."""
+    """Raised when an update cannot be applied safely."""
 
 
 class Parameter:
@@ -205,6 +205,13 @@ def adam_step(store: ParameterStore, lr: float,
     blocks; the calling thread updates the first piece, and a single piece
     starts no thread.  Since every value goes through the same operations
     whichever thread runs them, the result does not depend on the split.
+
+    An operation that overflows or is invalid (say lr * m_hat above the
+    largest float) raises OptimizerError naming the parameter.  Each thread
+    stops at its first such block, so the step is half done: ``steps`` has
+    advanced, ``m`` and ``v`` are updated up to and including the failing
+    blocks, ``data`` up to them (a failing block's may hold the non-finite
+    result), and the gradients are kept.  Restore a snapshot first.
     """
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError("adam_step: lr must be finite and not negative, "
@@ -226,10 +233,9 @@ def adam_step(store: ParameterStore, lr: float,
     with np.errstate(over="ignore"):
         square_sum = np.dot(grad, grad)
     if not np.isfinite(square_sum):
-        k = np.argmax(np.abs(grad))
-        name = next(p.name for p in store if k < p.stop)
         raise OptimizerError("non-finite gradient square sum; parameter %r "
-                             "holds the largest |g|" % name)
+                             "holds the largest |g|"
+                             % _owner(store, np.argmax(np.abs(grad))))
     store.steps += 1
     coefficients = (lr, b1, b2, eps, 1.0 - b1 ** store.steps,
                     1.0 - b2 ** store.steps)
@@ -252,22 +258,34 @@ def _adam_blocks(store, coefficients, start, stop):
     time through two scratch buffers of this call's own."""
     lr, b1, b2, eps, m_corr, v_corr = coefficients
     scratch = np.empty(BLOCK), np.empty(BLOCK)
-    for lo in range(start, stop, BLOCK):
-        hi = min(lo + BLOCK, stop)
-        x, mb, vb, g = (arena[lo:hi] for arena in
-                        (store.data, store.m, store.v, store.grad))
-        a, b = (s[:x.size] for s in scratch)
-        np.multiply(mb, b1, out=mb)
-        np.multiply(g, 1.0 - b1, out=a)
-        np.add(mb, a, out=mb)
-        np.multiply(vb, b2, out=vb)
-        np.square(g, out=a)
-        np.multiply(a, 1.0 - b2, out=a)
-        np.add(vb, a, out=vb)
-        np.divide(mb, m_corr, out=a)    # m_hat
-        np.divide(vb, v_corr, out=b)    # v_hat
-        np.sqrt(b, out=b)
-        np.add(b, eps, out=b)
-        np.multiply(a, lr, out=a)
-        np.divide(a, b, out=a)
-        np.subtract(x, a, out=x)
+    try:    # numpy checks the floating-point status after every operation
+        with np.errstate(over="raise", invalid="raise"):
+            for lo in range(start, stop, BLOCK):
+                hi = min(lo + BLOCK, stop)
+                x, mb, vb, g = (arena[lo:hi] for arena in
+                                (store.data, store.m, store.v, store.grad))
+                a, b = (s[:x.size] for s in scratch)
+                np.multiply(mb, b1, out=mb)
+                np.multiply(g, 1.0 - b1, out=a)
+                np.add(mb, a, out=mb)
+                np.multiply(vb, b2, out=vb)
+                np.square(g, out=a)
+                np.multiply(a, 1.0 - b2, out=a)
+                np.add(vb, a, out=vb)
+                np.divide(mb, m_corr, out=a)    # m_hat
+                np.divide(vb, v_corr, out=b)    # v_hat
+                np.sqrt(b, out=b)
+                np.add(b, eps, out=b)
+                np.multiply(a, lr, out=a)
+                np.divide(a, b, out=a)
+                np.subtract(x, a, out=x)
+    except FloatingPointError as exc:
+        bad = ~(np.isfinite(x) & np.isfinite(a) & np.isfinite(b))
+        raise OptimizerError("adam_step: %s in the update of parameter %r"
+                             % (exc, _owner(store, lo + np.argmax(bad)))
+                             ) from exc
+
+
+def _owner(store, k):
+    """The name of the parameter holding value ``k`` of the arenas."""
+    return next(p.name for p in store if k < p.stop)

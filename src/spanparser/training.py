@@ -90,14 +90,14 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
           log_fn=None, train_external=None, dev_external=None) -> TrainResult:
     """Train ``model`` in place and leave it at the best dev iterate.
 
-    Each mini-batch is one packed pass (``SpanParser.batch_loss``): every
-    sentence gets its own lexical rows, the encoder and the span scorer run
-    once over all of the batch's rows, and each sentence is decoded, loss
-    augmented, on its own chart.  The violating sentences' hinge terms make
+    Each mini-batch is one packed pass (``SpanParser.batch_loss``): the
+    lexical layer, the encoder and the span scorer each run once over all
+    of the batch's rows, and each sentence is decoded, loss augmented, on
+    its own chart.  The violating sentences' hinge terms make
     one loss, so one backward pass computes each weight gradient as a
     single product over the whole batch, and one Adam step follows.
-    Dropout masks are drawn from the shuffle rng, per sentence for the
-    lexical rows and per batch for the encoder.
+    Dropout masks are drawn from the shuffle rng, once per batch for the
+    lexical rows and for the encoder.
 
     An evaluation that improves on the best F1 marks the current iterate as
     the best; it is copied (``ParameterStore.snapshot``) only just before

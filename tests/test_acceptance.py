@@ -313,8 +313,8 @@ def test_char_concat_fills_512_wide_content_slot():
     model = SpanParser(enc, lex, Vocabulary.from_trees(trees),
                        LabelInventory.from_trees(trees), seed=0)
     sent = trees[0].sentence()
-    rows = model.lexical.content_vectors(sent, train=False, rng=None,
-                                         external=None)
+    rows = model.lexical.content_vectors([sent], train=False, rng=None,
+                                         externals=None)
     assert rows.data.shape == (len(sent) + 2, 512)
     out = model.parse(sent)
     assert out.sentence() == sent

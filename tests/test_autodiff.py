@@ -225,17 +225,20 @@ def test_batched_heads_gradients():
     check(lambda: ad.sum_all(ad.mul(ad.bmm(a, b), ad.bmm(a, b))), [a, b])
     check(lambda: ad.sum_all(ad.mul(
         ad.bmm(a, ad.transpose(a)), ad.bmm(a, ad.transpose(a)))), [a])
-    heads = ad.split_heads(x, 3)
+    # a pack of one sentence pads nothing
+    one = np.ones((1, 4), dtype=bool)
+    heads = ad.split_heads(x, 3, one)
     assert heads.shape == (3, 4, 2)
     assert np.array_equal(heads.data[1], x.data[:, 2:4])
-    assert np.array_equal(ad.merge_heads(heads).data, x.data)
+    assert np.array_equal(ad.merge_heads(heads, one).data, x.data)
     w = tensor(rng.standard_normal((4, 12)))
     check(lambda: ad.sum_all(ad.mul(ad.merge_heads(ad.bmm(
-        ad.split_heads(x, 3), ad.transpose(ad.split_heads(x, 3)))), w)), [x])
+        ad.split_heads(x, 3, one),
+        ad.transpose(ad.split_heads(x, 3, one))), one), w)), [x])
     with pytest.raises(DimensionError):
         ad.bmm(a, a)
     with pytest.raises(DimensionError):
-        ad.split_heads(x, 4)
+        ad.split_heads(x, 4, one)
     with pytest.raises(DimensionError):
         ad.matmul(a, b)
 
@@ -262,7 +265,8 @@ def test_packed_heads_pad_each_sentence_and_invert():
     assert stack.shape == (9, 4, 2)
     start = 0
     for b, T in enumerate(lengths):
-        own = ad.split_heads(tensor(x.data[start:start + T]), 3).data
+        own = ad.split_heads(tensor(x.data[start:start + T]), 3,
+                             np.ones((1, T), dtype=bool)).data
         assert np.array_equal(stack.data[3 * b:3 * b + 3, :T], own)
         assert not stack.data[3 * b:3 * b + 3, T:].any()
         start += T

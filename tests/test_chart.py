@@ -62,19 +62,19 @@ def test_span_vectors_batch_matches_singles():
     rng = np.random.default_rng(1)
     n = 4
     y = tensor(rng.standard_normal((n + 2, 8)))
-    batch = span_vectors(fenceposts(y), n)
+    batch = span_vectors(fenceposts(y, [n + 2]), [n])
     fwd, bwd = directional_split(y)
     for row, (i, j) in enumerate(all_spans(n)):
         assert np.allclose(batch.data[row], span_vector(i, j, fwd, bwd).data[0])
     with pytest.raises(ValueError):
-        span_vectors(fenceposts(y), n + 1)
+        span_vectors(fenceposts(y, [n + 2]), [n + 1])
 
 
 def test_span_vectors_are_additive_along_splits():
     rng = np.random.default_rng(2)
     n = 5
     y = tensor(rng.standard_normal((n + 2, 10)))
-    batch = span_vectors(fenceposts(y), n).data
+    batch = span_vectors(fenceposts(y, [n + 2]), [n]).data
     row = {span: r for r, span in enumerate(all_spans(n))}
     for i in range(n):
         for k in range(i + 1, n):
@@ -116,7 +116,7 @@ def test_span_index_and_rows_follow_all_spans():
 def test_fenceposts_pair_forward_and_next_backward_rows():
     rng = np.random.default_rng(10)
     y = tensor(rng.standard_normal((5, 6)))
-    u = fenceposts(y).data
+    u = fenceposts(y, [5]).data
     assert u.shape == (4, 6)
     for k in range(4):
         assert np.array_equal(u[k], np.concatenate([y.data[k, 0::2],
@@ -133,7 +133,8 @@ def test_projected_span_scores_match_span_vector_scores():
     store["scorer.c1"].data[...] = rng.standard_normal(7)
     n = 6
     y = tensor(rng.standard_normal((n + 2, 10)), requires_grad=True)
-    out = scorer.forward(span_vectors(scorer.project(fenceposts(y)), n))
+    out = scorer.forward(span_vectors(scorer.project(fenceposts(y, [n + 2])),
+                                      [n]))
     fwd, bwd = directional_split(y)
     v = np.concatenate([span_vector(i, j, fwd, bwd).data
                         for i, j in all_spans(n)])
@@ -146,7 +147,8 @@ def test_projected_span_scores_match_span_vector_scores():
     assert np.allclose(out.data, ref, atol=1e-12)
     weights = rng.standard_normal(out.shape)
     leaf_gradcheck(lambda: ad.sum_all(ad.mul_const(
-        scorer.forward(span_vectors(scorer.project(fenceposts(y)), n)),
+        scorer.forward(span_vectors(scorer.project(fenceposts(y, [n + 2])),
+                                    [n])),
         weights)), [y])
 
 
@@ -290,11 +292,12 @@ def test_hinge_loss_zero_when_gold_dominates():
     for i, j, l in gold_spans(gold):
         if l != 0:
             scores[rows.index((i, j)), l - 1] = 10.0
-    result = hinge_loss(tensor(scores, requires_grad=True), n, gold)
+    scores = tensor(scores, requires_grad=True)
+    result = hinge_loss(scores, n, gold)
     assert result.value == 0.0
     assert result.violator is None
     assert result.delta == 0
-    assert float(result.loss.data) == 0.0
+    assert result.loss is None and margin_loss(scores, [result]) is None
 
 
 def test_hinge_loss_margin_violation_hand_example():
@@ -307,7 +310,7 @@ def test_hinge_loss_margin_violation_hand_example():
     assert result.value == 2.0
     assert result.delta == 2
     assert result.gold_score == 0.0
-    backward(result.loss)
+    backward(margin_loss(scores, [result]))
     # +1 on the violator-only spans (0,1) and (1,2); the shared root cancels
     assert np.array_equal(scores.grad, [[1.0], [0.0], [1.0]])
 
@@ -322,7 +325,7 @@ def test_hinge_gradient_is_sparse_difference_of_trees():
     result = hinge_loss(scores, n, gold)
     if result.violator is None:
         pytest.skip("random chart happened to satisfy the margin")
-    backward(result.loss)
+    backward(margin_loss(scores, [result]))
     expect = np.zeros(scores.shape)
     for i, j, l in gold_spans(result.violator):
         if l != 0:
@@ -344,8 +347,8 @@ def test_hinge_loss_finite_differences_away_from_ties():
     result = hinge_loss(scores, n, gold)
     if result.violator is None:
         pytest.skip("margin satisfied; nothing to differentiate")
-    leaf_gradcheck(lambda: hinge_loss(scores, n, gold).loss, [scores],
-                   tol=1e-8)
+    leaf_gradcheck(lambda: margin_loss(scores, [hinge_loss(scores, n, gold)]),
+                   [scores], tol=1e-8)
 
 
 def test_hinge_value_consistency_random():
@@ -368,11 +371,12 @@ def test_packed_fenceposts_and_span_vectors_stack_each_sentence():
     words = [3, 1, 5]
     ys = [rng.standard_normal((n + 2, 6)) for n in words]
     u = fenceposts(tensor(np.concatenate(ys)), [n + 2 for n in words])
-    singles = [fenceposts(tensor(y)).data for y in ys]
+    singles = [fenceposts(tensor(y), [n + 2]).data
+               for y, n in zip(ys, words)]
     assert np.array_equal(u.data, np.concatenate(singles))
     v = span_vectors(u, words)
     assert np.array_equal(v.data, np.concatenate(
-        [span_vectors(tensor(f), n).data for f, n in zip(singles, words)]))
+        [span_vectors(tensor(f), [n]).data for f, n in zip(singles, words)]))
     with pytest.raises(ValueError):
         span_vectors(u, [3, 1, 4])
 
@@ -411,8 +415,8 @@ def test_packed_hinge_terms_match_lone_sentences():
     assert float(loss.data) == pytest.approx(sum(r.value for r in lone),
                                              abs=1e-12)
     backward(loss)
-    for own in lone:
+    for t, own in zip(leaves, lone):
         if own.violator is not None:
-            backward(own.loss)
+            backward(margin_loss(t, [own]))
     assert np.array_equal(pack.grad, np.concatenate(
         [np.zeros(t.shape) if t.grad is None else t.grad for t in leaves]))

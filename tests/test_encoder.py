@@ -232,6 +232,9 @@ def test_length_and_width_validation():
         enc.encode(rand_content(rng, 6, cfg))
     with pytest.raises(ValueError):
         enc.encode(tensor(np.zeros((3, cfg.content_dim + 1))))
+    # a pack's lengths must split its rows
+    with pytest.raises(ValueError, match="do not split"):
+        enc.encode(rand_content(rng, 4, cfg), [2, 1])
 
 
 def test_eval_is_deterministic_and_train_applies_dropout():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spanparser.autodiff import Tensor, backward, sum_all
+from spanparser.autodiff import Tensor, backward, mul_const, sum_all
 from spanparser.lexical import (
     CharConcat, CharLSTM, LexicalConfig, LexicalModel, read_vector_file,
     write_vector_file,
@@ -15,6 +15,16 @@ TREES = parse_bracketed(
 )
 VOCAB = Vocabulary.from_trees(TREES)
 SENT = TREES[0].sentence()
+# a pack: sentences of other lengths, sharing words, one with unknown words
+PACK = [SENT, [("cat", "NN")], [("saw", "VB"), ("the", "DT"), ("dog", "NN"),
+                                ("telescope", "NN")]]
+# every mode at the default slot of 16: (8 + 8) * 1 for char-concat
+MODES = {
+    "tags": {},
+    "char-lstm": {"char_embedding_dim": 4, "char_lstm_hidden": 6},
+    "char-concat": {"char_embedding_dim": 1},
+    "external": {"external_dim": 5},
+}
 
 
 def make(mode, slot=16, **kw):
@@ -37,9 +47,14 @@ def test_config_validation():
     assert LexicalConfig(char_embedding_dim=7).resolved_char_dim() == 7
 
 
+def externals_for(sentences, dim=5, seed=1):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((len(s), dim)) for s in sentences]
+
+
 def test_tags_mode_sums_word_and_tag_rows():
     model, store, _ = make("tags")
-    out = model.content_vectors(SENT)
+    out = model.content_vectors([SENT])
     assert out.shape == (len(SENT) + 2, 16)
     words = [START] + [w for w, _ in SENT] + [STOP]
     tags = [START] + [t for _, t in SENT] + [STOP]
@@ -83,7 +98,7 @@ def test_char_concat_slot_width_must_match():
 
 def test_char_concat_forward_is_embedding_concatenation():
     model, store, _ = make("char-concat", slot=32, char_embedding_dim=2)
-    out = model.content_vectors(SENT)
+    out = model.content_vectors([SENT])
     emb = store["lexical.char_emb"].data
     row = out.data[1 + 0] - store["lexical.word_emb"].data[VOCAB.word_id("the")]
     pos = model.chars.positions("the")
@@ -130,7 +145,7 @@ def test_char_lstm_final_state_ignores_padding_steps():
 def test_char_lstm_gradients_flow_to_all_weights():
     model, store, _ = make("char-lstm", char_embedding_dim=4,
                            char_lstm_hidden=6, use_word_embeddings=False)
-    out = model.content_vectors(SENT)
+    out = model.content_vectors([SENT])
     backward(sum_all(out))
     for name in ("lexical.char_emb", "lexical.char_lstm.fwd.w_x",
                  "lexical.char_lstm.bwd.w_h", "lexical.char_lstm.fwd.b",
@@ -152,7 +167,7 @@ def test_word_embeddings_can_augment_char_modes():
 def test_external_mode_projects_and_learns_boundaries():
     model, store, cfg = make("external", external_dim=5)
     ext = np.random.default_rng(1).standard_normal((len(SENT), 5))
-    out = model.content_vectors(SENT, external=ext)
+    out = model.content_vectors([SENT], externals=[ext])
     assert out.shape == (len(SENT) + 2, 16)
     proj = store["lexical.external_proj"].data
     bounds = store["lexical.external_boundaries"].data
@@ -161,17 +176,55 @@ def test_external_mode_projects_and_learns_boundaries():
     assert np.allclose(out.data[-1], bounds[1])
 
     with pytest.raises(ValueError):
-        model.content_vectors(SENT)
+        model.content_vectors([SENT])
     with pytest.raises(ValueError):
-        model.content_vectors(SENT, external=ext[:, :3])
+        model.content_vectors([SENT, SENT], externals=[ext, None])
+    with pytest.raises(ValueError, match="sentence 1"):
+        model.content_vectors([SENT, SENT], externals=[ext, ext[:, :3]])
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_pack_rows_are_each_sentences_own_rows(mode):
+    model, _, _ = make(mode, **MODES[mode])
+    slot = model.slot_dim
+    externals = externals_for(PACK) if mode == "external" else None
+    pack = model.content_vectors(PACK, externals=externals).data
+    assert pack.shape == (sum(len(s) + 2 for s in PACK), slot)
+    start = 0
+    for k, sentence in enumerate(PACK):
+        own = model.content_vectors(
+            [sentence], externals=externals and [externals[k]]).data
+        assert np.array_equal(pack[start:start + len(own)], own)
+        start += len(own)
+
+
+@pytest.mark.parametrize("mode", ["tags", "char-concat"])
+def test_packed_word_table_gradient_is_the_sum_of_sentence_gradients(mode):
+    model, _, _ = make(mode, **MODES[mode])
+    slot = model.slot_dim
+    table = model.word_emb.tensor
+    rng = np.random.default_rng(4)
+    # SENT's words come back in the third sentence, and every sentence
+    # has the start and stop rows
+    weights = [rng.standard_normal((len(s) + 2, slot)) for s in PACK]
+    backward(sum_all(mul_const(model.content_vectors(PACK),
+                               np.concatenate(weights))))
+    packed = table.grad.copy()
+    summed = np.zeros(table.shape)
+    for sentence, w in zip(PACK, weights):
+        table.grad = None
+        backward(sum_all(mul_const(model.content_vectors([sentence]), w)))
+        summed += table.grad
+    assert np.allclose(packed, summed, rtol=0, atol=1e-14)
+    assert not np.array_equal(packed, 0.0)
 
 
 def test_word_dropout_zeroes_whole_token_rows():
     model, _, _ = make("tags", word_dropout=0.5, tag_dropout=0.0)
     rng = np.random.default_rng(2)
     sent = [("the", "DT")] * 200
-    out = model.content_vectors(sent, train=True, rng=rng).data
-    base = model.content_vectors(sent, train=False).data
+    out = model.content_vectors([sent], train=True, rng=rng).data
+    base = model.content_vectors([sent], train=False).data
     word = model.word_emb.data[VOCAB.word_id("the")]
     # each row either lost its word part or kept it doubled (inverted scaling)
     dropped = kept = 0
@@ -215,6 +268,15 @@ def test_zero_width_vectors_are_not_written(tmp_path):
         write_vector_file(path, [np.zeros((2, 0)), np.zeros((1, 0))])
     assert str(path) in str(e.value)
     assert not path.exists()
+    # a vector that is not a matrix, and a later sentence of another width,
+    # are named before any line is written
+    for sentences, bad in (([np.zeros(3)], 0),
+                           ([np.zeros((1, 3)), np.zeros((1, 2))], 1)):
+        with pytest.raises(ValueError) as e:
+            write_vector_file(path, sentences)
+        assert str(path) in str(e.value)
+        assert "sentence %d " % bad in str(e.value)
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("text, line", [

@@ -304,6 +304,21 @@ def test_nonfinite_gradient_aborts_without_mutation():
     assert_untouched()
 
 
+def test_an_overflowing_update_raises_naming_the_parameter():
+    # a finite lr and finite gradients whose step, lr * m_hat = 1e310,
+    # overflows: without a check it would write -inf into b's data
+    store = store_of(a=np.ones(3), b=np.ones(2), c=np.ones(2))
+    for p in store:
+        set_grad(p, np.full(p.shape, 0.5))
+    set_grad(store["b"], [0.5, 1e10])
+    with pytest.raises(OptimizerError) as e:
+        adam_step(store, lr=1e300)
+    assert "'b'" in str(e.value) and "overflow" in str(e.value)
+    # the failing block's moments are updated and its gradients kept
+    assert store.steps == 1 and store.m[4] == pytest.approx(1e9)
+    assert store["b"].grad is not None
+
+
 @pytest.mark.parametrize("fault", ["foreign gradient", "rebound grad view"])
 def test_gradient_outside_the_grad_arena_is_rejected_before_any_update(
         fault):
