@@ -132,11 +132,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                    lambda g: (g * b.data, g * a.data))
 
 
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _result(x.data * s, (x,), lambda g: (g * s,))
-
-
 def add_const(x: Tensor, c) -> Tensor:
     """Add a non-differentiable constant (scalar or broadcastable array)."""
     out = x.data + c

@@ -24,13 +24,14 @@ import json
 import os
 import struct
 
+from .config import config_from_values
 from .encoder import EncoderConfig
 from .lexical import LexicalConfig
 from .model import SpanParser
 from .vocab import LabelInventory, Vocabulary
 
 MAGIC = b"SPANCKPT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _PREAMBLE = 20  # magic, version, header length
 
 
@@ -66,20 +67,6 @@ def save_checkpoint(model: SpanParser, path) -> None:
         raise
 
 
-def _config(cls, entries):
-    """``cls(**entries)`` once every entry is a field of ``cls`` holding a
-    value of the field's type (an int also serves as a float)."""
-    types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-    for key, value in entries.items():
-        want = types.get(key)
-        if want is None:
-            raise ValueError("unknown %s key %r" % (cls.__name__, key))
-        if type(value) is not want and (want, type(value)) != (float, int):
-            raise ValueError("%s %s is %r, expected %s"
-                             % (cls.__name__, key, value, want.__name__))
-    return cls(**entries)
-
-
 def load_checkpoint(path) -> SpanParser:
     """Rebuild the model a checkpoint describes.  The model is built
     without drawing an initialization, and the payload is read straight
@@ -105,8 +92,8 @@ def load_checkpoint(path) -> SpanParser:
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
             model = SpanParser(
-                _config(EncoderConfig, header["encoder_config"]),
-                _config(LexicalConfig, header["lexical_config"]),
+                config_from_values(EncoderConfig, header["encoder_config"]),
+                config_from_values(LexicalConfig, header["lexical_config"]),
                 Vocabulary.from_dict(header["vocab"]),
                 LabelInventory.from_dict(header["labels"]),
                 seed=header.get("seed", 0),

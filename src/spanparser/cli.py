@@ -154,8 +154,10 @@ def _cmd_train(args):
     encoder_cfg, lexical_cfg, train_cfg = build_configs(raw)
     train_trees = load_trees(args.train_file)
     dev_trees = load_trees(args.dev_file)
-    if not train_trees:
-        raise ConfigError("%s contains no trees" % args.train_file)
+    for path, trees in ((args.train_file, train_trees),
+                        (args.dev_file, dev_trees)):
+        if not trees:
+            raise ConfigError("%s contains no trees" % path)
     train_vecs = _load_vectors(args.train_vectors,
                                train_trees, args.train_file)
     dev_vecs = _load_vectors(args.dev_vectors, dev_trees, args.dev_file)

@@ -23,23 +23,30 @@ class ConfigError(ValueError):
 _SECTIONS = (EncoderConfig, LexicalConfig, TrainConfig)
 
 
-def _field_map():
+def _field_types():
+    """Every field's name mapped to its class and its type, which is the
+    type of its default: the one type rule of config files, ``--set`` and
+    checkpoint headers."""
     out = {}
     for cls in _SECTIONS:
         for f in dataclasses.fields(cls):
             if f.name in out:
                 raise AssertionError("config field %r defined twice" % f.name)
-            out[f.name] = (cls, f)
+            out[f.name] = (cls, type(f.default))
     return out
 
 
-_FIELDS = _field_map()
+_FIELDS = _field_types()
 
 _TRUE = ("true", "yes", "on", "1")
 _FALSE = ("false", "no", "off", "0")
 
 
-def _coerce(name, text, py_type):
+def _parse_value(key, text):
+    """The value of field ``key`` that ``text`` spells."""
+    if key not in _FIELDS:
+        raise ConfigError("unknown configuration key %r" % key)
+    py_type = _FIELDS[key][1]
     text = text.strip()
     try:
         if py_type is bool:
@@ -49,31 +56,34 @@ def _coerce(name, text, py_type):
             if low in _FALSE:
                 return False
             raise ValueError
-        if py_type is int:
-            return int(text)
-        if py_type is float:
-            return float(text)
-        return text
+        return py_type(text)
     except ValueError:
-        raise ConfigError("key %r expects a %s, got %r"
-                          % (name, py_type.__name__, text)) from None
-
-
-_TYPE_NAMES = {"int": int, "float": float, "str": str, "bool": bool}
+        raise ConfigError("key %r expects %s, got %r"
+                          % (key, py_type.__name__, text)) from None
 
 
 def parse_config_text(text, source="<config>") -> dict:
-    """Parse `key = value` lines into a raw string dict."""
-    out = {}
+    """Parse `key = value` lines into a raw string dict.  A line that is
+    not `key = value`, an unknown key, a value of the wrong type or a key
+    set twice raises ConfigError naming ``source`` and the line."""
+    out, line_of = {}, {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = "%s:%d" % (source, lineno)
         if "=" not in line:
-            raise ConfigError("%s:%d: expected 'key = value', got %r"
-                              % (source, lineno, raw.strip()))
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+            raise ConfigError("%s: expected 'key = value', got %r"
+                              % (where, raw.strip()))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in line_of:
+            raise ConfigError("%s: duplicate key %r, first set on line %d"
+                              % (where, key, line_of[key]))
+        try:
+            _parse_value(key, value)
+        except ConfigError as exc:
+            raise ConfigError("%s: %s" % (where, exc)) from None
+        out[key], line_of[key] = value, lineno
     return out
 
 
@@ -98,16 +108,24 @@ def build_configs(raw: dict):
     """Turn raw strings into validated (EncoderConfig, LexicalConfig,
     TrainConfig).  Unknown keys are errors, not warnings."""
     per_class = {cls: {} for cls in _SECTIONS}
-    for key, value in raw.items():
-        if key not in _FIELDS:
-            raise ConfigError("unknown configuration key %r" % key)
-        cls, f = _FIELDS[key]
-        py_type = _TYPE_NAMES.get(f.type, str) if isinstance(f.type, str) else f.type
-        per_class[cls][key] = _coerce(key, value, py_type)
-    encoder = EncoderConfig(**per_class[EncoderConfig]).validate()
-    lexical = LexicalConfig(**per_class[LexicalConfig]).validate()
-    train = TrainConfig(**per_class[TrainConfig]).validate()
-    return encoder, lexical, train
+    for key, text in raw.items():
+        value = _parse_value(key, text)
+        per_class[_FIELDS[key][0]][key] = value
+    return tuple(cls(**per_class[cls]).validate() for cls in _SECTIONS)
+
+
+def config_from_values(cls, values: dict):
+    """``cls(**values)`` once every entry of ``values`` (say, decoded JSON)
+    is a field of ``cls`` holding a value of the field's type (an int also
+    serves as a float); ConfigError otherwise."""
+    for key, value in values.items():
+        owner, want = _FIELDS.get(key, (None, None))
+        if owner is not cls:
+            raise ConfigError("unknown %s key %r" % (cls.__name__, key))
+        if type(value) is not want and (want, type(value)) != (float, int):
+            raise ConfigError("%s %s is %r, expected %s"
+                              % (cls.__name__, key, value, want.__name__))
+    return cls(**values)
 
 
 def default_config_text() -> str:

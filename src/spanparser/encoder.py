@@ -66,7 +66,6 @@ class EncoderConfig:
     residual_dropout: float = 0.2
     max_sentence_length: int = 300
     span_hidden: int = 250
-    init_scheme: str = "glorot"
     window_distance: int = -1       # -1 means unwindowed
     window_mode: str = "strict"
 
@@ -88,8 +87,6 @@ class EncoderConfig:
                 if getattr(self, name) % 2 != 0:
                     raise ValueError("%s must be even for variant %r"
                                      % (name, self.variant))
-        if self.init_scheme not in ("glorot", "normal"):
-            raise ValueError("unknown init_scheme %r" % self.init_scheme)
         if self.window_mode not in WINDOW_MODES:
             raise ValueError("window_mode must be one of %s"
                              % (WINDOW_MODES,))
@@ -191,13 +188,6 @@ def _add_streams(store, prefix, suffixes, roles):
             for suffix in suffixes]
 
 
-def _weight(rng, out, scheme, fans=None):
-    if scheme == "glorot":
-        return glorot_uniform(rng, out, fans)
-    rng.standard_normal(out=out)
-    out *= 0.02
-
-
 class MultiHeadAttention:
     """All heads of one layer's attention sublayer, computed together.
 
@@ -217,12 +207,12 @@ class MultiHeadAttention:
         n = len(suffixes)
         d_io, d_k, d_v = config.d_model // n, config.d_k // n, config.d_v // n
         self.d_k = d_k
-        weight = functools.partial(_weight, rng, scheme=config.init_scheme)
+        glorot = functools.partial(glorot_uniform, rng)
         # "w_q"/"w_k"/"w_v" are [d_in, H * d_k] with head h in column block
         # h, "w_o" is [H * d_v, d_out] with head h in row block h; each block
         # is drawn with its own per-head fans
         self.streams = _add_streams(store, prefix, suffixes, [
-            (role, shape, functools.partial(weight, fans=fans))
+            (role, shape, functools.partial(glorot, fans=fans))
             for role, shape, fans in (
                 ("w_q", (d_io, heads * d_k), (d_io, d_k)),
                 ("w_k", (d_io, heads * d_k), (d_io, d_k)),
@@ -281,7 +271,7 @@ class MultiHeadAttention:
                                heads, mask)
             k = ad.split_heads(ad.matmul(source, stream["w_k"].tensor),
                                heads, mask)
-            term = ad.scale(ad.bmm(q, ad.transpose(k)), inv)
+            term = ad.mul_const(ad.bmm(q, ad.transpose(k)), inv)
             logits = term if logits is None else ad.add(logits, term)
         if logits is None:
             B, T = mask.shape
@@ -304,10 +294,10 @@ class FeedForward:
         suffixes = stream_suffixes(config.variant)
         d = config.d_model // len(suffixes)
         dff = config.d_ff // len(suffixes)
-        weight = functools.partial(_weight, rng, scheme=config.init_scheme)
+        glorot = functools.partial(glorot_uniform, rng)
         self.streams = _add_streams(store, prefix, suffixes, (
-            ("w1", (d, dff), weight), ("b1", (dff,), None),
-            ("w2", (dff, d), weight), ("b2", (d,), None)))
+            ("w1", (d, dff), glorot), ("b1", (dff,), None),
+            ("w2", (dff, d), glorot), ("b2", (d,), None)))
 
     def forward(self, x: Tensor, train: bool, rng, relu_p: float) -> Tensor:
         outs = []

@@ -50,6 +50,11 @@ class LexicalConfig:
                              % (self.mode, ", ".join(MODES)))
         if self.mode == "external" and self.external_dim <= 0:
             raise ValueError("external mode needs external_dim > 0")
+        if self.char_lstm_hidden < 1:
+            raise ValueError("char_lstm_hidden must be >= 1")
+        for name in ("char_embedding_dim", "prefix_length", "suffix_length"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be >= 0" % name)
         for name in ("word_dropout", "tag_dropout", "morph_dropout",
                      "char_dropout"):
             p = getattr(self, name)

@@ -180,13 +180,12 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def adam_step(store: ParameterStore, lr: float,
-              betas=ADAM_BETAS, eps: float = ADAM_EPS) -> None:
-    """One Adam update of every parameter in ``store``.
+def adam_step(store: ParameterStore, lr: float) -> None:
+    """One Adam update of every parameter in ``store``, with ADAM_BETAS
+    and ADAM_EPS.
 
-    ``lr`` must be finite and not negative, ``eps`` finite and positive and
-    each beta in [0, 1); otherwise the step raises ValueError naming the
-    argument.  A parameter without a gradient has zero gradient (its grad
+    ``lr`` must be finite and not negative; otherwise the step raises
+    ValueError.  A parameter without a gradient has zero gradient (its grad
     view is zeroed; its moments still decay).  If the grad arena's square
     sum is not finite (a NaN, an infinity, a value above about 1.3e154, or
     values whose squares overflow only in the sum), the step raises
@@ -216,14 +215,6 @@ def adam_step(store: ParameterStore, lr: float,
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError("adam_step: lr must be finite and not negative, "
                          "got %r" % (lr,))
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError("adam_step: eps must be finite and positive, "
-                         "got %r" % (eps,))
-    b1, b2 = betas
-    for name, beta in (("beta1", b1), ("beta2", b2)):
-        if not 0.0 <= beta < 1.0:
-            raise ValueError("adam_step: %s must be in [0, 1), got %r"
-                             % (name, beta))
     store.check_views()
     for p in store:
         if p.grad is None:
@@ -237,7 +228,8 @@ def adam_step(store: ParameterStore, lr: float,
                              "holds the largest |g|"
                              % _owner(store, np.argmax(np.abs(grad))))
     store.steps += 1
-    coefficients = (lr, b1, b2, eps, 1.0 - b1 ** store.steps,
+    b1, b2 = ADAM_BETAS
+    coefficients = (lr, b1, b2, ADAM_EPS, 1.0 - b1 ** store.steps,
                     1.0 - b2 ** store.steps)
     blocks = -(-store.size // BLOCK)
     pieces = max(1, min(usable_cpus(), blocks // MIN_WORKER_BLOCKS))

@@ -26,10 +26,12 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.evals_per_epoch < 1:
-            raise ValueError("evals_per_epoch must be >= 1")
+        for name in ("batch_size", "evals_per_epoch", "patience_epochs",
+                     "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1" % name)
+        if self.warmup_batches < 0:
+            raise ValueError("warmup_batches must be >= 0")
         if not 0.0 < self.halving_factor < 1.0:
             raise ValueError("halving_factor must be in (0, 1)")
         if not 0.0 < self.base_lr < math.inf:
@@ -107,13 +109,18 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
     copied and ``TrainState.best_params`` stays None.
 
     ``eval_fn(model, dev)``, when given, replaces dev parsing in packs
-    (``default_eval_fn``; tests use it to script the F1 trajectory).  ``log_fn``, when given, receives one
-    tab-separated line per evaluation: batches, lr, mean train loss since
-    the previous evaluation, dev F1.
+    (``default_eval_fn``; tests use it to script the F1 trajectory).
+    Without it an empty ``dev`` raises ValueError: every evaluation would
+    read F1 0.0, and the first would be kept as the best iterate.
+    ``log_fn``, when given, receives one tab-separated line per
+    evaluation: batches, lr, mean train loss since the previous
+    evaluation, dev F1.
     """
     config.validate()
     if not treebank:
         raise ValueError("training set is empty")
+    if not dev and eval_fn is None:
+        raise ValueError("dev set is empty")
     data = []
     for k, tree in enumerate(treebank):
         ext = train_external[k] if train_external is not None else None

@@ -18,7 +18,7 @@ def test_add_sub_mul_scale():
     rng = np.random.default_rng(1)
     a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
     check(lambda: ad.sum_all(ad.mul(ad.add(a, b), ad.sub(a, b))), [a, b])
-    check(lambda: ad.sum_all(ad.scale(a, -2.5)), [a])
+    check(lambda: ad.sum_all(ad.mul_const(a, -2.5)), [a])
 
 
 def test_add_broadcasts_bias_rows():

@@ -232,7 +232,10 @@ def test_load_draws_no_init_and_shares_one_buffer(tmp_path, monkeypatch):
      "unknown EncoderConfig key 'colour'"),
     (lambda h: h["encoder_config"].update(d_model="16"),
      "EncoderConfig d_model is '16', expected int"),
-], ids=["no-params", "unknown-config-key", "string-d_model"])
+    (lambda h: h["encoder_config"].update(mode="tags"),
+     "unknown EncoderConfig key 'mode'"),
+], ids=["no-params", "unknown-config-key", "string-d_model",
+        "other-class-key"])
 def test_malformed_header_names_the_file_and_the_problem(tmp_path, edit,
                                                          problem):
     path = tmp_path / "m.ckpt"

@@ -82,7 +82,7 @@ def test_train_quiet_suppresses_stdout(workdir, capsys):
     code = main(["train", str(workdir / "train.txt"), str(workdir / "dev.txt"),
                  "--config", str(workdir / "model.cfg"),
                  "--out", str(workdir / "quiet.ckpt"),
-                 "--set", "max_epochs=0", "--quiet"])
+                 "--set", "max_epochs=1", "--quiet"])
     assert code == 0
     assert capsys.readouterr().out == ""
 
@@ -185,6 +185,17 @@ def test_usage_errors_exit_2(workdir, tmp_path, capsys):
                  str(workdir / "dev.txt"), "--config", str(bad_cfg),
                  "--out", str(tmp_path / "x.ckpt")]) == 2
     capsys.readouterr()
+
+
+def test_train_rejects_an_empty_dev_file(workdir, tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
+    capsys.readouterr()
+    assert main(["train", str(workdir / "train.txt"), str(empty),
+                 "--config", str(workdir / "model.cfg"),
+                 "--out", str(tmp_path / "x.ckpt"), "--quiet"]) == 2
+    assert "%s contains no trees" % empty in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_analyze_window_table(workdir, tmp_path):

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from spanparser.config import (
@@ -101,3 +103,27 @@ def test_load_config_file(tmp_path):
         path.write_text("oops\n")
         load_config_file(path)
     assert str(path) in str(e.value)
+
+
+@pytest.mark.parametrize("text, line, problem", [
+    ("d_model = 64\nnum_heads = 4\nd_model = 32\n", 3,
+     "duplicate key 'd_model', first set on line 1"),
+    ("# layers\nnum_layers = two\n", 2,
+     "key 'num_layers' expects int, got 'two'"),
+    ("d_model = 64\ncolour = red\n", 2,
+     "unknown configuration key 'colour'"),
+], ids=["duplicate", "type-mismatch", "unknown-key"])
+def test_file_errors_name_the_source_and_line(text, line, problem):
+    with pytest.raises(ConfigError) as e:
+        parse_config_text(text, source="foo.cfg")
+    assert str(e.value) == "foo.cfg:%d: %s" % (line, problem)
+
+
+def test_formats_doc_lists_every_key_with_its_default():
+    doc = (pathlib.Path(__file__).parent.parent / "docs" / "formats.md"
+           ).read_text(encoding="utf-8")
+    after = doc.split("The full key set with defaults:", 1)[1]
+    block = after.split("```", 2)[1]
+    keys = parse_config_text(block, source="docs/formats.md")
+    assert list(keys.items()) == list(
+        parse_config_text(default_config_text()).items())

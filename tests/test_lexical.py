@@ -47,6 +47,15 @@ def test_config_validation():
     assert LexicalConfig(char_embedding_dim=7).resolved_char_dim() == 7
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("char_lstm_hidden", 0), ("char_embedding_dim", -1),
+    ("prefix_length", -1), ("suffix_length", -2),
+])
+def test_bad_sizes_are_rejected(name, bad):
+    with pytest.raises(ValueError, match=name):
+        LexicalConfig(**{name: bad}).validate()
+
+
 def externals_for(sentences, dim=5, seed=1):
     rng = np.random.default_rng(seed)
     return [rng.standard_normal((len(s), dim)) for s in sentences]

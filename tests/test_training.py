@@ -73,6 +73,14 @@ def test_config_validation():
     TrainConfig().validate()
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("max_epochs", 0), ("warmup_batches", -3), ("patience_epochs", 0),
+])
+def test_bad_schedule_values_are_rejected(name, bad):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: bad}).validate()
+
+
 def test_batches_seen_counts_partial_batches():
     model = fresh_model()
     result = train(model, TREES, TREES[:2], cfg(batch_size=4, max_epochs=2),
@@ -213,6 +221,16 @@ def test_empty_treebank_rejected():
     model = fresh_model()
     with pytest.raises(ValueError):
         train(model, [], TREES[:1], cfg())
+
+
+def test_empty_dev_set_rejected_without_an_eval_fn():
+    model = fresh_model()
+    before = model.store.snapshot()
+    with pytest.raises(ValueError, match="dev set is empty"):
+        train(model, TREES, [], cfg())
+    assert np.array_equal(model.store.data, before)
+    # a scripted evaluation needs no dev trees
+    train(model, TREES, [], cfg(max_epochs=1), eval_fn=lambda m, d: 0.0)
 
 
 def test_nonfinite_loss_aborts_with_context():
