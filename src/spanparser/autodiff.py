@@ -114,8 +114,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _result(a.data + b.data, (a, b), lambda g: (g, g))
     if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
         return _result(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
-    if b.data.ndim == 2 and a.data.ndim == 1 and b.shape[1] == a.shape[0]:
-        return _result(a.data + b.data, (a, b), lambda g: (g.sum(axis=0), g))
     raise _dimerr("add", a.shape, b.shape)
 
 
@@ -401,7 +399,7 @@ def row_dropout(x: Tensor, p: float, rng, train: bool) -> Tensor:
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1), got %r" % p)
     mask = (rng.random((x.shape[0], 1)) >= p) / (1.0 - p)
-    return mul_const(x, np.broadcast_to(mask, x.shape))
+    return mul_const(x, mask)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -31,7 +31,7 @@ from .model import SpanParser
 from .vocab import LabelInventory, Vocabulary
 
 MAGIC = b"SPANCKPT"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _PREAMBLE = 20  # magic, version, header length
 
 

@@ -93,14 +93,20 @@ def load_config_file(path) -> dict:
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
-    """Apply CLI `key=value` strings on top of the file values."""
+    """Apply CLI `key=value` strings on top of the file values.  A string
+    not of that form, an unknown key or a value of the wrong type raises
+    ConfigError naming the override."""
     out = dict(raw)
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError("override %r is not of the form key=value"
                               % item)
-        key, value = item.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
+        try:
+            _parse_value(key, value)
+        except ConfigError as exc:
+            raise ConfigError("--set %s: %s" % (item, exc)) from None
+        out[key] = value
     return out
 
 

@@ -66,8 +66,6 @@ class EncoderConfig:
     residual_dropout: float = 0.2
     max_sentence_length: int = 300
     span_hidden: int = 250
-    window_distance: int = -1       # -1 means unwindowed
-    window_mode: str = "strict"
 
     def validate(self):
         if self.variant not in VARIANTS:
@@ -79,6 +77,9 @@ class EncoderConfig:
                      "span_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1" % name)
+        if self.max_sentence_length < 3:
+            raise ValueError("max_sentence_length must be >= 3 (a one-word "
+                             "sentence has start, word and stop rows)")
         if self.d_model % 2 != 0:
             raise ValueError("d_model must be even (span vectors split the "
                              "encoder output into two directional halves)")
@@ -87,9 +88,6 @@ class EncoderConfig:
                 if getattr(self, name) % 2 != 0:
                     raise ValueError("%s must be even for variant %r"
                                      % (name, self.variant))
-        if self.window_mode not in WINDOW_MODES:
-            raise ValueError("window_mode must be one of %s"
-                             % (WINDOW_MODES,))
         for name in ("attention_dropout", "relu_dropout", "residual_dropout"):
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
@@ -110,8 +108,9 @@ class AttentionControl:
 
     ``disable_content`` / ``disable_position``: per-layer flags zeroing the
     corresponding logit term (factored variants only).  ``window``: a
-    (distance, mode) pair overriding the configured window; distance may be
-    ``math.inf`` for unwindowed.
+    (distance, mode) pair restricting every query to the keys the window
+    allows (see :func:`build_window_mask`), or None for no window; distance
+    may be ``math.inf``, which allows every key.
     """
 
     disable_content: tuple = None
@@ -131,38 +130,39 @@ class AttentionControl:
                 raise ValueError("%s needs one flag per layer (%d), got %d"
                                  % (name, config.num_layers, len(flags)))
         if self.window is not None:
-            distance, mode = self.window
-            if mode not in WINDOW_MODES:
-                raise ValueError("window mode must be one of %s"
-                                 % (WINDOW_MODES,))
-            if distance < 0:
-                raise ValueError("window distance must be >= 0")
+            check_window(*self.window)
         return self
 
 
-def build_window_mask(length: int, distance, mode: str = "strict") -> np.ndarray:
-    """Boolean [length, length] matrix; True where attention is allowed.
-
-    ``strict`` keeps |i - j| <= distance.  ``relaxed`` additionally lets the
-    first two and last two positions attend and be attended to everywhere
-    (they host the boundary tokens, whose long-range links matter more than
-    the window).  distance may be math.inf or None for no restriction.
-    """
-    if distance is None or distance == math.inf:
-        return np.ones((length, length), dtype=bool)
-    if distance < 0:
+def check_window(distance, mode: str) -> None:
+    """ValueError unless ``distance`` is >= 0 (``math.inf`` allowed) and
+    ``mode`` is one of WINDOW_MODES."""
+    if not distance >= 0:
         raise ValueError("window distance must be >= 0, got %r" % (distance,))
     if mode not in WINDOW_MODES:
-        raise ValueError("window mode must be one of %s" % (WINDOW_MODES,))
-    idx = np.arange(length)
-    allow = np.abs(idx[:, None] - idx[None, :]) <= distance
+        raise ValueError("window mode must be one of %s, got %r"
+                         % (WINDOW_MODES, mode))
+
+
+def build_window_mask(lengths, distance, mode: str = "strict") -> np.ndarray:
+    """Boolean [B, Tmax, Tmax] mask of a pack of sentences of ``lengths``
+    tokens: True where query i and key j of sentence b are both among its
+    tokens and the window allows the pair.
+
+    ``strict`` allows |i - j| <= distance.  ``relaxed`` also allows every
+    pair in which either token is among the sentence's first two or last
+    two (they host the boundary tokens, whose long-range links matter more
+    than the window).  A distance of math.inf allows every pair.
+    """
+    check_window(distance, mode)
+    lengths = np.asarray(lengths)[:, None, None]
+    idx = np.arange(lengths.max())
+    i, j = idx[:, None], idx[None, :]
+    allow = np.abs(i - j) <= distance
     if mode == "relaxed":
-        special = np.zeros(length, dtype=bool)
-        for k in (0, 1, length - 2, length - 1):
-            if 0 <= k < length:
-                special[k] = True
-        allow = allow | special[:, None] | special[None, :]
-    return allow
+        allow = (allow | (i < 2) | (i >= lengths - 2)
+                 | (j < 2) | (j >= lengths - 2))
+    return allow & (i < lengths) & (j < lengths)
 
 
 def compose_input(content: Tensor, position: Tensor, variant: str) -> Tensor:
@@ -401,21 +401,14 @@ class Encoder:
 
     def _penalty(self, lengths, control):
         """The additive [B * H, Tmax, Tmax] logit mask of a pack, masking
-        each sentence's padded keys and the keys outside its window; None
-        when there is neither.  Every window keeps the diagonal, so no real
-        query row is left empty."""
-        distance, mode = self.config.window_distance, self.config.window_mode
-        if control is not None and control.window is not None:
-            distance, mode = control.window
-        if distance is None or distance < 0:
-            distance = math.inf
+        each sentence's padded keys and the keys outside the control's
+        window; None when there is neither.  Every window keeps the
+        diagonal, so no real query row is left empty."""
+        distance, mode = (control and control.window) or (math.inf, "strict")
         if distance == math.inf and min(lengths) == max(lengths):
             return None
-        Tmax = max(lengths)
-        allow = np.zeros((len(lengths), Tmax, Tmax), dtype=bool)
-        for b, T in enumerate(lengths):
-            allow[b, :T, :T] = build_window_mask(T, distance, mode)
-        penalty = np.where(allow, 0.0, MASK_PENALTY)
+        penalty = np.where(build_window_mask(lengths, distance, mode),
+                           0.0, MASK_PENALTY)
         return np.repeat(penalty, self.config.num_heads, axis=0)
 
 

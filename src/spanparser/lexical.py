@@ -118,9 +118,9 @@ class CharLSTM:
     """Bidirectional character LSTM; the final states of both directions are
     concatenated and projected to the content slot width.
 
-    All of a pack's words run as one batch: shorter words stop updating
-    via a per-step mask (h = h_new * m + h_old * (1 - m)), so each word's
-    final state is the state at its last real character.
+    All of a pack's words run as one batch for as many steps as the
+    longest has characters; each word's final state is the state at its
+    last real character, and the steps after it (over padding) go unused.
     """
 
     def __init__(self, store: ParameterStore, vocab: Vocabulary,
@@ -147,12 +147,15 @@ class CharLSTM:
                               (2 * self.hidden, slot_dim), glorot)
         self.proj_bias = store.add("lexical.char_lstm.proj_bias", (slot_dim,))
 
-    def _run_direction(self, ids: np.ndarray, mask: np.ndarray, weights,
+    def _run_direction(self, ids: np.ndarray, last: np.ndarray, weights,
                        train: bool, rng) -> Tensor:
+        """Every word's final state, [W, H]: row ``last[k]`` of the [L * W,
+        H] stack of every step's states (step t's in rows t * W ...)."""
         W, L = ids.shape
         H = self.hidden
         h = Tensor(np.zeros((W, H)))
         c = Tensor(np.zeros((W, H)))
+        states = []
         for t in range(L):
             x_t = ad.take_rows(self.char_emb.tensor, ids[:, t])
             x_t = ad.dropout(x_t, self.char_dropout, rng, train)
@@ -160,13 +163,11 @@ class CharLSTM:
                                   ad.matmul(h, weights["w_h"].tensor)),
                            weights["b"].tensor)
             gi, gf, gg, go = ad.split_cols(gates, 4)
-            c_new = ad.add(ad.mul(ad.sigmoid(gf), c),
-                           ad.mul(ad.sigmoid(gi), ad.tanh(gg)))
-            h_new = ad.mul(ad.sigmoid(go), ad.tanh(c_new))
-            m = np.broadcast_to(mask[:, t:t + 1], (W, H))
-            c = ad.add(ad.mul_const(c_new, m), ad.mul_const(c, 1.0 - m))
-            h = ad.add(ad.mul_const(h_new, m), ad.mul_const(h, 1.0 - m))
-        return h
+            c = ad.add(ad.mul(ad.sigmoid(gf), c),
+                       ad.mul(ad.sigmoid(gi), ad.tanh(gg)))
+            h = ad.mul(ad.sigmoid(go), ad.tanh(c))
+            states.append(h)
+        return ad.take_rows(ad.concat(states, axis=0), last)
 
     def forward(self, words, train: bool, rng) -> Tensor:
         seqs = [_char_id_seq(self.vocab, w) for w in words]
@@ -175,14 +176,14 @@ class CharLSTM:
         pad = self.vocab.PAD_ID
         fwd_ids = np.full((W, L), pad, dtype=np.intp)
         bwd_ids = np.full((W, L), pad, dtype=np.intp)
-        mask = np.zeros((W, L))
         for k, seq in enumerate(seqs):
             n = len(seq)
             fwd_ids[k, :n] = seq
             bwd_ids[k, :n] = seq[::-1]
-            mask[k, :n] = 1.0
-        h_f = self._run_direction(fwd_ids, mask, self.dirs["fwd"], train, rng)
-        h_b = self._run_direction(bwd_ids, mask, self.dirs["bwd"], train, rng)
+        # word k's last real character is at step len - 1
+        last = (np.array([len(s) for s in seqs]) - 1) * W + np.arange(W)
+        h_f = self._run_direction(fwd_ids, last, self.dirs["fwd"], train, rng)
+        h_b = self._run_direction(bwd_ids, last, self.dirs["bwd"], train, rng)
         both = ad.concat([h_f, h_b], axis=1)
         return ad.add(ad.matmul(both, self.proj.tensor), self.proj_bias.tensor)
 

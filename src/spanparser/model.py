@@ -123,11 +123,9 @@ class SpanParser:
                       rng=None, external=None):
         """HingeResult for one sentence against its binarized gold tree,
         its ``loss`` the differentiable hinge (a 0 tensor when the margin
-        holds)."""
-        scores = self.span_score_tensor(sentence, train=train, rng=rng,
-                                        external=external)
-        result = hinge_loss(scores, len(sentence), gold_binary)
-        loss = margin_loss(scores, [result])
+        holds): ``batch_loss`` of a batch of one."""
+        (result,), loss = self.batch_loss([(sentence, gold_binary, external)],
+                                          train, rng)
         result.loss = ad.tensor(0.0) if loss is None else loss
         return result
 

@@ -31,9 +31,9 @@ def test_add_broadcasts_bias_rows():
     assert np.allclose(bias.grad, 4.0)
     check(lambda: ad.sum_all(ad.mul(ad.add(x, bias), ad.add(x, bias))),
           [x, bias])
-    # and the symmetric order
-    check(lambda: ad.sum_all(ad.mul(ad.add(bias, x), ad.add(bias, x))),
-          [x, bias])
+    # the bias goes second
+    with pytest.raises(DimensionError):
+        ad.add(bias, x)
 
 
 def test_shape_mismatch_names_the_op():

@@ -187,6 +187,21 @@ def test_usage_errors_exit_2(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_set_override_names_the_override(workdir, tmp_path, capsys):
+    capsys.readouterr()
+    for item, problem in (
+            ("num_layers=two", "key 'num_layers' expects int, got 'two'"),
+            ("colour=red", "unknown configuration key 'colour'")):
+        assert main(["train", str(workdir / "train.txt"),
+                     str(workdir / "dev.txt"),
+                     "--config", str(workdir / "model.cfg"),
+                     "--out", str(tmp_path / "x.ckpt"), "--quiet",
+                     "--set", item]) == 2
+        assert capsys.readouterr().err == "error: --set %s: %s\n" % (
+            item, problem)
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_train_rejects_an_empty_dev_file(workdir, tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("\n")

@@ -31,7 +31,6 @@ def test_build_configs_types_and_defaults():
         "mode": "char-lstm", "char_lstm_hidden": "32",
         "use_word_embeddings": "false",
         "batch_size": "10", "base_lr": "0.004",
-        "window_distance": "-1",
     })
     assert enc.d_model == 64 and enc.num_layers == 2
     assert lex.mode == "char-lstm" and lex.use_word_embeddings is False

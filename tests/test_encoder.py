@@ -26,12 +26,15 @@ def test_config_validation():
         EncoderConfig(variant="factored", d_k=7).validate()
     with pytest.raises(ValueError):
         EncoderConfig(attention_dropout=1.0).validate()
-    with pytest.raises(ValueError):
-        EncoderConfig(window_mode="loose").validate()
     for name in ("d_model", "num_heads", "d_k", "d_v", "d_ff", "span_hidden"):
         for bad in (0, -2):
             with pytest.raises(ValueError, match=name):
                 EncoderConfig(**{name: bad}).validate()
+    # a one-word sentence needs a start, a word and a stop row
+    for bad in (0, 2):
+        with pytest.raises(ValueError, match="max_sentence_length"):
+            EncoderConfig(max_sentence_length=bad).validate()
+    EncoderConfig(max_sentence_length=3).validate()
     EncoderConfig().validate()
 
 
@@ -47,17 +50,18 @@ def test_content_dim_depends_on_variant():
 
 
 def test_window_mask_strict():
-    m = build_window_mask(5, 1, "strict")
+    m = build_window_mask([5], 1, "strict")[0]
     expect = np.zeros((5, 5), dtype=bool)
     for i in range(5):
         for j in range(5):
             expect[i, j] = abs(i - j) <= 1
     assert np.array_equal(m, expect)
-    assert np.array_equal(build_window_mask(4, 0, "strict"), np.eye(4, dtype=bool))
+    assert np.array_equal(build_window_mask([4], 0, "strict")[0],
+                          np.eye(4, dtype=bool))
 
 
 def test_window_mask_relaxed_keeps_boundary_rows():
-    m = build_window_mask(7, 1, "relaxed")
+    m = build_window_mask([7], 1, "relaxed")[0]
     # positions 0, 1, 5, 6 see and are seen by everyone
     for k in (0, 1, 5, 6):
         assert m[k].all() and m[:, k].all()
@@ -67,14 +71,32 @@ def test_window_mask_relaxed_keeps_boundary_rows():
 
 
 def test_window_mask_unlimited_and_tiny_lengths():
-    assert build_window_mask(3, None).all()
-    assert build_window_mask(3, math.inf).all()
-    assert build_window_mask(1, 2, "relaxed").shape == (1, 1)
-    assert build_window_mask(2, 0, "relaxed").all()
+    assert build_window_mask([3], math.inf).all()
+    assert build_window_mask([1], 2, "relaxed").shape == (1, 1, 1)
+    assert build_window_mask([2], 0, "relaxed").all()
     with pytest.raises(ValueError):
-        build_window_mask(3, -2)
+        build_window_mask([3], -2)
     with pytest.raises(ValueError):
-        build_window_mask(3, 1, "loose")
+        build_window_mask([3], 1, "loose")
+
+
+def test_pack_window_mask_is_each_sentences_own_in_its_slot():
+    def own(T, distance, mode):
+        # one sentence's [T, T] window, pair by pair
+        edge = [k < 2 or k >= T - 2 for k in range(T)]
+        return np.array([[abs(i - j) <= distance
+                          or (mode == "relaxed" and (edge[i] or edge[j]))
+                          for j in range(T)] for i in range(T)], dtype=bool)
+
+    lengths = [5, 1, 9, 2, 4]
+    for distance in (0, 1, math.inf):
+        for mode in ("strict", "relaxed"):
+            mask = build_window_mask(lengths, distance, mode)
+            assert mask.shape == (5, 9, 9) and mask.dtype == bool
+            for b, T in enumerate(lengths):
+                expect = np.zeros((9, 9), dtype=bool)
+                expect[:T, :T] = own(T, distance, mode)
+                assert np.array_equal(mask[b], expect), (b, distance, mode)
 
 
 def test_compose_input_modes():
@@ -115,7 +137,7 @@ def test_window_forces_exact_zeros_outside_band():
     record = {}
     control = AttentionControl(window=(1, "strict"))
     enc.encode(rand_content(rng, 7, cfg), control=control, record=record)
-    allow = build_window_mask(7, 1, "strict")
+    allow = build_window_mask([7], 1, "strict")[0]
     for probs in record.values():
         assert (probs[~allow] == 0.0).all()
         assert (probs[allow] > 0.0).all()
@@ -130,16 +152,6 @@ def test_relaxed_window_keeps_long_range_boundary_links():
     probs = record[(0, 0)]
     assert probs[0, 4] > 0.0 and probs[4, 8] > 0.0
     assert probs[3, 6] == 0.0
-
-
-def test_config_window_applies_without_control():
-    enc, _, cfg = tiny_encoder("factored", window_distance=1)
-    rng = np.random.default_rng(4)
-    record = {}
-    enc.encode(rand_content(rng, 6, cfg), record=record)
-    allow = build_window_mask(6, 1, "strict")
-    for probs in record.values():
-        assert (probs[~allow] == 0.0).all()
 
 
 def test_control_validation():
