@@ -11,6 +11,13 @@ leaves on a worker thread beside the main one, each leaf's in the order the
 graph produces them, so gradients are bitwise those of one thread;
 determinism and finite-difference-tight gradients matter more than speed.
 
+Work handed to a worker thread goes through :func:`submit`, which runs it
+under the submitting thread's numpy error state (``np.errstate`` is per
+thread), so an overflow that raises on the calling thread raises on the
+worker too.  :func:`no_grad` is process-wide, not per thread: a worker
+building tensors inside the caller's ``no_grad`` block builds no graph
+either, and the encoder's stream worker relies on this.
+
 Broadcasting is deliberately limited to the cases the model uses (a 1-d bias
 added to the rows of a matrix, constant masks); anything else raises a
 DimensionError naming the operation and the offending shapes.
@@ -408,7 +415,19 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# backward pass
+# worker threads and the backward pass
+
+
+def submit(worker, fn, *args):
+    """``worker.submit(fn, *args)`` with ``fn`` run under this thread's
+    numpy error state (``np.geterr()``), which a worker thread does not
+    otherwise share."""
+    return worker.submit(_under_errstate, np.geterr(), fn, args)
+
+
+def _under_errstate(state, fn, args):
+    with np.errstate(**state):
+        return fn(*args)
 
 
 # a GradLeaf of at least this many values has its gradient contributions
@@ -434,8 +453,9 @@ def backward(loss: Tensor) -> None:
     while this thread carries on down the graph; the worker touches nothing
     but those leaves' buffers and ``grad``.  So every leaf's buffer sees the
     same operations in the same order as on one thread, and the bits are
-    the same.  The call returns once the worker has applied everything,
-    and raises the worker's first exception, if any.
+    the same.  The worker runs under this thread's numpy error state
+    (:func:`submit`).  The call returns once the worker has applied
+    everything, and raises the worker's first exception, if any.
     """
     if loss.data.shape != ():
         raise ValueError("backward requires a scalar loss, got shape %s"
@@ -452,7 +472,7 @@ def backward(loss: Tensor) -> None:
 
         def arrive(leaf, g):
             if leaf.grad_view.size >= WORKER_LEAF_SIZE:
-                applied.append(worker.submit(_arrive, leaf, g))
+                applied.append(submit(worker, _arrive, leaf, g))
             else:
                 _arrive(leaf, g)
 

@@ -21,11 +21,22 @@ Five wirings of the token inputs and the attention arithmetic are supported:
 - ``block-sparse-additive``: additive inputs pushed through the factored
   machinery on the two contiguous halves of the model dimension (a control
   for separating the effect of sparsity from the effect of factoring).
+
+The two streams of a factored layer meet only where their logit terms are
+summed before the shared softmax and at each residual and layer norm.  At
+sizes where it pays (see :meth:`Encoder.encode`), the position stream's
+share of each layer runs on a worker thread while the calling thread runs
+the content stream's: its q/k logit term and value projection, its
+weighted values and output product, and the two products of its
+feed-forward copy.  The shared steps, the relus and every random draw stay
+on the calling thread, so the bits do not depend on the worker.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import functools
 
@@ -33,7 +44,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .optim import ParameterStore, embedding_init, glorot_uniform, ones
+from .optim import (ParameterStore, embedding_init, glorot_uniform, ones,
+                    usable_cpus)
 
 VARIANTS = (
     "additive-unfactored",
@@ -188,6 +200,17 @@ def _add_streams(store, prefix, suffixes, roles):
             for suffix in suffixes]
 
 
+def _map_streams(worker, task, *per_stream):
+    """``task(*args)`` for each stream's ``args``, in stream order.  With a
+    ``worker`` (see :meth:`Encoder.encode`), the second stream's task runs
+    on it while this thread runs the first's."""
+    if worker is None:
+        return [task(*args) for args in per_stream]
+    first, second = per_stream
+    pending = ad.submit(worker, task, *second)
+    return [task(*first), pending.result()]
+
+
 class MultiHeadAttention:
     """All heads of one layer's attention sublayer, computed together.
 
@@ -197,6 +220,12 @@ class MultiHeadAttention:
     stream on the two halves of the model dimension, whose logits add up
     before a shared softmax; unfactored variants run one full-width stream,
     position-only taking its queries and keys from the position embeddings.
+
+    Given a worker, the position stream's per-stream work runs on it: its
+    logit term and value projection, then its probability-weighted values,
+    merged heads and output product.  The logit sum, the penalty, the
+    softmax, attention dropout and the concatenation of the streams'
+    outputs stay on the calling thread.
     """
 
     def __init__(self, store: ParameterStore, prefix: str,
@@ -221,7 +250,8 @@ class MultiHeadAttention:
 
     def forward(self, x: Tensor, positions: Tensor, mask, penalty,
                 disable_content: bool, disable_position: bool,
-                train: bool, rng, dropout_p: float, record=None) -> Tensor:
+                train: bool, rng, dropout_p: float, record=None,
+                worker=None) -> Tensor:
         """Sum of every head's contribution, shape [sum T_b, d_model].
 
         ``x`` is a pack of sentences whose [B, Tmax] ``mask`` marks each
@@ -231,12 +261,13 @@ class MultiHeadAttention:
         carries the original position embeddings for position-only
         queries; ignored otherwise.  ``record``, if a list, receives the
         [B * H, Tmax, Tmax] attention probabilities before dropout.
+        ``worker``, if given, runs the position stream's work.
         """
-        contexts = self._contexts(x, positions, mask, penalty,
-                                  disable_content, disable_position, train,
-                                  rng, dropout_p, record)
-        outs = [ad.matmul(ad.merge_heads(ctx, mask), stream["w_o"].tensor)
-                for ctx, stream in zip(contexts, self.streams)]
+        probs, values = self._attend(x, positions, mask, penalty,
+                                     disable_content, disable_position,
+                                     train, rng, dropout_p, record, worker)
+        outs = _map_streams(worker, functools.partial(_output, probs, mask),
+                            *zip(values, self.streams))
         return ad.concat(outs, axis=1)
 
     def head_outputs(self, x: Tensor, positions: Tensor, penalty,
@@ -245,50 +276,72 @@ class MultiHeadAttention:
         """Each head's own contribution to one sentence, shape
         [H, T, d_model]; these sum to :meth:`forward`."""
         mask = np.ones((1, x.shape[0]), dtype=bool)
-        contexts = self._contexts(x, positions, mask, penalty,
-                                  disable_content, disable_position, train,
-                                  rng, dropout_p)
+        probs, values = self._attend(x, positions, mask, penalty,
+                                     disable_content, disable_position,
+                                     train, rng, dropout_p)
         # w_o's row block h is head h's [d_v, d_out] output matrix
         return ad.concat(
-            [ad.bmm(ctx, ad.reshape(stream["w_o"].tensor,
-                                    (self.num_heads, ctx.shape[2], -1)))
-             for ctx, stream in zip(contexts, self.streams)], axis=2)
+            [ad.bmm(ad.bmm(probs, v),
+                    ad.reshape(stream["w_o"].tensor,
+                               (self.num_heads, v.shape[2], -1)))
+             for v, stream in zip(values, self.streams)], axis=2)
 
-    def _contexts(self, x, positions, mask, penalty, disable_content,
-                  disable_position, train, rng, dropout_p, record=None):
-        """Per stream, the [B * H, Tmax, d_v] attention-weighted values."""
-        heads = self.num_heads
+    def _attend(self, x, positions, mask, penalty, disable_content,
+                disable_position, train, rng, dropout_p, record=None,
+                worker=None):
+        """The [B * H, Tmax, Tmax] attention probabilities after dropout,
+        and per stream the [B * H, Tmax, d_v] values they weight."""
         inputs = ad.split_cols(x, len(self.streams))
+        sources = [positions] if self.position_queries else inputs
         # AttentionControl allows disable flags only with two streams
         active = (not disable_content, not disable_position)
-        sources = [positions] if self.position_queries else inputs
-        inv = 1.0 / math.sqrt(self.d_k)
-        logits = None
-        for source, stream, on in zip(sources, self.streams, active):
-            if not on:
-                continue
-            q = ad.split_heads(ad.matmul(source, stream["w_q"].tensor),
-                               heads, mask)
-            k = ad.split_heads(ad.matmul(source, stream["w_k"].tensor),
-                               heads, mask)
-            term = ad.mul_const(ad.bmm(q, ad.transpose(k)), inv)
-            logits = term if logits is None else ad.add(logits, term)
-        if logits is None:
+        projected = _map_streams(
+            worker, functools.partial(self._project, mask),
+            *zip(sources, inputs, self.streams, active))
+        terms = [term for term, _ in projected if term is not None]
+        if terms:
+            logits = functools.reduce(ad.add, terms)
+        else:
             B, T = mask.shape
-            logits = Tensor(np.zeros((B * heads, T, T)))
+            logits = Tensor(np.zeros((B * self.num_heads, T, T)))
         if penalty is not None:
             logits = ad.add_const(logits, penalty)
         probs = ad.softmax(logits)
         if record is not None:
             record.append(probs.data)
         probs = ad.dropout(probs, dropout_p, rng, train)
-        return [ad.bmm(probs, ad.split_heads(
-                    ad.matmul(inp, stream["w_v"].tensor), heads, mask))
-                for inp, stream in zip(inputs, self.streams)]
+        return probs, [v for _, v in projected]
+
+    def _project(self, mask, source, inp, stream, on):
+        """One stream's scaled q k^T logit term (None when it is switched
+        off) and its values."""
+        heads = self.num_heads
+        term = None
+        if on:
+            q = ad.split_heads(ad.matmul(source, stream["w_q"].tensor),
+                               heads, mask)
+            k = ad.split_heads(ad.matmul(source, stream["w_k"].tensor),
+                               heads, mask)
+            term = ad.mul_const(ad.bmm(q, ad.transpose(k)),
+                                1.0 / math.sqrt(self.d_k))
+        return term, ad.split_heads(ad.matmul(inp, stream["w_v"].tensor),
+                                    heads, mask)
+
+
+def _output(probs, mask, values, stream):
+    """One stream's share of the attention output: its probability-weighted
+    values, heads merged, times its output matrix."""
+    return ad.matmul(ad.merge_heads(ad.bmm(probs, values), mask),
+                     stream["w_o"].tensor)
 
 
 class FeedForward:
-    """Position-wise W2 relu(W1 x + b1) + b2, run on each stream's columns."""
+    """Position-wise W2 relu(W1 x + b1) + b2, run on each stream's columns.
+
+    Given a worker, the position stream's two products (with their biases)
+    run on it.  The relus and relu dropout of both streams run between them
+    on the calling thread, in stream order, so the random stream and the
+    order of the relu calls are those of one thread."""
 
     def __init__(self, store, prefix, config: EncoderConfig, rng):
         suffixes = stream_suffixes(config.variant)
@@ -299,16 +352,20 @@ class FeedForward:
             ("w1", (d, dff), glorot), ("b1", (dff,), None),
             ("w2", (dff, d), glorot), ("b2", (d,), None)))
 
-    def forward(self, x: Tensor, train: bool, rng, relu_p: float) -> Tensor:
-        outs = []
-        for inp, stream in zip(ad.split_cols(x, len(self.streams)),
-                               self.streams):
-            h = ad.relu(ad.add(ad.matmul(inp, stream["w1"].tensor),
-                               stream["b1"].tensor))
-            h = ad.dropout(h, relu_p, rng, train)
-            outs.append(ad.add(ad.matmul(h, stream["w2"].tensor),
-                               stream["b2"].tensor))
+    def forward(self, x: Tensor, train: bool, rng, relu_p: float,
+                worker=None) -> Tensor:
+        inputs = ad.split_cols(x, len(self.streams))
+        hidden = _map_streams(worker, functools.partial(_affine, "w1", "b1"),
+                              *zip(inputs, self.streams))
+        hidden = [ad.dropout(ad.relu(h), relu_p, rng, train) for h in hidden]
+        outs = _map_streams(worker, functools.partial(_affine, "w2", "b2"),
+                            *zip(hidden, self.streams))
         return ad.concat(outs, axis=1)
+
+
+def _affine(weight, bias, x, stream):
+    """x W + b with one stream's parameters named ``weight`` and ``bias``."""
+    return ad.add(ad.matmul(x, stream[weight].tensor), stream[bias].tensor)
 
 
 class EncoderLayer:
@@ -323,15 +380,15 @@ class EncoderLayer:
         self.ln2_bias = store.add(prefix + ".ln2.bias", (d,))
 
     def forward(self, x, positions, mask, penalty, disable_content,
-                disable_position, train, rng, record=None):
+                disable_position, train, rng, record=None, worker=None):
         cfg = self.config
         attn = self.attn.forward(x, positions, mask, penalty,
                                  disable_content, disable_position, train,
-                                 rng, cfg.attention_dropout, record)
+                                 rng, cfg.attention_dropout, record, worker)
         attn = ad.dropout(attn, cfg.residual_dropout, rng, train)
         x = ad.layer_norm(ad.add(x, attn), self.ln1_gain.tensor,
                           self.ln1_bias.tensor)
-        ff = self.ffn.forward(x, train, rng, cfg.relu_dropout)
+        ff = self.ffn.forward(x, train, rng, cfg.relu_dropout, worker)
         ff = ad.dropout(ff, cfg.residual_dropout, rng, train)
         return ad.layer_norm(ad.add(x, ff), self.ln2_gain.tensor,
                              self.ln2_bias.tensor)
@@ -362,6 +419,19 @@ class Encoder:
 
         ``record``, if given, is a dict filled with attention probabilities
         keyed (layer, head) -> [T, T] arrays; it needs a single sentence.
+
+        With two streams, at least two usable CPUs and position-stream
+        weights of at least autodiff.WORKER_LEAF_SIZE values (the paper
+        config, not the toy one), each layer's position-stream work runs on
+        one worker thread opened for this call while this thread runs the
+        content stream's; everything the streams share (logit sum, softmax,
+        residuals, layer norms), the feed-forward relus and every dropout
+        draw stay on this thread, in the order of one thread.  Each
+        stream's work makes the same numpy calls on the same operands and
+        builds the same graph either way, so outputs and gradients are
+        bitwise those of one thread.  The worker runs under this thread's
+        numpy error state and ``no_grad``, and its first exception is
+        raised here.
         """
         cfg = self.config
         lengths = [x.shape[0]] if lengths is None else list(lengths)
@@ -390,14 +460,33 @@ class Encoder:
         all_on = (False,) * cfg.num_layers
         off_c = control and control.disable_content or all_on
         off_p = control and control.disable_position or all_on
-        for i, layer in enumerate(self.layers):
-            layer_record = [] if record is not None else None
-            x = layer.forward(x, positions, mask, penalty, bool(off_c[i]),
-                              bool(off_p[i]), train, rng, layer_record)
-            if record is not None:
-                for h, probs in enumerate(layer_record[0]):
-                    record[(i, h)] = probs
+        # the executor starts its thread at the first submit
+        with (ThreadPoolExecutor(max_workers=1) if self._stream_worker_pays()
+              else contextlib.nullcontext()) as worker:
+            for i, layer in enumerate(self.layers):
+                layer_record = [] if record is not None else None
+                x = layer.forward(x, positions, mask, penalty,
+                                  bool(off_c[i]), bool(off_p[i]), train, rng,
+                                  layer_record, worker)
+                if record is not None:
+                    for h, probs in enumerate(layer_record[0]):
+                        record[(i, h)] = probs
         return x
+
+    def _stream_worker_pays(self) -> bool:
+        """Whether the position stream runs on a worker thread: with two
+        streams, at least two usable CPUs, and a largest position-stream
+        weight of at least autodiff.WORKER_LEAF_SIZE values (the size from
+        which backward hands a leaf's gradient to its worker)."""
+        if not self.layers or usable_cpus() < 2:
+            return False
+        layer = self.layers[0]
+        if len(layer.attn.streams) < 2:
+            return False
+        weights = (*layer.attn.streams[1].values(),
+                   *layer.ffn.streams[1].values())
+        return (max(math.prod(p.shape) for p in weights)
+                >= ad.WORKER_LEAF_SIZE)
 
     def _penalty(self, lengths, control):
         """The additive [B * H, Tmax, Tmax] logit mask of a pack, masking

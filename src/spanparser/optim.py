@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .autodiff import GradLeaf
+from .autodiff import GradLeaf, submit
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -202,8 +202,10 @@ def adam_step(store: ParameterStore, lr: float) -> None:
     The blocks are split into contiguous pieces, one for each of up to
     :func:`usable_cpus` threads, each taking at least MIN_WORKER_BLOCKS
     blocks; the calling thread updates the first piece, and a single piece
-    starts no thread.  Since every value goes through the same operations
-    whichever thread runs them, the result does not depend on the split.
+    starts no thread; the others run under this thread's numpy error state
+    (:func:`autodiff.submit`).  Since every value goes through the same
+    operations whichever thread runs them, the result does not depend on
+    the split.
 
     An operation that overflows or is invalid (say lr * m_hat above the
     largest float) raises OptimizerError naming the parameter.  Each thread
@@ -236,7 +238,8 @@ def adam_step(store: ParameterStore, lr: float) -> None:
     bounds = [min(store.size, BLOCK * (blocks * k // pieces))
               for k in range(pieces + 1)]
     with ThreadPoolExecutor(max(1, pieces - 1)) as pool:
-        futures = [pool.submit(_adam_blocks, store, coefficients, start, stop)
+        futures = [submit(pool, _adam_blocks, store, coefficients, start,
+                          stop)
                    for start, stop in zip(bounds[1:-1], bounds[2:])]
         _adam_blocks(store, coefficients, bounds[0], bounds[1])
         for f in futures:

@@ -377,6 +377,19 @@ def test_an_exception_on_the_backward_worker_surfaces(monkeypatch):
                                                                     2.0))
 
 
+def test_backward_worker_runs_under_the_callers_errstate(monkeypatch):
+    # the weight gradient x.T @ 1 sums 300 values of 1e306 and overflows,
+    # whether this thread or backward's worker computes it
+    w = ad.GradLeaf(np.full((256, 256), 1e-10))
+    x = tensor(np.full((300, 256), 1e306))
+    for size in (0, w.data.size + 1):
+        monkeypatch.setattr(ad, "WORKER_LEAF_SIZE", size)
+        w.grad = None
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                backward(ad.sum_all(ad.matmul(x, w)))
+
+
 def test_a_leaf_requiring_grad_owns_a_zeroed_buffer():
     data = np.arange(6.0).reshape(2, 3)
     x = tensor(data, requires_grad=True)

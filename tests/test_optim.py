@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import numpy as np
@@ -22,18 +21,6 @@ TREES = toy_treebank(6, seed=4)
 def filled(values):
     """An init that copies ``values`` into the parameter's view."""
     return lambda out: np.copyto(out, values)
-
-
-@pytest.fixture
-def short_switch_interval():
-    """Switch threads as often as the interpreter allows, so that main and
-    worker threads interleave at every bytecode boundary they can."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def store_of(**arrays):
