@@ -176,6 +176,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, (a, b), grad_fn)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a 1-d bias ``b``: the product is one :func:`matmul`
+    node, and the bias is added in place into its new array."""
+    product = matmul(x, w)
+    if b.shape != (product.shape[1],):
+        raise _dimerr("affine", x.shape, w.shape, b.shape)
+    np.add(product.data, b.data, out=product.data)
+    return _result(product.data, (product, b),
+                   lambda g: (g, g.sum(axis=0)))
+
+
 def _rows_product(a, g, out=None):
     """a.T @ g, summed over blocks of at most REDUCTION_BLOCK rows, into
     ``out`` if given."""
@@ -230,6 +241,10 @@ def merge_heads(x: Tensor, mask) -> Tensor:
 
 def _split(rows, heads, mask):
     B, Tmax = mask.shape
+    if mask.all():
+        # no padding: a plain copy into head order (a view for one head)
+        return rows.reshape(B, Tmax, heads, -1).transpose(0, 2, 1, 3).reshape(
+            B * heads, Tmax, -1)
     out = np.zeros((B, heads, Tmax, rows.shape[1] // heads))
     out.transpose(0, 2, 1, 3)[mask] = rows.reshape(rows.shape[0], heads, -1)
     return out.reshape(B * heads, Tmax, -1)
@@ -238,7 +253,8 @@ def _split(rows, heads, mask):
 def _merge(stack, mask):
     S, Tmax, d = stack.shape
     B = mask.shape[0]
-    rows = stack.reshape(B, S // B, Tmax, d).transpose(0, 2, 1, 3)[mask]
+    heads_last = stack.reshape(B, S // B, Tmax, d).transpose(0, 2, 1, 3)
+    rows = heads_last.reshape(B * Tmax, -1) if mask.all() else heads_last[mask]
     return rows.reshape(rows.shape[0], -1)
 
 
@@ -304,6 +320,28 @@ def take_rows(x: Tensor, indices) -> Tensor:
     return _result(x.data[idx], (x,), grad_fn)
 
 
+def row_differences(x: Tensor, ends, starts) -> Tensor:
+    """Rows x[ends[k]] - x[starts[k]], subtracted in place in the gathered
+    ``ends`` rows; x's grad is bitwise that of ``sub`` of two
+    ``take_rows``."""
+    ends = np.asarray(ends, dtype=np.intp)
+    starts = np.asarray(starts, dtype=np.intp)
+    if x.data.ndim != 2 or ends.ndim != 1 or ends.shape != starts.shape:
+        raise _dimerr("row_differences", x.shape, ends.shape, starts.shape)
+    out = x.data[ends]
+    out -= x.data[starts]
+
+    def grad_fn(g):
+        gx = np.zeros(x.shape)
+        np.add.at(gx, ends, g)
+        gstarts = np.zeros(x.shape)
+        np.add.at(gstarts, starts, g)
+        gx -= gstarts
+        return (gx,)
+
+    return _result(out, (x,), grad_fn)
+
+
 def take_cols(x: Tensor, indices) -> Tensor:
     """Column selection; indices must be distinct."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -351,52 +389,103 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis; rows sum to 1."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis; rows sum to 1.  The shift, exponential
+    and division all run in place in the one output array."""
+    out = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        gx = g * out
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= out
+        return (gx,)
 
     return _result(out, (x,), grad_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then apply the
-    learned elementwise gain and bias."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, summand=None,
+               eps: float = 1e-5) -> Tensor:
+    """LayerNorm(x + summand): normalize the last axis of the sum to zero
+    mean and unit variance, then apply the learned elementwise gain and
+    bias.  ``summand`` is None, a 1-d bias added to every row of a matrix
+    ``x``, or a matrix of x's shape or a list of matrices that side by
+    side make it (column blocks, never concatenated).
+
+    The sum is one new array, centred and scaled in place and kept for the
+    backward pass; the squares and then the output share a second, and the
+    backward pass needs two more.  Values and gradients are bitwise those
+    of an ``add`` (and ``concat``) followed by a layer norm of the sum."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise _dimerr("layer_norm", x.shape, gain.shape, bias.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    parts = (() if summand is None else
+             (summand,) if isinstance(summand, Tensor) else tuple(summand))
+    row_bias = len(parts) == 1 and parts[0].shape == (d,)
+    cols = () if summand is None or row_bias else _column_slices(parts)
+    if parts and (x.data.ndim != 2 or not row_bias and (
+            cols[-1].stop != d or parts[0].shape[0] != x.shape[0])):
+        raise _dimerr("layer_norm", x.shape, *(p.shape for p in parts))
+    if row_bias:
+        total = x.data + parts[0].data
+    elif parts:
+        total = np.empty(x.shape)
+        for p, col in zip(parts, cols):
+            np.add(x.data[:, col], p.data, out=total[:, col])
+    else:
+        total = x.data
+    xhat = np.subtract(total, total.mean(axis=-1, keepdims=True),
+                       out=total if parts else None)
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def grad_fn(g):
         lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
+        work = g * xhat
+        dgain = work.sum(axis=lead)
         dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
-        dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        return (dx, dgain, dbias)
+        dx = g * gain.data
+        mean_dxhat = dx.mean(axis=-1, keepdims=True)
+        np.multiply(dx, xhat, out=work)
+        mean_dot = work.mean(axis=-1, keepdims=True)
+        dx -= mean_dxhat
+        np.multiply(xhat, mean_dot, out=work)
+        dx -= work
+        np.multiply(inv, dx, out=dx)
+        dparts = ((dx.sum(axis=0),) if row_bias
+                  else tuple(dx[:, col] for col in cols))
+        return (dx, *dparts, dgain, dbias)
 
-    return _result(out, (x, gain, bias), grad_fn)
+    return _result(out, (x, *parts, gain, bias), grad_fn)
 
 
-def dropout(x: Tensor, p: float, rng, train: bool) -> Tensor:
-    """Inverted dropout: scale kept entries by 1/(1-p) so eval is identity."""
+def _column_slices(blocks):
+    """The column slice of each of ``blocks`` (matrices of one row count)
+    when they stand side by side."""
+    if not blocks or any(b.data.ndim != 2 or b.shape[0] != blocks[0].shape[0]
+                         for b in blocks):
+        raise _dimerr("column blocks", *(b.shape for b in blocks))
+    stops = np.cumsum([b.shape[1] for b in blocks]).tolist()
+    return [slice(stop - b.shape[1], stop) for b, stop in zip(blocks, stops)]
+
+
+def dropout(x, p: float, rng, train: bool):
+    """Inverted dropout: scale kept entries by 1/(1-p) so eval is identity.
+    ``x`` may be a list of the column blocks of one matrix: the mask is
+    drawn for that matrix and its column slices scale the blocks."""
     if not train or p == 0.0:
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1), got %r" % p)
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return mul_const(x, mask)
+    if isinstance(x, Tensor):
+        return mul_const(x, (rng.random(x.shape) >= p) / (1.0 - p))
+    cols = _column_slices(x)
+    mask = (rng.random((x[0].shape[0], cols[-1].stop)) >= p) / (1.0 - p)
+    return [mul_const(block, mask[:, col]) for block, col in zip(x, cols)]
 
 
 def row_dropout(x: Tensor, p: float, rng, train: bool) -> Tensor:

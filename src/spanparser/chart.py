@@ -92,7 +92,7 @@ def span_vectors(rows: Tensor, words) -> Tensor:
     starts, ends = (np.concatenate([f + span_index(m)[side]
                                     for f, m in zip(first, words)])
                     for side in (0, 1))
-    return ad.sub(ad.take_rows(rows, ends), ad.take_rows(rows, starts))
+    return ad.row_differences(rows, ends, starts)
 
 
 class SpanScorer:
@@ -101,8 +101,10 @@ class SpanScorer:
     ``project`` applies M_1 to fencepost rows and ``forward`` the rest to
     the differences of projected rows, so a pack's scores are
     ``forward(span_vectors(project(fenceposts(y, lengths)), words))``.
-    The dummy label is never parameterized; its score is the constant 0 added when the
-    chart is assembled.
+    ``forward`` adds c_1 inside the layer norm node and c_2 in place into
+    the M_2 product, so neither sum is an array of its own.  The dummy
+    label is never parameterized; its score is the constant 0 added when
+    the chart is assembled.
     """
 
     def __init__(self, store: ParameterStore, d_model: int, hidden: int,
@@ -124,10 +126,9 @@ class SpanScorer:
 
     def forward(self, mv: Tensor) -> Tensor:
         """[S, num_labels-1] real-label scores from [S, hidden] rows M_1 v."""
-        h = ad.layer_norm(ad.add(mv, self.c1.tensor),
-                          self.ln_gain.tensor, self.ln_bias.tensor)
-        h = ad.relu(h)
-        return ad.add(ad.matmul(h, self.m2.tensor), self.c2.tensor)
+        h = ad.layer_norm(mv, self.ln_gain.tensor, self.ln_bias.tensor,
+                          self.c1.tensor)
+        return ad.affine(ad.relu(h), self.m2.tensor, self.c2.tensor)
 
 
 def build_chart(scores: np.ndarray, n: int) -> np.ndarray:

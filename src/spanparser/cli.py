@@ -6,8 +6,10 @@ the BLAS thread count; for small models the checkpoint a training run
 writes is also byte-identical with one and with two BLAS threads (see the
 README for why larger ones can differ).  Training uses every usable CPU
 (Adam's blocked pass split across threads, large weights' gradients
-applied on a worker thread), and its bits do not depend on how many there
-are; parsing runs on one thread.
+applied on a worker thread).  Training and parsing alike run a factored
+encoder's position stream on a worker thread beside the content stream
+when there are two usable CPUs and its weights are as large as the paper
+config's.  No output's bits depend on how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ def _cmd_train(args):
 
 def _cmd_parse(args):
     model = ckpt.load_checkpoint(args.checkpoint)
-    sentences = load_tagged(args.input)
+    sentences, lines = load_tagged(args.input, line_indices=True)
     vectors = _load_vectors(args.vectors, sentences, args.input)
     out, close = _open_out(args.out)
     try:
@@ -205,7 +207,7 @@ def _cmd_parse(args):
             try:
                 tree = model.parse(sentence, external=_ext(vectors, k))
             except ValueError as exc:
-                out.write("#PARSE-ERROR %d %s\n" % (k, exc))
+                out.write("#PARSE-ERROR %d %s\n" % (lines[k], exc))
                 continue
             out.write(tree.render() + "\n")
     finally:

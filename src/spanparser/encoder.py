@@ -220,12 +220,13 @@ class MultiHeadAttention:
     stream on the two halves of the model dimension, whose logits add up
     before a shared softmax; unfactored variants run one full-width stream,
     position-only taking its queries and keys from the position embeddings.
+    The streams' outputs are returned as column blocks, which the layer's
+    residual layer norm takes as they are, so they are never concatenated.
 
     Given a worker, the position stream's per-stream work runs on it: its
     logit term and value projection, then its probability-weighted values,
     merged heads and output product.  The logit sum, the penalty, the
-    softmax, attention dropout and the concatenation of the streams'
-    outputs stay on the calling thread.
+    softmax and attention dropout stay on the calling thread.
     """
 
     def __init__(self, store: ParameterStore, prefix: str,
@@ -251,8 +252,9 @@ class MultiHeadAttention:
     def forward(self, x: Tensor, positions: Tensor, mask, penalty,
                 disable_content: bool, disable_position: bool,
                 train: bool, rng, dropout_p: float, record=None,
-                worker=None) -> Tensor:
-        """Sum of every head's contribution, shape [sum T_b, d_model].
+                worker=None) -> list:
+        """Sum of every head's contribution, shape [sum T_b, d_model], as
+        one [sum T_b, d_model / streams] column block per stream.
 
         ``x`` is a pack of sentences whose [B, Tmax] ``mask`` marks each
         one's rows (see :func:`autodiff.split_heads`); each attends within
@@ -266,15 +268,15 @@ class MultiHeadAttention:
         probs, values = self._attend(x, positions, mask, penalty,
                                      disable_content, disable_position,
                                      train, rng, dropout_p, record, worker)
-        outs = _map_streams(worker, functools.partial(_output, probs, mask),
+        return _map_streams(worker, functools.partial(_output, probs, mask),
                             *zip(values, self.streams))
-        return ad.concat(outs, axis=1)
 
     def head_outputs(self, x: Tensor, positions: Tensor, penalty,
                      disable_content: bool, disable_position: bool,
                      train: bool, rng, dropout_p: float) -> Tensor:
         """Each head's own contribution to one sentence, shape
-        [H, T, d_model]; these sum to :meth:`forward`."""
+        [H, T, d_model]; these sum to :meth:`forward`'s blocks side by
+        side."""
         mask = np.ones((1, x.shape[0]), dtype=bool)
         probs, values = self._attend(x, positions, mask, penalty,
                                      disable_content, disable_position,
@@ -336,7 +338,10 @@ def _output(probs, mask, values, stream):
 
 
 class FeedForward:
-    """Position-wise W2 relu(W1 x + b1) + b2, run on each stream's columns.
+    """Position-wise W2 relu(W1 x + b1) + b2, run on each stream's columns;
+    ``forward`` returns each stream's output as a column block, as
+    :class:`MultiHeadAttention` does.  Each bias is added in place into its
+    product (:func:`autodiff.affine`).
 
     Given a worker, the position stream's two products (with their biases)
     run on it.  The relus and relu dropout of both streams run between them
@@ -353,19 +358,18 @@ class FeedForward:
             ("w2", (dff, d), glorot), ("b2", (d,), None)))
 
     def forward(self, x: Tensor, train: bool, rng, relu_p: float,
-                worker=None) -> Tensor:
+                worker=None) -> list:
         inputs = ad.split_cols(x, len(self.streams))
         hidden = _map_streams(worker, functools.partial(_affine, "w1", "b1"),
                               *zip(inputs, self.streams))
         hidden = [ad.dropout(ad.relu(h), relu_p, rng, train) for h in hidden]
-        outs = _map_streams(worker, functools.partial(_affine, "w2", "b2"),
+        return _map_streams(worker, functools.partial(_affine, "w2", "b2"),
                             *zip(hidden, self.streams))
-        return ad.concat(outs, axis=1)
 
 
 def _affine(weight, bias, x, stream):
     """x W + b with one stream's parameters named ``weight`` and ``bias``."""
-    return ad.add(ad.matmul(x, stream[weight].tensor), stream[bias].tensor)
+    return ad.affine(x, stream[weight].tensor, stream[bias].tensor)
 
 
 class EncoderLayer:
@@ -386,12 +390,10 @@ class EncoderLayer:
                                  disable_content, disable_position, train,
                                  rng, cfg.attention_dropout, record, worker)
         attn = ad.dropout(attn, cfg.residual_dropout, rng, train)
-        x = ad.layer_norm(ad.add(x, attn), self.ln1_gain.tensor,
-                          self.ln1_bias.tensor)
+        x = ad.layer_norm(x, self.ln1_gain.tensor, self.ln1_bias.tensor, attn)
         ff = self.ffn.forward(x, train, rng, cfg.relu_dropout, worker)
         ff = ad.dropout(ff, cfg.residual_dropout, rng, train)
-        return ad.layer_norm(ad.add(x, ff), self.ln2_gain.tensor,
-                             self.ln2_bias.tensor)
+        return ad.layer_norm(x, self.ln2_gain.tensor, self.ln2_bias.tensor, ff)
 
 
 class Encoder:

@@ -295,14 +295,16 @@ def save_trees(trees, path):
 # Pre-tagged sentence files: one sentence per line, word_tag tokens
 
 
-def parse_tagged(text):
-    """Parse a sidecar tag file into sentences of (word, tag) pairs.
+def parse_tagged(text, line_indices=False):
+    """Parse a sidecar tag file into sentences of (word, tag) pairs, one
+    per non-blank line.  With ``line_indices``, return (sentences, the
+    zero-based line index of each) instead.
 
     Tokens are split on the last underscore, so words may contain
     underscores but tags may not.  A token without a non-empty word and
     tag raises ParseError with its line and column.
     """
-    sentences = []
+    sentences, indices = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         sentence = []
         for match in re.finditer(r"\S+", line):
@@ -317,12 +319,13 @@ def parse_tagged(text):
             sentence.append((word, tag))
         if sentence:
             sentences.append(sentence)
-    return sentences
+            indices.append(lineno - 1)
+    return (sentences, indices) if line_indices else sentences
 
 
-def load_tagged(path):
+def load_tagged(path, line_indices=False):
     with open(path, encoding="utf-8") as f:
-        return parse_tagged(f.read())
+        return parse_tagged(f.read(), line_indices)
 
 
 # ---------------------------------------------------------------------------

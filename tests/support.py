@@ -102,6 +102,92 @@ def reference_backward(loss):
                 grads[key] = grads[key] + pg if key in grads else pg
 
 
+# The ops the fused autodiff ops replace, with one new array per step as
+# they had: a reference path that the fused ops must match bit for bit.
+
+_dropout = ad.dropout
+
+
+def reference_layer_norm(x, gain, bias, summand=None, eps=1e-5):
+    """``concat`` of column blocks, ``add`` of the summand, then a layer
+    norm node over the sum."""
+    if isinstance(summand, (list, tuple)):
+        summand = ad.concat(summand, axis=1)
+    if summand is not None:
+        x = ad.add(x, summand)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gain.data + bias.data
+
+    def grad_fn(g):
+        lead = tuple(range(g.ndim - 1))
+        dgain = (g * xhat).sum(axis=lead)
+        dbias = g.sum(axis=lead)
+        dxhat = g * gain.data
+        dx = inv * (dxhat
+                    - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        return (dx, dgain, dbias)
+
+    return ad._result(out, (x, gain, bias), grad_fn)
+
+
+def reference_dropout(x, p, rng, train):
+    """Dropout of the concatenation of column blocks."""
+    if isinstance(x, (list, tuple)):
+        x = ad.concat(x, axis=1)
+    return _dropout(x, p, rng, train)
+
+
+def reference_softmax(x):
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def grad_fn(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - dot),)
+
+    return ad._result(out, (x,), grad_fn)
+
+
+def reference_affine(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def reference_row_differences(x, ends, starts):
+    return ad.sub(ad.take_rows(x, ends), ad.take_rows(x, starts))
+
+
+def reference_split(rows, heads, mask):
+    B, Tmax = mask.shape
+    out = np.zeros((B, heads, Tmax, rows.shape[1] // heads))
+    out.transpose(0, 2, 1, 3)[mask] = rows.reshape(rows.shape[0], heads, -1)
+    return out.reshape(B * heads, Tmax, -1)
+
+
+def reference_merge(stack, mask):
+    S, Tmax, d = stack.shape
+    B = mask.shape[0]
+    rows = stack.reshape(B, S // B, Tmax, d).transpose(0, 2, 1, 3)[mask]
+    return rows.reshape(rows.shape[0], -1)
+
+
+# autodiff attribute -> its reference
+REFERENCE_OPS = {
+    "layer_norm": reference_layer_norm,
+    "dropout": reference_dropout,
+    "softmax": reference_softmax,
+    "affine": reference_affine,
+    "row_differences": reference_row_differences,
+    "_split": reference_split,
+    "_merge": reference_merge,
+}
+
+
 def set_grad(p, g):
     """Give parameter ``p`` the gradient ``g``, written into its grad view
     as backward would."""

@@ -7,7 +7,9 @@ import spanparser.autodiff as ad
 from spanparser.autodiff import DimensionError, Tensor, backward, tensor
 
 from support import leaf_gradcheck as check
-from support import plain_leaf, reference_backward
+from support import (plain_leaf, reference_backward, reference_dropout,
+                     reference_layer_norm, reference_merge,
+                     reference_softmax, reference_split)
 
 
 def leaf(rng, *shape):
@@ -140,6 +142,143 @@ def test_layer_norm_statistics_and_gradient():
     w = tensor(rng.standard_normal((4, 6)))
     check(lambda: ad.sum_all(ad.mul(ad.layer_norm(x, gain, bias), w)),
           [x, gain, bias], tol=1e-5)
+
+
+# what layer_norm adds to x before normalizing, for an x of [rows, cols]
+SUMMANDS = {
+    "none": lambda rng, rows, cols: None,
+    "full": lambda rng, rows, cols: leaf(rng, rows, cols),
+    "bias": lambda rng, rows, cols: leaf(rng, cols),
+    "blocks": lambda rng, rows, cols: [leaf(rng, rows, cols // 3),
+                                       leaf(rng, rows, cols - cols // 3)],
+}
+
+
+def summand_leaves(summand):
+    if summand is None:
+        return []
+    return list(summand) if isinstance(summand, list) else [summand]
+
+
+@pytest.mark.parametrize("kind", sorted(SUMMANDS))
+def test_layer_norm_of_a_sum_matches_finite_differences(kind):
+    rng = np.random.default_rng(16)
+    x = leaf(rng, 4, 6)
+    summand = SUMMANDS[kind](rng, 4, 6)
+    gain, bias = leaf(rng, 6), leaf(rng, 6)
+    w = tensor(rng.standard_normal((4, 6)))
+    out = ad.layer_norm(x, gain, bias, summand)
+    assert out.shape == (4, 6)
+    check(lambda: ad.sum_all(ad.mul(ad.layer_norm(x, gain, bias, summand),
+                                    w)),
+          [x, gain, bias, *summand_leaves(summand)], tol=1e-5)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("kind", sorted(SUMMANDS))
+def test_layer_norm_of_a_sum_is_bitwise_the_reference_composition(kind,
+                                                                  dropout):
+    # the reference adds (and concatenates) first, one array per step; a
+    # wide last axis makes numpy sum it pairwise
+    def graph(layer_norm, drop):
+        rng = np.random.default_rng(17)
+        x = leaf(rng, 7, 300)
+        summand = SUMMANDS[kind](rng, 7, 300)
+        gain, bias = leaf(rng, 300), leaf(rng, 300)
+        leaves = [x, gain, bias, *summand_leaves(summand)]
+        for t in leaves:
+            t.data *= 1.0 + 1e3 * rng.random(t.shape)
+        if summand is not None:
+            summand = drop(summand, dropout, np.random.default_rng(3), True)
+        w = tensor(rng.standard_normal((7, 300)))
+        out = layer_norm(x, gain, bias, summand)
+        backward(ad.sum_all(ad.mul(out, w)))
+        return out, leaves
+
+    out, leaves = graph(ad.layer_norm, ad.dropout)
+    ref_out, ref_leaves = graph(reference_layer_norm, reference_dropout)
+    assert out.data.tobytes() == ref_out.data.tobytes()
+    for got, want in zip(leaves, ref_leaves):
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+
+def test_layer_norm_rejects_a_summand_of_another_shape():
+    rng = np.random.default_rng(18)
+    x, gain, bias = leaf(rng, 3, 4), leaf(rng, 4), leaf(rng, 4)
+    for summand in (leaf(rng, 3, 5), leaf(rng, 3),
+                    [leaf(rng, 3, 1), leaf(rng, 3, 2)],
+                    [leaf(rng, 3, 2), leaf(rng, 2, 2)], []):
+        with pytest.raises(DimensionError):
+            ad.layer_norm(x, gain, bias, summand)
+
+
+def test_dropout_of_column_blocks_uses_one_mask_for_the_whole():
+    rng = np.random.default_rng(19)
+    blocks = [leaf(rng, 50, 3), leaf(rng, 50, 5)]
+    out = ad.dropout(blocks, 0.4, np.random.default_rng(2), train=True)
+    whole = ad.dropout(ad.concat(blocks, axis=1), 0.4,
+                       np.random.default_rng(2), train=True)
+    assert np.array_equal(np.concatenate([o.data for o in out], axis=1),
+                          whole.data)
+    assert ad.dropout(blocks, 0.4, rng, train=False) is blocks
+    check(lambda: ad.sum_all(ad.mul(*ad.dropout(
+        [blocks[0], blocks[0]], 0.4, np.random.default_rng(2), True))),
+          [blocks[0]])
+
+
+def test_affine_adds_the_bias_into_the_product():
+    rng = np.random.default_rng(20)
+    x, w, b = leaf(rng, 5, 3), leaf(rng, 3, 4), leaf(rng, 4)
+    out = ad.affine(x, w, b)
+    assert out.data.tobytes() == (x.data @ w.data + b.data).tobytes()
+    check(lambda: ad.sum_all(ad.mul(ad.affine(x, w, b),
+                                    ad.affine(x, w, b))), [x, w, b])
+    with pytest.raises(DimensionError):
+        ad.affine(x, w, leaf(rng, 3))
+
+
+def test_row_differences_accumulate_repeats_as_sub_of_take_rows():
+    rng = np.random.default_rng(21)
+    ends, starts = [3, 1, 3, 2, 0], [0, 0, 2, 1, 3]
+    x = leaf(rng, 4, 3)
+    g = rng.standard_normal((5, 3)) * 1e3
+
+    def grads(build):
+        rows = plain_leaf(x.data)
+        out = build(rows)
+        reference_backward(ad.sum_all(ad.mul_const(out, g)))
+        return out.data.tobytes(), rows.grad.tobytes()
+
+    assert grads(lambda r: ad.row_differences(r, ends, starts)) == grads(
+        lambda r: ad.sub(ad.take_rows(r, ends), ad.take_rows(r, starts)))
+    check(lambda: ad.sum_all(ad.mul(ad.row_differences(x, ends, starts),
+                                    ad.row_differences(x, ends, starts))),
+          [x])
+    with pytest.raises(DimensionError):
+        ad.row_differences(x, ends, starts[:2])
+
+
+def test_softmax_and_head_moves_are_bitwise_the_reference():
+    rng = np.random.default_rng(22)
+    logits = rng.standard_normal((6, 5, 5)) * 30.0
+    g = rng.standard_normal((6, 5, 5))
+
+    def softmax_bits(softmax):
+        x = plain_leaf(logits)
+        out = softmax(x)
+        reference_backward(ad.sum_all(ad.mul_const(out, g)))
+        return out.data.tobytes(), x.grad.tobytes()
+
+    assert softmax_bits(ad.softmax) == softmax_bits(reference_softmax)
+    rows = rng.standard_normal((12, 6))
+    for mask in (np.ones((2, 6), dtype=bool), np.ones((1, 12), dtype=bool),
+                 np.arange(6) < np.array([[6], [4], [2]])):
+        r = rows[:mask.sum()]
+        for heads in (1, 3):
+            stack = ad._split(r, heads, mask)
+            assert stack.tobytes() == reference_split(r, heads, mask).tobytes()
+            assert (ad._merge(stack, mask).tobytes()
+                    == reference_merge(stack, mask).tobytes())
 
 
 def test_dropout_train_and_eval():

@@ -131,6 +131,22 @@ def test_parse_records_failures_without_aborting(workdir, tmp_path):
     assert lines[2].startswith("(")
 
 
+def test_parse_error_names_the_input_line_past_blank_lines(workdir,
+                                                           tmp_path):
+    bad = tmp_path / "bad.tagged"
+    words = " ".join("w%d_NN" % i for i in range(40))  # beyond max length
+    bad.write_text("the_DT cat_NN\n\n   \n%s\n\ndog_NN ran_VB\n" % words)
+    out_path = tmp_path / "out.txt"
+    code = main(["parse", str(workdir / "model.ckpt"), str(bad),
+                 "--out", str(out_path)])
+    assert code == 0
+    lines = out_path.read_text().strip().splitlines()
+    # one record per sentence; the failing sentence is on line 3
+    assert len(lines) == 3
+    assert lines[0].startswith("(") and lines[2].startswith("(")
+    assert lines[1].startswith("#PARSE-ERROR 3 sentence has 42 tokens")
+
+
 def test_parse_records_non_finite_scores_as_failures(workdir, tmp_path):
     model = load_checkpoint(workdir / "model.ckpt")
     model.store["scorer.c2"].tensor.data[0] = np.nan

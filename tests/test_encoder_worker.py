@@ -10,11 +10,11 @@ import spanparser.autodiff as ad
 from spanparser import encoder as encoder_module
 from spanparser.autodiff import backward
 from spanparser.checkpoint import save_checkpoint
-from spanparser.encoder import FACTORED_VARIANTS, VARIANTS
+from spanparser.encoder import FACTORED_VARIANTS, VARIANTS, stream_suffixes
 from spanparser.toydata import toy_treebank
 from spanparser.training import TrainConfig, train
 
-from support import tiny_model
+from support import REFERENCE_OPS, tiny_model
 
 TREES = toy_treebank(6, seed=4)
 
@@ -55,13 +55,30 @@ def both_ways(run_streams, variant, fn):
     return inline, threaded
 
 
+@pytest.fixture
+def on_reference_ops(monkeypatch):
+    """``on_reference_ops(fn)``: ``fn()`` with the fused autodiff ops
+    replaced by the reference composition of tests/support.py: every
+    residual added to the concatenated (and dropped-out) sublayer output
+    before a layer norm, biases added, softmax and the head moves run with
+    one new array per step, and span differences taken with ``sub``."""
+    def run(fn):
+        with monkeypatch.context() as patched:
+            for name, op in REFERENCE_OPS.items():
+                patched.setattr(ad, name, op)
+            return fn()
+
+    return run
+
+
 def raw(arrays):
     return [a.tobytes() for a in arrays]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_scores_are_bitwise_those_of_one_thread(
-        variant, run_streams, short_switch_interval):
+        variant, run_streams, on_reference_ops, short_switch_interval):
+    # ... and those of the reference ops on one thread
     model = tiny_model(TREES, variant=variant, seed=1)
     sentences = [t.sentence() for t in TREES]
 
@@ -69,10 +86,13 @@ def test_scores_are_bitwise_those_of_one_thread(
         with ad.no_grad():
             lone = [model.span_score_tensor(s).data for s in sentences]
             packed = model.pack_scores(sentences).data
-        return raw(lone + [packed])
+            # a pack of equal lengths has no padding
+            even = model.pack_scores(sentences[:1] * 2).data
+        return raw(lone + [packed, even])
 
+    want, _ = run_streams(False, lambda: on_reference_ops(scores))
     inline, threaded = both_ways(run_streams, variant, scores)
-    assert threaded == inline
+    assert threaded == inline == want
 
 
 class DrawRecorder:
@@ -91,24 +111,31 @@ class DrawRecorder:
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_grad_arena_is_bitwise_that_of_one_thread(
-        variant, run_streams, short_switch_interval):
-    # dropout on: every mask is drawn on the calling thread in stream order
+        variant, run_streams, on_reference_ops, short_switch_interval):
+    # ... and that of the reference ops on one thread, with dropout off
+    # and on; with it on, every mask is drawn on the calling thread in
+    # stream order
     model = tiny_model(TREES, variant=variant, seed=2)
     batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
 
     def grads():
-        model.store.grad.fill(0.0)
-        for p in model.store:
-            p.clear_grad()
-        rng = DrawRecorder(5)
-        _, loss = model.batch_loss(batch, train=True, rng=rng)
-        assert loss is not None and rng.on_main and all(rng.on_main)
-        backward(loss)
-        return (model.store.grad.tobytes(),
-                [p.grad is None for p in model.store])
+        arenas = []
+        for train_mode in (False, True):
+            model.store.grad.fill(0.0)
+            for p in model.store:
+                p.clear_grad()
+            rng = DrawRecorder(5)
+            _, loss = model.batch_loss(batch, train=train_mode, rng=rng)
+            assert loss is not None and all(rng.on_main)
+            assert bool(rng.on_main) == train_mode
+            backward(loss)
+            arenas.append((model.store.grad.tobytes(),
+                           [p.grad is None for p in model.store]))
+        return arenas
 
+    want, _ = run_streams(False, lambda: on_reference_ops(grads))
     inline, threaded = both_ways(run_streams, variant, grads)
-    assert threaded == inline
+    assert threaded == inline == want
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -123,6 +150,32 @@ def test_recorded_attention_is_bitwise_that_of_one_thread(
 
     inline, threaded = both_ways(run_streams, variant, attention)
     assert threaded == inline
+
+
+@pytest.mark.parametrize("mode", ["tags", "char-lstm"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_product_goes_through_autodiff_matmul(variant, mode,
+                                                    monkeypatch):
+    # a probe that patches ad.matmul (perfbench's tracer does) sees six
+    # products per layer and stream (q, k, v, output, two feed-forward)
+    # and the scorer's two, beyond what the lexical layer makes
+    model = tiny_model(TREES, mode=mode, variant=variant, seed=9)
+    matmul = ad.matmul
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(ad, "matmul", counted)
+    sentence = TREES[2].sentence()
+    model.lexical.content_vectors([sentence])
+    lexical = len(calls)
+    calls.clear()
+    model.parse(sentence)
+    streams = len(stream_suffixes(variant))
+    assert len(calls) - lexical == (
+        model.encoder_config.num_layers * streams * 6 + 2)
 
 
 def test_relus_run_on_the_calling_thread_in_stream_order(

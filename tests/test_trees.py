@@ -60,12 +60,17 @@ def test_parse_tagged_and_file(tmp_path):
     assert sents == [[("the", "DT"), ("cat", "NN")], [("sat", "VB")]]
     # words may contain underscores; the tag is everything after the last one
     assert parse_tagged("a_b_NN") == [[("a_b", "NN")]]
+    # blank lines hold no sentence but still count as lines
+    assert parse_tagged("\nx_X\n  \ny_Y z_Z\n", line_indices=True) == (
+        [[("x", "X")], [("y", "Y"), ("z", "Z")]], [1, 3])
     with pytest.raises(ValueError) as e:
         parse_tagged("the_DT cat\n")
     assert "line 1" in str(e.value)
     path = tmp_path / "s.txt"
     path.write_text("x_X y_Y\n")
     assert load_tagged(path) == [[("x", "X"), ("y", "Y")]]
+    assert load_tagged(path, line_indices=True) == ([[("x", "X"), ("y", "Y")]],
+                                                    [0])
 
 
 def test_collapse_and_expand_unary():
