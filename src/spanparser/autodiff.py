@@ -280,18 +280,45 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def slice_cols(x: Tensor, start, stop) -> Tensor:
+    """Columns ``start:stop`` of a matrix (a view).  Its gradient reaches
+    ``x`` as a :class:`_Columns` block, which :func:`backward` adds into
+    x's gradient without building the zero-padded full-width array."""
     if x.data.ndim != 2:
         raise _dimerr("slice_cols", x.shape)
-    ncols = x.shape[1]
-
-    def grad_fn(g):
-        gx = np.zeros(x.shape)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    if not (0 <= start < stop <= ncols):
+    if not (0 <= start < stop <= x.shape[1]):
         raise _dimerr("slice_cols[%d:%d]" % (start, stop), x.shape)
-    return _result(x.data[:, start:stop], (x,), grad_fn)
+    return _result(x.data[:, start:stop], (x,),
+                   lambda g: (_Columns(x.shape, start, stop, g),))
+
+
+class _Columns:
+    """A gradient of ``shape`` that is ``block`` in columns ``start:stop``
+    and zero in every other column.  Called, it builds that array, into
+    ``out=`` if given, as matmul's uncomputed products do."""
+
+    __slots__ = ("shape", "start", "stop", "block")
+
+    def __init__(self, shape, start, stop, block):
+        self.shape, self.start, self.stop = shape, start, stop
+        self.block = block
+
+    def __call__(self, out=None):
+        if out is None:
+            out = np.zeros(self.shape)
+        else:
+            out.fill(0.0)
+        out[:, self.start:self.stop] = self.block
+        return out
+
+    def added_to(self, acc, out):
+        """``acc`` + this gradient, into ``out`` (which may be ``acc``).
+        The columns outside the block get ``acc + 0.0``, so the bits, the
+        signs of zeros included, are those of adding the full array."""
+        s, e = self.start, self.stop
+        np.add(acc[:, s:e], self.block, out=out[:, s:e])
+        np.add(acc[:, :s], 0.0, out=out[:, :s])
+        np.add(acc[:, e:], 0.0, out=out[:, e:])
+        return out
 
 
 def split_cols(x: Tensor, sections: int):
@@ -534,7 +561,11 @@ def backward(loss: Tensor) -> None:
     A leaf gets each contribution c1, c2, ... in its buffer as it is
     computed: with ``grad`` None the buffer becomes c1, then c1 + c2, ...;
     with a ``grad`` from an earlier call, old + c1, then + c2, ...  So
-    repeated calls without clearing gradients add up.
+    repeated calls without clearing gradients add up.  An intermediate's
+    contributions are summed in the same order, in place once the sum is
+    an array of backward's own, and a column slice's block is added into
+    its columns (:class:`_Columns`); the bits are those of adding each
+    contribution as a new full-width array.
 
     Contributions to leaves of at least WORKER_LEAF_SIZE values, including
     the weight products ``a.T @ g`` that matmul hands over uncomputed for
@@ -554,6 +585,9 @@ def backward(loss: Tensor) -> None:
 
     order = _toposort(loss)
     pass_grads = {id(loss): np.ones(())}
+    # keys whose gradient is an array made here, which no grad_fn has seen,
+    # so later contributions are added into it in place
+    owned = set()
     # the executor starts its thread at the first submit, so a graph of
     # small leaves only starts none
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -576,12 +610,20 @@ def backward(loss: Tensor) -> None:
                 if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)
+                acc = pass_grads.get(key)
                 if isinstance(parent, GradLeaf):
                     arrive(parent, pg)
-                elif key in pass_grads:
-                    pass_grads[key] = pass_grads[key] + pg
-                else:
+                elif isinstance(pg, _Columns):
+                    pass_grads[key] = (pg() if acc is None else pg.added_to(
+                        acc, acc if key in owned else np.empty(acc.shape)))
+                    owned.add(key)
+                elif acc is None:
                     pass_grads[key] = pg
+                elif key in owned:
+                    np.add(acc, pg, out=acc)
+                else:
+                    pass_grads[key] = acc + pg
+                    owned.add(key)
         for f in applied:
             f.result()
 

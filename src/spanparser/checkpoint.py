@@ -5,15 +5,17 @@ Byte layout (all integers little-endian):
     bytes 0..7    magic b"SPANCKPT"
     bytes 8..11   format version, uint32
     bytes 12..19  header length in bytes, uint64
-    next          UTF-8 JSON header
+    next          UTF-8 JSON header, padded with spaces so that the
+                  payload starts at a multiple of PAYLOAD_ALIGN bytes
     rest          parameter payload: raw float64 arrays, little-endian,
                   C order, concatenated in the header's "params" order
 
 The header records both model configs, the vocabulary, the label inventory,
 the construction seed, and for every parameter its name and shape, so a
-checkpoint is self-describing: loading rebuilds the model from the header
-and reads the payload into its parameter store's data arena, whose layout
-the header's parameter list must equal, in order.
+checkpoint is self-describing: loading rebuilds the model from the header,
+and the payload, mapped copy-on-write from the file, becomes its parameter
+store's data arena, whose layout the header's parameter list must equal,
+in order.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
+import mmap
 import os
 import struct
+
+import numpy as np
 
 from .config import config_from_values
 from .encoder import EncoderConfig
@@ -31,8 +37,10 @@ from .model import SpanParser
 from .vocab import LabelInventory, Vocabulary
 
 MAGIC = b"SPANCKPT"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _PREAMBLE = 20  # magic, version, header length
+# the payload's offset in the file is a multiple of this (one page)
+PAYLOAD_ALIGN = 4096
 
 
 def save_checkpoint(model: SpanParser, path) -> None:
@@ -52,6 +60,7 @@ def save_checkpoint(model: SpanParser, path) -> None:
                    for p in model.store],
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    blob += b" " * (-(_PREAMBLE + len(blob)) % PAYLOAD_ALIGN)
     tmp = "%s.%s.tmp" % (os.fspath(path), os.urandom(6).hex())
     fh = open(tmp, "xb")
     try:
@@ -69,9 +78,20 @@ def save_checkpoint(model: SpanParser, path) -> None:
 
 def load_checkpoint(path) -> SpanParser:
     """Rebuild the model a checkpoint describes.  The model is built
-    without drawing an initialization, and the payload is read straight
-    into its store's data arena.  A file that is not a whole, well-formed
-    checkpoint raises ValueError naming the file and the problem."""
+    without drawing an initialization, and its store's data arena is the
+    payload, mapped copy-on-write from the file rather than read: loading
+    copies nothing, processes that load one file share its page-cache
+    pages until they write to them, and writes to the model (a training
+    step, say) stay private to it and never reach the file.  A file that
+    is not a whole, well-formed checkpoint raises ValueError naming the
+    file and the problem, before anything is mapped.
+
+    The model depends on the file for as long as it is alive.  Saving
+    over it with :func:`save_checkpoint` is safe, since the save writes a
+    new file and renames it over the old one, which the mapping keeps.
+    But a program that truncates the file or rewrites it in place while
+    the model is alive can change the model's weights or kill the process
+    with SIGBUS when a weight is next read."""
     with open(path, "rb") as fh:
         preamble = fh.read(_PREAMBLE)
         if preamble[:8] != MAGIC:
@@ -85,38 +105,44 @@ def load_checkpoint(path) -> SpanParser:
                              "supported (expected %d)"
                              % (path, version, FORMAT_VERSION))
         (header_len,) = struct.unpack_from("<Q", preamble, 12)
-        payload_bytes = os.fstat(fh.fileno()).st_size - _PREAMBLE - header_len
+        offset = _PREAMBLE + header_len
+        payload_bytes = os.fstat(fh.fileno()).st_size - offset
         if payload_bytes < 0:
             raise ValueError("checkpoint %s header length %d runs past the "
                              "end of the file" % (path, header_len))
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-            model = SpanParser(
+            configs = (
                 config_from_values(EncoderConfig, header["encoder_config"]),
                 config_from_values(LexicalConfig, header["lexical_config"]),
                 Vocabulary.from_dict(header["vocab"]),
-                LabelInventory.from_dict(header["labels"]),
-                seed=header.get("seed", 0),
-                draw=False,
-            )
+                LabelInventory.from_dict(header["labels"]))
+            seed = header.get("seed", 0)
+            layout = SpanParser.layout(*configs)
             listed = [(e["name"], tuple(e["shape"])) for e in header["params"]]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             problem = ("no %s entry" % exc if isinstance(exc, KeyError)
                        else "%s: %s" % (type(exc).__name__, exc))
             raise ValueError("checkpoint %s has a malformed header: %s"
                              % (path, problem)) from exc
-        for k, (got, want) in enumerate(itertools.zip_longest(
-                listed, [(p.name, p.shape) for p in model.store])):
+        for k, (got, want) in enumerate(itertools.zip_longest(listed,
+                                                              layout)):
             if got != want:
                 raise ValueError("checkpoint %s parameter %d (name, shape) "
                                  "is %s and does not match the model's %s"
                                  % (path, k, got, want))
 
-        data = model.store.data
-        if fh.readinto(data) != data.nbytes:
+        size = sum(math.prod(shape) for _, shape in layout)
+        if payload_bytes < 8 * size:
             raise ValueError("checkpoint %s payload is truncated" % path)
-        trailing = payload_bytes - data.nbytes
-        if trailing:
+        if payload_bytes > 8 * size:
             raise ValueError("checkpoint %s has %d trailing bytes"
-                             % (path, trailing))
-    return model
+                             % (path, payload_bytes - 8 * size))
+        if offset % PAYLOAD_ALIGN:
+            raise ValueError("checkpoint %s payload starts at byte %d, not "
+                             "at a multiple of %d"
+                             % (path, offset, PAYLOAD_ALIGN))
+        payload = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    return SpanParser(*configs, seed=seed,
+                      data=np.frombuffer(payload, "<f8", count=size,
+                                         offset=offset))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -163,6 +164,11 @@ def _cmd_train(args):
     train_vecs = _load_vectors(args.train_vectors,
                                train_trees, args.train_file)
     dev_vecs = _load_vectors(args.dev_vectors, dev_trees, args.dev_file)
+    # the checkpoint is written after training: find out now if it cannot be
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        raise ConfigError("cannot write %s: %s is not a writable directory"
+                          % (args.out, out_dir))
 
     vocab = Vocabulary.from_trees(train_trees)
     labels = LabelInventory.from_trees(train_trees)

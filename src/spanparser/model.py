@@ -23,28 +23,34 @@ class SpanParser:
 
     Construction is deterministic in ``seed``; two parsers built from equal
     configs, vocabularies, and seeds are identical parameter for parameter.
-    With ``draw`` false no initialization is drawn and every parameter is
-    zero, for a checkpoint loader to read its payload into ``store.data``.
+    ``data``, if given, is the parameter arena to adopt instead of drawing
+    an initialization (see :meth:`ParameterStore.allocate`): a checkpoint
+    loader passes the payload it maps, laid out as :meth:`layout` says.
     """
 
     def __init__(self, encoder_config: EncoderConfig,
                  lexical_config: LexicalConfig, vocab: Vocabulary,
-                 labels: LabelInventory, seed: int = 0, draw: bool = True):
-        if len(labels) < 2:
-            raise ValueError("label inventory has no real labels")
-        self.encoder_config = encoder_config.validate()
-        self.lexical_config = lexical_config.validate()
+                 labels: LabelInventory, seed: int = 0,
+                 data: np.ndarray = None):
+        self.encoder_config = encoder_config
+        self.lexical_config = lexical_config
         self.vocab = vocab
         self.labels = labels
         self.seed = seed
-        rng = np.random.default_rng(seed)
         self.store = ParameterStore()
-        self.lexical = LexicalModel(self.store, vocab, lexical_config,
-                                    encoder_config.content_dim, rng)
-        self.encoder = Encoder(self.store, encoder_config, rng)
-        self.scorer = SpanScorer(self.store, encoder_config.d_model,
-                                 encoder_config.span_hidden, len(labels), rng)
-        self.store.allocate(draw)
+        self.lexical, self.encoder, self.scorer = _modules(
+            self.store, encoder_config, lexical_config, vocab, labels,
+            np.random.default_rng(seed))
+        self.store.allocate(data)
+
+    @staticmethod
+    def layout(encoder_config: EncoderConfig, lexical_config: LexicalConfig,
+               vocab: Vocabulary, labels: LabelInventory):
+        """The (name, shape) of every parameter of a parser built from
+        these, in arena order, found without allocating anything."""
+        store = ParameterStore()
+        _modules(store, encoder_config, lexical_config, vocab, labels, None)
+        return [(p.name, p.shape) for p in store]
 
     def num_parameters(self) -> int:
         return self.store.num_values()
@@ -141,3 +147,17 @@ class SpanParser:
             results.append(hinge_loss(scores, n, gold, offset))
             offset += n * (n + 1) // 2
         return results, margin_loss(scores, results)
+
+
+def _modules(store, encoder_config, lexical_config, vocab, labels, rng):
+    """Validate the configs and register the lexical layer's, the
+    encoder's and the scorer's parameters in ``store``, in that order."""
+    if len(labels) < 2:
+        raise ValueError("label inventory has no real labels")
+    encoder_config.validate()
+    lexical_config.validate()
+    return (LexicalModel(store, vocab, lexical_config,
+                         encoder_config.content_dim, rng),
+            Encoder(store, encoder_config, rng),
+            SpanScorer(store, encoder_config.d_model,
+                       encoder_config.span_hidden, len(labels), rng))

@@ -61,7 +61,8 @@ class ParameterStore:
     parameter's values, in insertion order), ``grad`` (where backward
     writes their gradients) and Adam's moments ``m`` and ``v``; ``steps``
     counts Adam steps.  ``add`` records the layout, then ``allocate``
-    creates the arenas and writes each initialization into its view.
+    creates the arenas and writes each initialization into its view, or
+    adopts a given data arena, such as a checkpoint's mapped payload.
     Insertion order defines the checkpoint layout, so construction must be
     deterministic.
     """
@@ -88,13 +89,25 @@ class ParameterStore:
         self._inits.append(init)
         return p
 
-    def allocate(self, draw: bool = True) -> None:
-        """Create the zeroed arenas, give every parameter its views, and
-        run each ``init`` in insertion order (none when ``draw`` is false).
-        ``np.zeros`` maps a large arena lazily, so the pages of ``grad``,
-        ``m`` and ``v`` of a model that never trains are never touched."""
-        self.data, self.grad, self.m, self.v = (
-            np.zeros(self.size, dtype="<f8") for _ in range(4))
+    def allocate(self, data: np.ndarray = None) -> None:
+        """Create the arenas and give every parameter its views.  ``data``,
+        if given, is adopted as the data arena as it is, its values the
+        parameters' (a checkpoint loader passes the payload mapped from
+        its file); it must be a writable 1-d little-endian float64 array
+        of the layout's size.  Without it the data arena is zeroed and
+        each ``init`` runs in insertion order.  ``np.zeros`` maps a large
+        arena lazily, so the pages of ``grad``, ``m`` and ``v`` of a model
+        that never trains are never touched."""
+        if data is not None and (data.dtype != np.dtype("<f8")
+                                 or data.shape != (self.size,)
+                                 or not data.flags.writeable):
+            raise ValueError("a data arena must be a writable <f8 array of "
+                             "shape (%d,), got %s %s"
+                             % (self.size, data.dtype, data.shape))
+        draw = data is None
+        self.data = np.zeros(self.size, dtype="<f8") if draw else data
+        self.grad, self.m, self.v = (np.zeros(self.size, dtype="<f8")
+                                     for _ in range(3))
         for p, init in zip(self, self._inits):
             p.tensor = GradLeaf(self.data[p.start:p.stop].reshape(p.shape),
                                 self.grad[p.start:p.stop].reshape(p.shape))

@@ -81,6 +81,34 @@ def test_concat_and_column_slicing():
                                     ad.split_cols(x, 3)[2])), [x])
 
 
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0]])
+def test_column_slice_gradients_are_bitwise_the_zero_padded_ones(order):
+    # backward adds a slice's block without building the zero-padded
+    # array; the bits, signs of zeros included, must be those of adding it.
+    # x's gradient from its full-width term is -0.0 in column 0, which no
+    # slice covers: adding a padded array's +0.0 turns it into +0.0
+    def graph(make_leaf):
+        rng = np.random.default_rng(8)
+        a = make_leaf(rng.standard_normal((3, 6)))
+        signs = np.ones((3, 6))
+        signs[:, 0] = -0.0
+        x = ad.add_const(a, 0.0)
+        _, right = ad.split_cols(x, 2)
+        terms = [ad.mul_const(x, signs), ad.mul(right, right),
+                 ad.slice_cols(x, 4, 6)]
+        loss = ad.sum_all(terms[order[0]])
+        for k in order[1:]:
+            loss = ad.add(loss, ad.sum_all(terms[k]))
+        return a, loss
+
+    a, loss = graph(lambda v: ad.GradLeaf(v, np.full(v.shape, np.nan)))
+    backward(loss)
+    ref_a, ref_loss = graph(plain_leaf)
+    reference_backward(ref_loss)
+    assert a.grad.tobytes() == ref_a.grad.tobytes()
+    assert not a.grad[:, 0].any() and not np.signbit(a.grad[:, 0]).any()
+
+
 def test_take_rows_accumulates_repeats():
     rng = np.random.default_rng(5)
     table = leaf(rng, 4, 3)

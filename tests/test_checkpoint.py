@@ -1,12 +1,26 @@
 import errno
+import hashlib
 import json
+import mmap
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spanparser.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
+import spanparser
+from spanparser.autodiff import backward
+from spanparser.checkpoint import (FORMAT_VERSION, MAGIC, PAYLOAD_ALIGN,
+                                   load_checkpoint, save_checkpoint)
+from spanparser.encoder import EncoderConfig
+from spanparser.lexical import LexicalConfig
+from spanparser.model import SpanParser
+from spanparser.optim import adam_step
 from spanparser.trees import parse_bracketed
+from spanparser.vocab import LabelInventory, Vocabulary
 
 from support import tiny_model
 
@@ -66,6 +80,9 @@ def test_file_layout_starts_with_magic_and_version(tmp_path):
     assert names == [name for name, _ in model.store.items()]
     payload = len(raw) - 20 - header_len
     assert payload == 8 * model.num_parameters()
+    # the header is padded with JSON whitespace up to a page boundary
+    assert (20 + header_len) % PAYLOAD_ALIGN == 0
+    assert raw[20:20 + header_len].endswith(b" ")
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -190,7 +207,7 @@ def test_save_rejects_a_rebound_parameter(tmp_path):
 
 
 def assert_views_tile_the_arena(store):
-    assert store.data.flags.c_contiguous and store.data.flags.owndata
+    assert store.data.flags.c_contiguous
     offset = 0
     for p in store:
         assert p.data.base is store.data and p.data.flags.writeable
@@ -202,10 +219,15 @@ def assert_views_tile_the_arena(store):
 def test_parameters_tile_the_data_arena(tmp_path):
     model = trained_like_model(mode="char-lstm", char_lstm_hidden=6)
     assert_views_tile_the_arena(model.store)
+    # a fresh store owns its data arena; a loaded one's is the mapped file
+    assert model.store.data.flags.owndata
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     again = load_checkpoint(path)
     assert_views_tile_the_arena(again.store)
+    assert not again.store.data.flags.owndata
+    base = again.store.data.base
+    assert isinstance(getattr(base, "obj", base), mmap.mmap)
     assert np.array_equal(again.store.data, model.store.data)
 
 
@@ -255,3 +277,111 @@ def test_header_length_past_the_end_of_the_file_is_rejected(tmp_path):
     with pytest.raises(ValueError) as e:
         load_checkpoint(path)
     assert str(path) in str(e.value) and "past the end" in str(e.value)
+
+
+def file_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def train_one_step(model):
+    for p in model.store:
+        p.clear_grad()
+    batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
+    _, loss = model.batch_loss(batch, train=True,
+                               rng=np.random.default_rng(3))
+    backward(loss)
+    adam_step(model.store, lr=0.01)
+
+
+def test_training_a_loaded_model_leaves_its_file_unchanged(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(trained_like_model(), path)
+    digest = file_sha256(path)
+    model = load_checkpoint(path)
+    before = model.store.data.copy()
+    train_one_step(model)
+    assert not np.array_equal(model.store.data, before)
+    assert file_sha256(path) == digest
+    # a loaded store is saved like any other, and reloads as it is
+    save_checkpoint(model, tmp_path / "trained.ckpt")
+    again = load_checkpoint(tmp_path / "trained.ckpt")
+    assert np.array_equal(again.store.data, model.store.data)
+    assert file_sha256(path) == digest
+
+
+def test_saving_over_the_file_a_live_model_was_loaded_from(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(trained_like_model(), path)
+    live = load_checkpoint(path)
+    train_one_step(live)
+    weights = live.store.data.copy()
+    save_checkpoint(live, path)
+    assert np.array_equal(live.store.data, weights)
+    assert np.array_equal(load_checkpoint(path).store.data, weights)
+    # another model saved over the file leaves the live one as it was
+    other = trained_like_model(seed=1)
+    save_checkpoint(other, path)
+    assert np.array_equal(live.store.data, weights)
+    assert np.array_equal(load_checkpoint(path).store.data,
+                          other.store.data)
+
+
+def test_loading_copies_no_payload(tmp_path):
+    # a position table of 400000 rows makes a payload of about 26 MB; the
+    # second load is measured, past the first one's one-off costs
+    model = SpanParser(
+        EncoderConfig(num_layers=1, d_model=16, num_heads=2, d_k=8, d_v=8,
+                      d_ff=24, span_hidden=12, max_sentence_length=400000),
+        LexicalConfig(), Vocabulary.from_trees(TREES),
+        LabelInventory.from_trees(TREES))
+    payload = 8 * model.num_parameters()
+    assert payload > 25e6
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(model, path)
+    del model
+    script = (
+        "import os, sys\n"
+        "from spanparser.checkpoint import load_checkpoint\n"
+        "def rss():\n"
+        "    with open('/proc/self/statm') as fh:\n"
+        "        return int(fh.read().split()[1]) * os.sysconf("
+        "'SC_PAGE_SIZE')\n"
+        "first = load_checkpoint(sys.argv[1])\n"
+        "before = rss()\n"
+        "second = load_checkpoint(sys.argv[1])\n"
+        "print(rss() - before)\n")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm to read resident memory")
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(spanparser.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, str(path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    grown = int(done.stdout.split()[-1])
+    assert grown < payload / 10, (grown, payload)
+
+
+def test_version_4_file_is_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(trained_like_model(), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 8, 4)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as e:
+        load_checkpoint(path)
+    assert "version 4" in str(e.value) and str(path) in str(e.value)
+
+
+def test_misaligned_payload_is_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(trained_like_model(), path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, 12)
+    blob = raw[20:20 + header_len].rstrip(b" ")
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob
+                     + raw[20 + header_len:])
+    with pytest.raises(ValueError) as e:
+        load_checkpoint(path)
+    assert str(path) in str(e.value)
+    assert "multiple of %d" % PAYLOAD_ALIGN in str(e.value)

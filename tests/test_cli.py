@@ -229,6 +229,22 @@ def test_train_rejects_an_empty_dev_file(workdir, tmp_path, capsys):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+def test_train_rejects_a_missing_out_directory_before_training(
+        workdir, tmp_path, capsys):
+    out = tmp_path / "nodir" / "m.ckpt"
+    log = tmp_path / "train.log"
+    capsys.readouterr()
+    assert main(["train", str(workdir / "train.txt"),
+                 str(workdir / "dev.txt"),
+                 "--config", str(workdir / "model.cfg"),
+                 "--out", str(out), "--log", str(log)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write %s" % out in captured.err
+    assert captured.out == ""
+    assert not log.exists()
+    assert not out.parent.exists()
+
+
 def test_analyze_window_table(workdir, tmp_path):
     out_path = tmp_path / "win.tsv"
     code = main(["analyze-window", str(workdir / "model.ckpt"),
