@@ -5,8 +5,9 @@ Every run is deterministic given the config, seed, and input files and
 the BLAS thread count; for small models the checkpoint a training run
 writes is also byte-identical with one and with two BLAS threads (see the
 README for why larger ones can differ).  Training uses every usable CPU
-(Adam's blocked pass split across threads, large weights' gradients
-applied on a worker thread).  Training and parsing alike run a factored
+(Adam's gradient check and update, and the best-iterate copy the update
+makes, split across threads; large weights' gradients applied on a
+worker thread).  Training and parsing alike run a factored
 encoder's position stream on a worker thread beside the content stream
 when there are two usable CPUs and its weights are as large as the paper
 config's.  No output's bits depend on how many CPUs there are.

@@ -152,14 +152,38 @@ class ParameterStore:
         return self.size
 
     def snapshot(self, out: np.ndarray = None) -> np.ndarray:
-        """A copy of the data arena, into ``out`` (an earlier one) if given."""
-        out = np.empty_like(self.data) if out is None else out
+        """A copy of the data arena, into ``out`` (an earlier one) if given.
+        ``out`` must be a <f8 array of the arena's shape that shares no
+        memory with it; otherwise this raises ValueError."""
+        if out is None:
+            out = np.empty_like(self.data)
+        else:
+            self.check_copy(out, "snapshot")
         np.copyto(out, self.data)
         return out
 
     def restore(self, snap: np.ndarray) -> None:
-        """Copy a snapshot back into the data arena."""
+        """Copy a snapshot back into the data arena.  ``snap`` must be a
+        <f8 array of the arena's shape that shares no memory with it;
+        otherwise this raises ValueError."""
+        self.check_copy(snap, "restore")
         np.copyto(self.data, snap)
+
+    def check_copy(self, a, what: str) -> None:
+        """Raise ValueError, naming ``what``, unless ``a`` can hold a copy
+        of the data arena: a <f8 array of shape ``(size,)`` that shares no
+        memory with it.  A copy into a narrower dtype would round, and
+        numpy would broadcast a shorter array."""
+        if (not isinstance(a, np.ndarray) or a.dtype != np.dtype("<f8")
+                or a.shape != (self.size,)):
+            raise ValueError("%s: expected a <f8 array of shape (%d,), got %s"
+                             % (what, self.size,
+                                "%s %s" % (a.dtype.str, a.shape)
+                                if isinstance(a, np.ndarray)
+                                else type(a).__name__))
+        if np.shares_memory(a, self.data):
+            raise ValueError("%s: the array shares memory with the data "
+                             "arena" % what)
 
 
 def glorot_uniform(rng: np.random.Generator, out: np.ndarray,
@@ -193,78 +217,112 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def adam_step(store: ParameterStore, lr: float) -> None:
+def adam_step(store: ParameterStore, lr: float,
+              keep: np.ndarray = None) -> float:
     """One Adam update of every parameter in ``store``, with ADAM_BETAS
-    and ADAM_EPS.
+    and ADAM_EPS; returns the square sum of the gradients it used (the
+    squared global gradient norm).
 
     ``lr`` must be finite and not negative; otherwise the step raises
-    ValueError.  A parameter without a gradient has zero gradient (its grad
-    view is zeroed; its moments still decay).  If the grad arena's square
-    sum is not finite (a NaN, an infinity, a value above about 1.3e154, or
-    values whose squares overflow only in the sum), the step raises
-    OptimizerError, naming the parameter that holds the largest |g| (the
-    first NaN, if any).  Either way ``data``, ``m``, ``v`` and ``steps``
-    are left untouched.  Otherwise the arenas are updated in place with the
-    operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
-    data -= lr m_hat / (sqrt(v_hat) + eps), in that order, BLOCK values at
-    a time through two BLOCK-sized scratch buffers.  Every operation is
-    elementwise, so a block's operands stay in cache from the first
-    operation to the last, and the result is bitwise that of whole-array
-    operations.
+    ValueError.  ``keep``, if given, receives a copy of the data arena as
+    it was before the step (a best-iterate snapshot); it must be an array
+    that :meth:`ParameterStore.check_copy` accepts.  A parameter without a
+    gradient has zero gradient (its grad view is zeroed; its moments still
+    decay).
+
+    The step has two phases over the same pieces of the arenas.  The gate
+    computes ``np.dot(g, g)`` of each BLOCK of the grad arena and adds
+    these up in block order.  If the sum is not finite (a NaN, an
+    infinity, a value above about 1.3e154, or values whose squares
+    overflow only in the sum), the step raises OptimizerError, naming the
+    parameter that holds the largest |g| (the first NaN, if any); then, as
+    after a ValueError, ``data``, ``m``, ``v``, ``steps`` and ``keep`` are
+    untouched.  The update then goes through the arenas BLOCK values at a
+    time, first copying a block of ``data`` into ``keep`` and then
+    updating it with the thirteen in-place operations of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    x -= (m * step) / (sqrt(v) * c + eps), with the bias corrections
+    folded into step = lr / (1 - b1^t) and c = 1 / sqrt(1 - b2^t)
+    (Kingma & Ba 2015, section 2), so one division per value.  A block's
+    operands stay in cache from the first operation to the last, and the
+    result is bitwise that of the same whole-array expressions.
 
     The blocks are split into contiguous pieces, one for each of up to
     :func:`usable_cpus` threads, each taking at least MIN_WORKER_BLOCKS
-    blocks; the calling thread updates the first piece, and a single piece
+    blocks; the calling thread takes the first piece, and a single piece
     starts no thread; the others run under this thread's numpy error state
-    (:func:`autodiff.submit`).  Since every value goes through the same
-    operations whichever thread runs them, the result does not depend on
-    the split.
+    (:func:`autodiff.submit`).  Every value goes through the same
+    operations whichever thread runs them, and the gate's block sums are
+    added in one order, so neither the update nor the returned sum depends
+    on the split.  The update does not depend on the BLAS thread count
+    either; the returned sum's last bits can, since OpenBLAS may split one
+    block's dot across threads of its own.
 
-    An operation that overflows or is invalid (say lr * m_hat above the
+    An operation that overflows or is invalid (say m * step above the
     largest float) raises OptimizerError naming the parameter.  Each thread
     stops at its first such block, so the step is half done: ``steps`` has
     advanced, ``m`` and ``v`` are updated up to and including the failing
     blocks, ``data`` up to them (a failing block's may hold the non-finite
-    result), and the gradients are kept.  Restore a snapshot first.
+    result), ``keep``'s contents are unspecified, and the gradients are
+    kept.  Restore a snapshot first.
     """
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError("adam_step: lr must be finite and not negative, "
                          "got %r" % (lr,))
     store.check_views()
+    if keep is not None:
+        store.check_copy(keep, "adam_step keep")
     for p in store:
         if p.grad is None:
             p.tensor.grad_view.fill(0.0)
-    grad = store.grad
-    # one read of the arena; the sum can overflow where no single square does
-    with np.errstate(over="ignore"):
-        square_sum = np.dot(grad, grad)
-    if not np.isfinite(square_sum):
-        raise OptimizerError("non-finite gradient square sum; parameter %r "
-                             "holds the largest |g|"
-                             % _owner(store, np.argmax(np.abs(grad))))
-    store.steps += 1
-    b1, b2 = ADAM_BETAS
-    coefficients = (lr, b1, b2, ADAM_EPS, 1.0 - b1 ** store.steps,
-                    1.0 - b2 ** store.steps)
     blocks = -(-store.size // BLOCK)
     pieces = max(1, min(usable_cpus(), blocks // MIN_WORKER_BLOCKS))
     bounds = [min(store.size, BLOCK * (blocks * k // pieces))
               for k in range(pieces + 1)]
+    squares = np.empty(blocks)
     with ThreadPoolExecutor(max(1, pieces - 1)) as pool:
-        futures = [submit(pool, _adam_blocks, store, coefficients, start,
-                          stop)
-                   for start, stop in zip(bounds[1:-1], bounds[2:])]
-        _adam_blocks(store, coefficients, bounds[0], bounds[1])
-        for f in futures:
-            f.result()
+        _on_pieces(pool, bounds, _square_blocks, store.grad, squares)
+        # in block order: the sum can overflow where no block's does
+        square_sum = sum(squares.tolist())
+        if not math.isfinite(square_sum):
+            raise OptimizerError(
+                "non-finite gradient square sum; parameter %r holds the "
+                "largest |g|" % _owner(store, np.argmax(np.abs(store.grad))))
+        store.steps += 1
+        b1, b2 = ADAM_BETAS
+        coefficients = (b1, b2, lr / (1.0 - b1 ** store.steps),
+                        1.0 / math.sqrt(1.0 - b2 ** store.steps))
+        _on_pieces(pool, bounds, _adam_blocks, store, coefficients, keep)
     for p in store:
         p.clear_grad()
+    return square_sum
 
 
-def _adam_blocks(store, coefficients, start, stop):
+def _on_pieces(pool, bounds, fn, *args):
+    """``fn(*args, start, stop)`` for each piece ``bounds[k]:bounds[k+1]``,
+    the first on the calling thread and the others on ``pool``; returns
+    once every piece is done, raising the first exception of one."""
+    futures = [submit(pool, fn, *args, start, stop)
+               for start, stop in zip(bounds[1:-1], bounds[2:])]
+    fn(*args, bounds[0], bounds[1])
+    for f in futures:
+        f.result()
+
+
+def _square_blocks(grad, squares, start, stop):
+    """The gate: ``squares[k] = g . g`` for each BLOCK ``k`` of values
+    ``start:stop`` of ``grad``."""
+    with np.errstate(over="ignore"):    # an overflow is an infinite square
+        for lo in range(start, stop, BLOCK):
+            g = grad[lo:min(lo + BLOCK, stop)]
+            squares[lo // BLOCK] = np.dot(g, g)
+
+
+def _adam_blocks(store, coefficients, keep, start, stop):
     """The Adam update of values ``start:stop`` of the arenas, BLOCK at a
-    time through two scratch buffers of this call's own."""
-    lr, b1, b2, eps, m_corr, v_corr = coefficients
+    time through two scratch buffers of this call's own, each block of
+    ``data`` first copied into ``keep`` if given."""
+    b1, b2, step, v_scale = coefficients
     scratch = np.empty(BLOCK), np.empty(BLOCK)
     try:    # numpy checks the floating-point status after every operation
         with np.errstate(over="raise", invalid="raise"):
@@ -273,6 +331,8 @@ def _adam_blocks(store, coefficients, start, stop):
                 x, mb, vb, g = (arena[lo:hi] for arena in
                                 (store.data, store.m, store.v, store.grad))
                 a, b = (s[:x.size] for s in scratch)
+                if keep is not None:
+                    np.copyto(keep[lo:hi], x)
                 np.multiply(mb, b1, out=mb)
                 np.multiply(g, 1.0 - b1, out=a)
                 np.add(mb, a, out=mb)
@@ -280,11 +340,12 @@ def _adam_blocks(store, coefficients, start, stop):
                 np.square(g, out=a)
                 np.multiply(a, 1.0 - b2, out=a)
                 np.add(vb, a, out=vb)
-                np.divide(mb, m_corr, out=a)    # m_hat
-                np.divide(vb, v_corr, out=b)    # v_hat
-                np.sqrt(b, out=b)
-                np.add(b, eps, out=b)
-                np.multiply(a, lr, out=a)
+                np.sqrt(vb, out=b)
+                np.multiply(b, v_scale, out=b)
+                np.add(b, ADAM_EPS, out=b)
+                # m * step before the division, so a step too large for
+                # the float range overflows here
+                np.multiply(mb, step, out=a)
                 np.divide(a, b, out=a)
                 np.subtract(x, a, out=x)
     except FloatingPointError as exc:

@@ -44,11 +44,12 @@ class TrainConfig:
 class TrainState:
     """Schedule and selection state of a training run.
 
-    ``best_params`` is the snapshot of the best dev iterate (a copy of the
-    store's data arena), taken just before the first Adam step after the
-    evaluation that found it.  It is None before the first evaluation and
-    while the model still is the best iterate, so also after training when
-    the final evaluation was the best.
+    ``best_params`` is the copy of the best dev iterate (of the store's
+    data arena) made by the first Adam step after the evaluation that
+    found it, as that step moves the model away from it (``adam_step``'s
+    ``keep``); it is set once that step has returned.  It is None before
+    the first evaluation and while the model still is the best iterate, so
+    also after training when the final evaluation was the best.
     """
 
     lr: float = 0.0
@@ -102,11 +103,12 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
     lexical rows and for the encoder.
 
     An evaluation that improves on the best F1 marks the current iterate as
-    the best; it is copied (``ParameterStore.snapshot``) only just before
-    the next Adam step would move the model away from it.  When training
-    ends, the best snapshot, if one was taken, is restored; when the final
-    evaluation was the best, the model already is that iterate, nothing is
-    copied and ``TrainState.best_params`` stays None.
+    the best; only the next Adam step copies it, block by block just
+    before it updates each (``adam_step``'s ``keep``), into the one array
+    the run's first copy allocated.  When training ends, the best copy, if
+    one was taken, is restored; when the final evaluation was the best,
+    the model already is that iterate, nothing is copied and
+    ``TrainState.best_params`` stays None.
 
     ``eval_fn(model, dev)``, when given, replaces dev parsing in packs
     (``default_eval_fn``; tests use it to script the F1 trajectory).
@@ -136,7 +138,7 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
                           for k in range(1, config.evals_per_epoch + 1)})
     loss_sum, loss_sentences = 0.0, 0
     best_unsaved = False    # the model is the best iterate, not yet copied
-    best_copy = None        # the one array every snapshot of this run fills
+    best_copy = None        # the one array every best-iterate copy fills
 
     def run_eval():
         nonlocal loss_sum, loss_sentences, best_unsaved
@@ -179,10 +181,13 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
             loss = results = None
             state.batches_seen += 1
             state.lr = lr_schedule(state.batches_seen, state, config)
+            if best_unsaved and best_copy is None:
+                best_copy = np.empty_like(model.store.data)
+            # the step copies the best iterate before it moves away from it
+            adam_step(model.store, state.lr,
+                      best_copy if best_unsaved else None)
             if best_unsaved:
-                state.best_params = best_copy = model.store.snapshot(best_copy)
-                best_unsaved = False
-            adam_step(model.store, state.lr)
+                state.best_params, best_unsaved = best_copy, False
             loss_sum += batch_value
             loss_sentences += len(batch)
             processed += len(batch)

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -65,6 +66,35 @@ def test_snapshot_restore_is_a_deep_copy():
     assert not np.shares_memory(snap, store.data)
 
 
+@pytest.mark.parametrize("use", ["restore", "snapshot", "keep"])
+@pytest.mark.parametrize("bad", ["short", "float32", "big-endian",
+                                 "data itself", "view of data"])
+def test_a_copy_of_the_data_arena_must_fit_it(use, bad):
+    # restore would broadcast a shorter array over every parameter, and a
+    # copy into float32 would round; either would leave the model other
+    # than its snapshot, so both raise, naming the shapes and dtypes, and
+    # so does an array that aliases the arena
+    store = store_of(a=np.arange(3.0), b=np.arange(4.0).reshape(2, 2))
+    set_grad(store["a"], np.ones(3))
+    array = {"short": np.zeros(1), "float32": np.zeros(7, np.float32),
+             "big-endian": np.zeros(7, ">f8"), "data itself": store.data,
+             "view of data": store.data[::-1]}[bad]
+    before = [a.copy() for a in (store.data, store.m, store.v, array)]
+    with pytest.raises(ValueError) as e:
+        if use == "keep":
+            adam_step(store, lr=0.1, keep=array)
+        else:
+            getattr(store, use)(array)
+    if bad in ("data itself", "view of data"):
+        assert "shares memory with the data arena" in str(e.value)
+    else:
+        assert "<f8 array of shape (7,), got %s %s" % (
+            array.dtype.str, array.shape) in str(e.value)
+    for a, b in zip((store.data, store.m, store.v, array), before):
+        assert a.tobytes() == b.tobytes()
+    assert store.steps == 0 and store["a"].grad is not None
+
+
 def test_adam_first_step_matches_hand_computation():
     # with zero moments, one step moves each coordinate by lr * g/(|g|+eps')
     # where the bias corrections cancel to g / (sqrt(g^2) + eps/corr)
@@ -107,18 +137,31 @@ def test_adam_two_steps_track_reference_formula():
         assert np.allclose(p.data, x, atol=1e-14)
 
 
+def block_square_sum(g):
+    """The gate's square sum: ``g . g`` of each BLOCK, added in order."""
+    return sum(np.dot(g[k:k + BLOCK], g[k:k + BLOCK])
+               for k in range(0, g.size, BLOCK))
+
+
 def assert_adam_is_the_reference_expressions(shapes, missing, seed=5):
     """Five steps of adam_step on a store of ``shapes`` equal, bit for bit,
-    the whole-array expressions of each parameter's update; at step t the
-    parameter ``missing[t]`` gets no gradient, its grad view still holding
-    an earlier step's."""
+    the whole-array expressions of each parameter's update, with the bias
+    corrections folded into the step size and the scale of sqrt(v); at
+    step t the parameter ``missing[t]`` gets no gradient, its grad view
+    still holding an earlier step's.  Each step copies the data arena it
+    starts from into ``keep`` and returns the gradient's square sum,
+    its blocks' sums added in order."""
     rng = np.random.default_rng(seed)
     ref = {name: [rng.standard_normal(shape), np.zeros(shape),
                   np.zeros(shape)] for name, shape in shapes.items()}
     store = store_of(**{name: x for name, (x, _, _) in ref.items()})
+    keep = np.full(store.size, np.nan)
     b1, b2 = ADAM_BETAS
     for t in range(1, 6):
         lr = 0.01 * t
+        step = lr / (1.0 - b1 ** t)
+        scale = 1.0 / math.sqrt(1.0 - b2 ** t)
+        grads = []
         for name, p in store.items():
             g = None if missing.get(t) == name else rng.standard_normal(
                 shapes[name])
@@ -126,20 +169,47 @@ def assert_adam_is_the_reference_expressions(shapes, missing, seed=5):
                 p.clear_grad()
             else:
                 set_grad(p, g)
-            g = 0.0 if g is None else g
+            g = np.zeros(shapes[name]) if g is None else g
+            grads.append(g.ravel())
             x, m, v = ref[name]
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * np.square(g)
-            m_hat = m / (1.0 - b1 ** t)
-            v_hat = v / (1.0 - b2 ** t)
-            ref[name] = [x - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v]
-        adam_step(store, lr=lr)
+            ref[name] = [x - (m * step) / (np.sqrt(v) * scale + ADAM_EPS),
+                         m, v]
+        before = store.data.copy()
+        square_sum = adam_step(store, lr=lr, keep=keep)
+        assert square_sum == block_square_sum(np.concatenate(grads))
+        assert np.array_equal(keep, before)
         for name, p in store.items():
             x, m, v = ref[name]
             assert np.array_equal(p.data, x)
             assert np.array_equal(store.m[p.start:p.stop], m.ravel())
             assert np.array_equal(store.v[p.start:p.stop], v.ravel())
     assert store.steps == 5
+
+
+def test_adam_tracks_the_textbook_expressions_for_300_steps():
+    # the folded bias corrections stay within rounding of m_hat and v_hat
+    # as 1 - b**t approaches 1, under a changing lr and gradients from
+    # well below to well above eps
+    rng = np.random.default_rng(8)
+    x = rng.uniform(5.0, 6.0, 6)
+    store = store_of(x=x)
+    p = store["x"]
+    b1, b2 = ADAM_BETAS
+    m = v = np.zeros(6)
+    for t in range(1, 301):
+        lr = 1e-3 * (1.0 + math.sin(t / 7.0))
+        g = rng.standard_normal(6) * 10.0 ** rng.uniform(-10.0, 2.0)
+        set_grad(p, g)
+        adam_step(store, lr=lr)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        x = x - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t))
+                                            + ADAM_EPS)
+        assert np.array_equal(store.m, m) and np.array_equal(store.v, v)
+        np.testing.assert_allclose(p.data, x, rtol=1e-12, atol=0.0)
+    assert store.steps == 300
 
 
 def test_in_place_adam_is_bitwise_the_reference_expressions():
@@ -151,37 +221,81 @@ def test_in_place_adam_is_bitwise_the_reference_expressions():
         missing={3: "b"})
 
 
+# 42 blocks, the last one partial; a piece boundary falls inside "e"
+PIECE_SHAPES = {"a": (3, 4), "b": (7,), "c": (2, 5), "d": (2, BLOCK + 123),
+                "e": (40, BLOCK - 7)}
+PIECE_SIZE = sum(int(np.prod(shape)) for shape in PIECE_SHAPES.values())
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
 def test_threaded_adam_is_bitwise_the_reference_expressions(
         cpus, monkeypatch, short_switch_interval):
-    # 42 blocks, the last one partial, split into min(cpus, 42 // 8)
-    # pieces that tile the arenas; a piece boundary falls inside "e"
-    pieces = []
-    blocks = optim._adam_blocks
+    # the gate and the update each split the 42 blocks into the same
+    # min(cpus, 42 // 8) pieces, which tile the arenas
+    pieces = {"_square_blocks": [], "_adam_blocks": []}
 
-    def recorded(store, coefficients, start, stop):
-        pieces.append((start, stop, threading.get_ident()))
-        blocks(store, coefficients, start, stop)
+    def record(name):
+        run = getattr(optim, name)
+
+        def recorded(*args):
+            start, stop = args[-2:]
+            pieces[name].append((start, stop, threading.get_ident()))
+            run(*args)
+        monkeypatch.setattr(optim, name, recorded)
 
     monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(optim, "_adam_blocks", recorded)
-    shapes = {"a": (3, 4), "b": (7,), "c": (2, 5), "d": (2, BLOCK + 123),
-              "e": (40, BLOCK - 7)}
-    size = sum(int(np.prod(shape)) for shape in shapes.values())
-    assert size // BLOCK == 41 and size % BLOCK
-    assert_adam_is_the_reference_expressions(shapes, missing={2: "e",
-                                                              4: "a"})
+    for name in pieces:
+        record(name)
+    assert PIECE_SIZE // BLOCK == 41 and PIECE_SIZE % BLOCK
+    assert_adam_is_the_reference_expressions(PIECE_SHAPES,
+                                             missing={2: "e", 4: "a"})
     expected = min(cpus, 42 // MIN_WORKER_BLOCKS)
-    for step in range(5):
-        ranges = sorted(pieces[step * expected:(step + 1) * expected])
-        assert [r[0] for r in ranges] == [0] + [r[1] for r in ranges[:-1]]
-        assert ranges[-1][1] == size
-        assert all(start % BLOCK == 0 for start, _, _ in ranges)
-        # the calling thread updates the first piece, workers the others
-        main = threading.main_thread().ident
-        assert [ident == main for _, _, ident in ranges] == (
-            [True] + [False] * (expected - 1))
-    assert len(pieces) == 5 * expected
+    main = threading.main_thread().ident
+    gate, update = ([r[:2] for r in phase] for phase in pieces.values())
+    assert sorted(gate) == sorted(update)
+    for phase in pieces.values():
+        assert len(phase) == 5 * expected
+        for step in range(5):
+            ranges = sorted(phase[step * expected:(step + 1) * expected])
+            assert [r[0] for r in ranges] == [0] + [r[1]
+                                                    for r in ranges[:-1]]
+            assert ranges[-1][1] == PIECE_SIZE
+            assert all(start % BLOCK == 0 for start, _, _ in ranges)
+            # the calling thread takes the first piece, workers the others
+            assert [ident == main for _, _, ident in ranges] == (
+                [True] + [False] * (expected - 1))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("fault", ["nan", "inf", "overflowing sum"])
+def test_the_split_gate_raises_before_any_update(
+        fault, cpus, monkeypatch, short_switch_interval):
+    # the fault sits in the last piece (for "overflowing sum", squares of
+    # 1.44e308 in the first piece and 1.69e308 in the last, each finite);
+    # whichever piece count sees it, nothing is written
+    monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(3)
+    store = store_of(**{name: rng.standard_normal(shape)
+                        for name, shape in PIECE_SHAPES.items()})
+    set_grad(store["e"], rng.standard_normal(PIECE_SHAPES["e"]))
+    adam_step(store, lr=0.1)
+    for name, shape in PIECE_SHAPES.items():
+        set_grad(store[name], rng.standard_normal(shape))
+    grad = store["e"].grad.reshape(-1)
+    if fault == "overflowing sum":
+        store["a"].grad[0, 1] = 1.2e154
+        grad[-5] = -1.3e154
+    else:
+        grad[-5] = {"nan": np.nan, "inf": -np.inf}[fault]
+    keep = rng.standard_normal(store.size)
+    arrays = (store.data, store.m, store.v, store.grad, keep)
+    before = [a.tobytes() for a in arrays]
+    with pytest.raises(OptimizerError) as e:
+        adam_step(store, lr=0.1, keep=keep)
+    assert "parameter 'e'" in str(e.value)
+    assert [a.tobytes() for a in arrays] == before
+    assert store.steps == 1
+    assert all(p.grad is not None for p in store)
 
 
 @pytest.mark.parametrize("argument, value", [
@@ -204,21 +318,24 @@ def test_bad_adam_arguments_raise_before_any_update(argument, value):
 
 
 def test_an_exception_in_an_adam_worker_surfaces(monkeypatch):
-    blocks = optim._adam_blocks
-
-    def failing(store, coefficients, start, stop):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("worker piece %d:%d" % (start, stop))
-        blocks(store, coefficients, start, stop)
-
+    # in either phase, the gate or the update
     monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(optim, "_adam_blocks", failing)
     store = store_of(a=np.ones(2 * MIN_WORKER_BLOCKS * BLOCK))
-    set_grad(store["a"], np.ones(store.size))
     threads = threading.active_count()
-    with pytest.raises(MemoryError, match="worker piece"):
-        adam_step(store, lr=0.1)
-    assert threading.active_count() == threads
+    for name in ("_square_blocks", "_adam_blocks"):
+        run = getattr(optim, name)
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker piece %d:%d" % args[-2:])
+            run(*args)
+
+        monkeypatch.setattr(optim, name, failing)
+        set_grad(store["a"], np.ones(store.size))
+        with pytest.raises(MemoryError, match="worker piece"):
+            adam_step(store, lr=0.1)
+        monkeypatch.setattr(optim, name, run)
+        assert threading.active_count() == threads
 
 
 def test_missing_gradient_decays_moments():

@@ -135,46 +135,45 @@ def test_scripted_f1_drives_halving_and_best_restore():
 
 def test_final_best_iterate_is_kept_without_a_snapshot(monkeypatch):
     # F1 rises at every evaluation: each best iterate but the last is
-    # copied just before the step that leaves it, and the last is the
-    # model itself, so nothing is copied or restored at the end; the
-    # second copy goes into the array of the first
+    # copied by the step that leaves it, and the last is the model itself,
+    # so nothing is copied or restored at the end; the second copy goes
+    # into the array of the first
     model = fresh_model()
     script = iter([10.0, 20.0, 30.0])
     events = []
     evaluated = []
-    snapshots = []
+    kept = []
 
     def eval_fn(m, d):
         events.append("eval")
         evaluated.append(m.store.data.copy())
         return next(script)
 
-    def snapshot(out=None, take=model.store.snapshot):
-        events.append("snapshot")
-        snapshots.append((out, take(out)))
-        return snapshots[-1][1]
+    def adam_step(params, lr, keep=None, step=training.adam_step):
+        events.append("step" if keep is None else "copying step")
+        step(params, lr, keep)
+        if keep is not None:
+            kept.append((keep, keep.copy()))
 
-    def adam_step(params, lr, step=training.adam_step):
-        events.append("step")
-        step(params, lr)
+    def refuse(*args):
+        raise AssertionError("the steps copy every best iterate but the "
+                             "last, which is the model")
 
-    def restore(snap):
-        raise AssertionError("the final iterate is the best; no restore")
-
-    monkeypatch.setattr(model.store, "snapshot", snapshot)
-    monkeypatch.setattr(model.store, "restore", restore)
+    monkeypatch.setattr(model.store, "snapshot", refuse)
+    monkeypatch.setattr(model.store, "restore", refuse)
     monkeypatch.setattr("spanparser.training.adam_step", adam_step)
     result = train(model, TREES, TREES[:2], cfg(max_epochs=3),
                    eval_fn=eval_fn)
     assert result.best_f1 == 30.0
     assert result.state.best_params is None
-    # 2 batches per epoch; each snapshot comes right before a step
-    assert events == ["step", "step", "eval", "snapshot", "step", "step",
-                      "eval", "snapshot", "step", "step", "eval"]
+    # 2 batches per epoch; the step after each improving evaluation copies
+    assert events == ["step", "step", "eval", "copying step", "step",
+                      "eval", "copying step", "step", "eval"]
     assert np.array_equal(model.store.data, evaluated[-1])
-    (first_out, first), (second_out, second) = snapshots
-    assert first_out is None and second_out is first and second is first
-    assert np.array_equal(second, evaluated[1])
+    (first, first_copy), (second, second_copy) = kept
+    assert second is first
+    assert np.array_equal(first_copy, evaluated[0])
+    assert np.array_equal(second_copy, evaluated[1])
 
 
 def test_improvement_must_be_strict():
