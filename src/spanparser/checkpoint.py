@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
 import mmap
 import os
 import struct
@@ -77,14 +76,17 @@ def save_checkpoint(model: SpanParser, path) -> None:
 
 
 def load_checkpoint(path) -> SpanParser:
-    """Rebuild the model a checkpoint describes.  The model is built
-    without drawing an initialization, and its store's data arena is the
-    payload, mapped copy-on-write from the file rather than read: loading
-    copies nothing, processes that load one file share its page-cache
-    pages until they write to them, and writes to the model (a training
-    step, say) stay private to it and never reach the file.  A file that
-    is not a whole, well-formed checkpoint raises ValueError naming the
-    file and the problem, before anything is mapped.
+    """Rebuild the model a checkpoint describes.  The model's modules are
+    built once, from the header's configs, without drawing an
+    initialization; the header's parameter list, the payload's size and
+    its alignment are then checked against the store they registered, and
+    the payload, mapped copy-on-write from the file rather than read,
+    becomes the store's data arena: loading copies nothing, processes
+    that load one file share its page-cache pages until they write to
+    them, and writes to the model (a training step, say) stay private to
+    it and never reach the file.  A file that is not a whole, well-formed
+    checkpoint raises ValueError naming the file and the problem, before
+    anything is mapped.
 
     The model depends on the file for as long as it is alive.  Saving
     over it with :func:`save_checkpoint` is safe, since the save writes a
@@ -118,31 +120,42 @@ def load_checkpoint(path) -> SpanParser:
                 Vocabulary.from_dict(header["vocab"]),
                 LabelInventory.from_dict(header["labels"]))
             seed = header.get("seed", 0)
-            layout = SpanParser.layout(*configs)
             listed = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+            # the modules validate the configs as they are built
+            return SpanParser(*configs, seed=seed, data=lambda store: _payload(
+                path, fh, offset, payload_bytes, listed, store))
+        except _PayloadError:
+            raise
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             problem = ("no %s entry" % exc if isinstance(exc, KeyError)
                        else "%s: %s" % (type(exc).__name__, exc))
             raise ValueError("checkpoint %s has a malformed header: %s"
                              % (path, problem)) from exc
-        for k, (got, want) in enumerate(itertools.zip_longest(listed,
-                                                              layout)):
-            if got != want:
-                raise ValueError("checkpoint %s parameter %d (name, shape) "
-                                 "is %s and does not match the model's %s"
-                                 % (path, k, got, want))
 
-        size = sum(math.prod(shape) for _, shape in layout)
-        if payload_bytes < 8 * size:
-            raise ValueError("checkpoint %s payload is truncated" % path)
-        if payload_bytes > 8 * size:
-            raise ValueError("checkpoint %s has %d trailing bytes"
-                             % (path, payload_bytes - 8 * size))
-        if offset % PAYLOAD_ALIGN:
-            raise ValueError("checkpoint %s payload starts at byte %d, not "
-                             "at a multiple of %d"
-                             % (path, offset, PAYLOAD_ALIGN))
-        payload = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-    return SpanParser(*configs, seed=seed,
-                      data=np.frombuffer(payload, "<f8", count=size,
-                                         offset=offset))
+
+def _payload(path, fh, offset, payload_bytes, listed, store):
+    """Check a checkpoint's parameter list ``listed``, payload size and
+    alignment against the layout registered in ``store``, then map the
+    file and return its payload as the store's data arena."""
+    layout = ((p.name, p.shape) for p in store)
+    for k, (got, want) in enumerate(itertools.zip_longest(listed, layout)):
+        if got != want:
+            raise _PayloadError("checkpoint %s parameter %d (name, shape) is "
+                                "%s and does not match the model's %s"
+                                % (path, k, got, want))
+    if payload_bytes < 8 * store.size:
+        raise _PayloadError("checkpoint %s payload is truncated" % path)
+    if payload_bytes > 8 * store.size:
+        raise _PayloadError("checkpoint %s has %d trailing bytes"
+                            % (path, payload_bytes - 8 * store.size))
+    if offset % PAYLOAD_ALIGN:
+        raise _PayloadError("checkpoint %s payload starts at byte %d, not at "
+                            "a multiple of %d" % (path, offset, PAYLOAD_ALIGN))
+    mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    return np.frombuffer(mapped, "<f8", count=store.size, offset=offset)
+
+
+class _PayloadError(ValueError):
+    """A checkpoint whose parameter list or payload does not fit the model
+    its header describes; raised from inside the model's construction, so
+    it is told apart from a malformed header."""

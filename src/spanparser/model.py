@@ -23,15 +23,16 @@ class SpanParser:
 
     Construction is deterministic in ``seed``; two parsers built from equal
     configs, vocabularies, and seeds are identical parameter for parameter.
-    ``data``, if given, is the parameter arena to adopt instead of drawing
-    an initialization (see :meth:`ParameterStore.allocate`): a checkpoint
-    loader passes the payload it maps, laid out as :meth:`layout` says.
+    ``data``, if given, is called with the parameter store once every
+    parameter is registered and before anything is allocated, and returns
+    the data arena to adopt instead of drawing an initialization (see
+    :meth:`ParameterStore.allocate`): a checkpoint loader checks its file
+    against the store's layout and returns the payload it maps.
     """
 
     def __init__(self, encoder_config: EncoderConfig,
                  lexical_config: LexicalConfig, vocab: Vocabulary,
-                 labels: LabelInventory, seed: int = 0,
-                 data: np.ndarray = None):
+                 labels: LabelInventory, seed: int = 0, data=None):
         self.encoder_config = encoder_config
         self.lexical_config = lexical_config
         self.vocab = vocab
@@ -41,16 +42,7 @@ class SpanParser:
         self.lexical, self.encoder, self.scorer = _modules(
             self.store, encoder_config, lexical_config, vocab, labels,
             np.random.default_rng(seed))
-        self.store.allocate(data)
-
-    @staticmethod
-    def layout(encoder_config: EncoderConfig, lexical_config: LexicalConfig,
-               vocab: Vocabulary, labels: LabelInventory):
-        """The (name, shape) of every parameter of a parser built from
-        these, in arena order, found without allocating anything."""
-        store = ParameterStore()
-        _modules(store, encoder_config, lexical_config, vocab, labels, None)
-        return [(p.name, p.shape) for p in store]
+        self.store.allocate(None if data is None else data(self.store))
 
     def num_parameters(self) -> int:
         return self.store.num_values()

@@ -15,6 +15,10 @@ ADAM_EPS = 1e-8
 # values per block of adam_step: its six block-sized operands (data, m, v,
 # the gradient and two scratch buffers) take 1.5 MB
 BLOCK = 32768
+# values per np.dot of adam_step's gate: OpenBLAS splits a dot of more than
+# 10000 values across threads of its own, and the split changes the
+# rounding of the sum with the BLAS thread count
+DOT = 8192
 # fewest blocks a thread of adam_step takes (about 3 ms of work), so a
 # store of fewer than twice as many is updated on the calling thread alone
 MIN_WORKER_BLOCKS = 8
@@ -35,7 +39,7 @@ class Parameter:
         self.name = name
         self.shape = tuple(shape)
         self.start = start
-        self.stop = start + int(np.prod(self.shape, dtype=np.int64))
+        self.stop = start + math.prod(self.shape)
         self.tensor = None
 
     @property
@@ -231,8 +235,8 @@ def adam_step(store: ParameterStore, lr: float,
     decay).
 
     The step has two phases over the same pieces of the arenas.  The gate
-    computes ``np.dot(g, g)`` of each BLOCK of the grad arena and adds
-    these up in block order.  If the sum is not finite (a NaN, an
+    computes ``np.dot(g, g)`` of each run of DOT values of the grad arena
+    and adds these up in order.  If the sum is not finite (a NaN, an
     infinity, a value above about 1.3e154, or values whose squares
     overflow only in the sum), the step raises OptimizerError, naming the
     parameter that holds the largest |g| (the first NaN, if any); then, as
@@ -252,11 +256,10 @@ def adam_step(store: ParameterStore, lr: float,
     blocks; the calling thread takes the first piece, and a single piece
     starts no thread; the others run under this thread's numpy error state
     (:func:`autodiff.submit`).  Every value goes through the same
-    operations whichever thread runs them, and the gate's block sums are
-    added in one order, so neither the update nor the returned sum depends
-    on the split.  The update does not depend on the BLAS thread count
-    either; the returned sum's last bits can, since OpenBLAS may split one
-    block's dot across threads of its own.
+    operations whichever thread runs them, and the gate's dots are added
+    in one order, so neither the update nor the returned sum depends on
+    the split, nor on the BLAS thread count: a dot of DOT values runs on
+    one OpenBLAS thread.
 
     An operation that overflows or is invalid (say m * step above the
     largest float) raises OptimizerError naming the parameter.  Each thread
@@ -279,10 +282,10 @@ def adam_step(store: ParameterStore, lr: float,
     pieces = max(1, min(usable_cpus(), blocks // MIN_WORKER_BLOCKS))
     bounds = [min(store.size, BLOCK * (blocks * k // pieces))
               for k in range(pieces + 1)]
-    squares = np.empty(blocks)
+    squares = np.empty(-(-store.size // DOT))
     with ThreadPoolExecutor(max(1, pieces - 1)) as pool:
         _on_pieces(pool, bounds, _square_blocks, store.grad, squares)
-        # in block order: the sum can overflow where no block's does
+        # in order: the sum can overflow where no dot does
         square_sum = sum(squares.tolist())
         if not math.isfinite(square_sum):
             raise OptimizerError(
@@ -310,12 +313,18 @@ def _on_pieces(pool, bounds, fn, *args):
 
 
 def _square_blocks(grad, squares, start, stop):
-    """The gate: ``squares[k] = g . g`` for each BLOCK ``k`` of values
-    ``start:stop`` of ``grad``."""
+    """The gate: ``squares[k] = g . g`` for each run ``k`` of DOT values
+    in values ``start:stop`` of ``grad``.  The whole runs go through one
+    stacked matmul of [1, DOT] by [DOT, 1] products, which makes each
+    run's dot as np.dot does but releases the GIL once, not once a run."""
+    whole = start + (stop - start) // DOT * DOT
+    runs = grad[start:whole].reshape(-1, DOT)
     with np.errstate(over="ignore"):    # an overflow is an infinite square
-        for lo in range(start, stop, BLOCK):
-            g = grad[lo:min(lo + BLOCK, stop)]
-            squares[lo // BLOCK] = np.dot(g, g)
+        np.matmul(runs[:, None, :], runs[:, :, None],
+                  out=squares[start // DOT:whole // DOT, None, None])
+        if whole < stop:
+            g = grad[whole:stop]
+            squares[whole // DOT] = np.dot(g, g)
 
 
 def _adam_blocks(store, coefficients, keep, start, stop):

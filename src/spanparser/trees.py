@@ -164,48 +164,48 @@ def _fold(root, children, combine):
 # Bracketed text parsing / rendering
 
 
+# a parenthesis, or a run of anything else up to whitespace or one; what
+# no token covers is whitespace (str.isspace), and "\n" ends a line
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+class _Misplaced(Exception):
+    """A parse error at a token index, ``args`` (message, index, columns
+    past the token's start); parse_bracketed turns it into a ParseError
+    with the token's line and column."""
+
+
 def _tokenize(text):
-    """Split into '(' / ')' / atom tokens, each with (line, column)."""
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start, startcol = i, col
-            while i < n and not text[i].isspace() and text[i] not in "()":
-                i += 1
-                col += 1
-            tokens.append((text[start:i], line, startcol))
-    return tokens
+    """Every '(' / ')' / atom token with its (line, column), from the match
+    offsets of one scan per line.  parse_bracketed reads the tokens alone
+    and calls this only to place an error."""
+    return [(m.group(), line, m.start() + 1)
+            for line, text_line in enumerate(text.split("\n"), start=1)
+            for m in _TOKEN.finditer(text_line)]
 
 
 def parse_bracketed(text):
     """Parse bracketed treebank text into a list of trees.
 
     Accepts the usual PTB-style label-less wrapper "( (S ...) )"; the
-    wrapper node keeps an empty-string label.
+    wrapper node keeps an empty-string label.  The text is split into
+    tokens by one regex scan; malformed text raises ParseError with the
+    line and column of the offending token.
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
     trees = []
     pos = 0
-    while pos < len(tokens):
-        tok, line, col = tokens[pos]
-        if tok != "(":
-            raise ParseError("expected '(' to open a tree, found %r" % tok, line, col)
-        tree, pos = _parse_node(tokens, pos)
-        trees.append(tree)
+    try:
+        while pos < len(tokens):
+            if tokens[pos] != "(":
+                raise _Misplaced("expected '(' to open a tree, found %r"
+                                 % tokens[pos], pos, 0)
+            tree, pos = _parse_node(tokens, pos)
+            trees.append(tree)
+    except _Misplaced as exc:
+        message, index, shift = exc.args
+        _, line, column = _tokenize(text)[index]
+        raise ParseError(message, line, column + shift) from None
     return trees
 
 
@@ -222,17 +222,16 @@ def _parse_node(tokens, pos):
                     return node, pos
                 stack[-1][1].append(node)
             if pos >= len(tokens):
-                last_tok, last_line, last_col = tokens[-1]
-                raise ParseError("unbalanced parentheses: missing ')'",
-                                 last_line, last_col + len(last_tok))
-            tok, line, col = tokens[pos]
+                raise _Misplaced("unbalanced parentheses: missing ')'",
+                                 len(tokens) - 1, len(tokens[-1]))
+            tok = tokens[pos]
             if tok == ")":
                 label, children = stack.pop()
                 node, pos = Tree(label, children), pos + 1
                 continue
             if tok != "(":
-                raise ParseError("unexpected token %r inside constituent %r"
-                                 % (tok, stack[-1][0]), line, col)
+                raise _Misplaced("unexpected token %r inside constituent %r"
+                                 % (tok, stack[-1][0]), pos, 0)
             break
 
 
@@ -240,36 +239,37 @@ def _open_constituent(tokens, pos, stack):
     """Read the '(' at tokens[pos] and its label.  A leaf "(TAG word)" is
     read whole and returned; an internal node is pushed onto ``stack`` as
     (label, []) and None is returned.  Either way with the next position."""
-    open_tok, open_line, open_col = tokens[pos]
+    missing = "unbalanced parentheses: missing ')'"
     pos += 1
     if pos >= len(tokens):
-        raise ParseError("unbalanced parentheses: missing ')'", open_line, open_col)
+        raise _Misplaced(missing, pos - 1, 0)
 
-    tok, line, col = tokens[pos]
+    tok = tokens[pos]
     if tok == ")":
-        raise ParseError("empty constituent", line, col)
+        raise _Misplaced("empty constituent", pos, 0)
     label = ""
     if tok != "(":
         label = tok
         pos += 1
         if pos >= len(tokens):
-            raise ParseError("unbalanced parentheses: missing ')'", line, col)
-        tok, line, col = tokens[pos]
+            raise _Misplaced(missing, pos - 1, 0)
+        tok = tokens[pos]
 
     if tok == ")":
-        raise ParseError("constituent %r has no children" % label, line, col)
+        raise _Misplaced("constituent %r has no children" % label, pos, 0)
 
     if tok not in "()":
         # leaf: (TAG word)
         word = tok
         pos += 1
         if pos >= len(tokens):
-            raise ParseError("unbalanced parentheses: missing ')'", line, col)
-        tok, line, col = tokens[pos]
+            raise _Misplaced(missing, pos - 1, 0)
+        tok = tokens[pos]
         if tok == "(":
-            raise ParseError("leaf %r cannot have children" % word, line, col)
+            raise _Misplaced("leaf %r cannot have children" % word, pos, 0)
         if tok != ")":
-            raise ParseError("expected ')' after leaf word, found %r" % tok, line, col)
+            raise _Misplaced("expected ')' after leaf word, found %r" % tok,
+                             pos, 0)
         return Tree.leaf(word, label), pos + 1
 
     stack.append((label, []))
@@ -300,27 +300,36 @@ def parse_tagged(text, line_indices=False):
     per non-blank line.  With ``line_indices``, return (sentences, the
     zero-based line index of each) instead.
 
-    Tokens are split on the last underscore, so words may contain
-    underscores but tags may not.  A token without a non-empty word and
-    tag raises ParseError with its line and column.
+    Lines end at "\n" only (a file read in text mode has had "\r\n" and
+    "\r" turned into it); any other whitespace, "\x0c" or "\u2028" say,
+    separates tokens.  Tokens are split on the last underscore, so words
+    may contain underscores but tags may not.  A token without a
+    non-empty word and tag raises ParseError with its line and column.
     """
     sentences, indices = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        sentence = []
-        for match in re.finditer(r"\S+", line):
-            token = match.group()
-            word, sep, tag = token.rpartition("_")
-            problem = ("has no _tag suffix" if not sep else
-                       "has an empty tag" if not tag else
-                       "has an empty word" if not word else None)
-            if problem:
-                raise ParseError("token %r %s" % (token, problem),
-                                 lineno, match.start() + 1)
-            sentence.append((word, tag))
-        if sentence:
-            sentences.append(sentence)
-            indices.append(lineno - 1)
+    for index, line in enumerate(text.split("\n")):
+        pairs = [token.rpartition("_") for token in line.split()]
+        if not pairs:
+            continue
+        # a token without "_" partitions into ("", "", token)
+        if not all(word and tag for word, _, tag in pairs):
+            _malformed_token(line, index + 1)
+        sentences.append([(word, tag) for word, _, tag in pairs])
+        indices.append(index)
     return (sentences, indices) if line_indices else sentences
+
+
+def _malformed_token(line, lineno):
+    """Raise ParseError at the first malformed token of a tagged line."""
+    for match in re.finditer(r"\S+", line):
+        token = match.group()
+        word, sep, tag = token.rpartition("_")
+        problem = ("has no _tag suffix" if not sep else
+                   "has an empty tag" if not tag else
+                   "has an empty word" if not word else None)
+        if problem:
+            raise ParseError("token %r %s" % (token, problem),
+                             lineno, match.start() + 1)
 
 
 def load_tagged(path, line_indices=False):

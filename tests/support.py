@@ -358,6 +358,35 @@ def random_ntree(rng, max_children=8, depth=3):
     return t
 
 
+def reference_tokenize(text):
+    """``trees._tokenize`` as a character loop: '(' / ')' / atom tokens,
+    each with its 1-based (line, column); lines end at "\n" and any
+    ``str.isspace`` character separates tokens."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch.isspace():
+            col += 1
+            i += 1
+        elif ch in "()":
+            tokens.append((ch, line, col))
+            col += 1
+            i += 1
+        else:
+            start, startcol = i, col
+            while i < n and not text[i].isspace() and text[i] not in "()":
+                i += 1
+                col += 1
+            tokens.append((text[start:i], line, startcol))
+    return tokens
+
+
 def tiny_encoder(variant="factored", seed=0, num_layers=2, d_model=16,
                  num_heads=2, d_k=8, d_v=8, d_ff=24, max_len=24, **kw):
     cfg = EncoderConfig(num_layers=num_layers, d_model=d_model,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import spanparser
+import spanparser.model as model_module
 from spanparser.autodiff import backward
 from spanparser.checkpoint import (FORMAT_VERSION, MAGIC, PAYLOAD_ALIGN,
                                    load_checkpoint, save_checkpoint)
@@ -148,11 +149,15 @@ def rewrite_header(path, edit):
                      + raw[20 + header_len:])
 
 
-@pytest.mark.parametrize("edit", [
+PARAMETER_LIST_EDITS = [
     lambda h: h["params"].reverse(),
     lambda h: h["params"].insert(1, h["params"][0]),
     lambda h: h["params"].pop(),
-], ids=["reordered", "duplicated", "missing"])
+]
+
+
+@pytest.mark.parametrize("edit", PARAMETER_LIST_EDITS,
+                         ids=["reordered", "duplicated", "missing"])
 def test_parameter_list_must_match_the_model_in_order(tmp_path, edit):
     model = trained_like_model()
     path = tmp_path / "m.ckpt"
@@ -248,7 +253,7 @@ def test_load_draws_no_init_and_shares_one_buffer(tmp_path, monkeypatch):
                for p in again.store)
 
 
-@pytest.mark.parametrize("edit, problem", [
+MALFORMED_HEADERS = [
     (lambda h: h.pop("params"), "no 'params' entry"),
     (lambda h: h["encoder_config"].update(colour=1),
      "unknown EncoderConfig key 'colour'"),
@@ -256,8 +261,16 @@ def test_load_draws_no_init_and_shares_one_buffer(tmp_path, monkeypatch):
      "EncoderConfig d_model is '16', expected int"),
     (lambda h: h["encoder_config"].update(mode="tags"),
      "unknown EncoderConfig key 'mode'"),
-], ids=["no-params", "unknown-config-key", "string-d_model",
-        "other-class-key"])
+    # well-typed, but refused by EncoderConfig.validate as the model is built
+    (lambda h: h["encoder_config"].update(variant="nonsense"),
+     "malformed header: ValueError: unknown encoder variant 'nonsense'"),
+]
+
+
+@pytest.mark.parametrize("edit, problem", MALFORMED_HEADERS,
+                         ids=["no-params", "unknown-config-key",
+                              "string-d_model", "other-class-key",
+                              "invalid-variant"])
 def test_malformed_header_names_the_file_and_the_problem(tmp_path, edit,
                                                          problem):
     path = tmp_path / "m.ckpt"
@@ -385,3 +398,48 @@ def test_misaligned_payload_is_rejected(tmp_path):
         load_checkpoint(path)
     assert str(path) in str(e.value)
     assert "multiple of %d" % PAYLOAD_ALIGN in str(e.value)
+
+
+REJECTIONS = [
+    (test_bad_magic_rejected, ()),
+    (test_unknown_version_rejected, ()),
+    (test_truncated_payload_rejected, ()),
+    (test_trailing_garbage_rejected, ()),
+    (test_shape_mismatch_rejected, ()),
+    *((test_parameter_list_must_match_the_model_in_order, (edit,))
+      for edit in PARAMETER_LIST_EDITS),
+    *((test_malformed_header_names_the_file_and_the_problem, case)
+      for case in MALFORMED_HEADERS),
+    (test_header_length_past_the_end_of_the_file_is_rejected, ()),
+    (test_version_4_file_is_rejected, ()),
+    (test_misaligned_payload_is_rejected, ()),
+]
+
+
+@pytest.mark.parametrize("rejection, args", REJECTIONS,
+                         ids=[rejection.__name__[len("test_"):]
+                              for rejection, _ in REJECTIONS])
+def test_every_rejection_comes_before_the_mapping(tmp_path, monkeypatch,
+                                                  rejection, args):
+    # each rejection test, run with a mapping that fails loudly: it still
+    # sees its own ValueError, so every check precedes the mapping
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rejected checkpoint reached the mapping")
+
+    monkeypatch.setattr(mmap, "mmap", unreachable)
+    rejection(tmp_path, *args)
+
+
+def test_a_load_builds_the_module_graph_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(trained_like_model(), path)
+    built = []
+    modules = model_module._modules
+
+    def counted(*args):
+        built.append(args)
+        return modules(*args)
+
+    monkeypatch.setattr(model_module, "_modules", counted)
+    load_checkpoint(path)
+    assert len(built) == 1

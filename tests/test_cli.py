@@ -147,6 +147,22 @@ def test_parse_error_names_the_input_line_past_blank_lines(workdir,
     assert lines[1].startswith("#PARSE-ERROR 3 sentence has 42 tokens")
 
 
+def test_parse_writes_one_record_per_input_line(workdir, tmp_path):
+    # a form feed inside a line separates tokens; it does not end the line
+    bad = tmp_path / "bad.tagged"
+    words = " ".join("w%d_NN" % i for i in range(40))  # beyond max length
+    bad.write_text("the_DT cat_NN\ndog_NN\x0cran_VB\n%s\n" % words)
+    out_path = tmp_path / "out.txt"
+    code = main(["parse", str(workdir / "model.ckpt"), str(bad),
+                 "--out", str(out_path)])
+    assert code == 0
+    lines = out_path.read_text().strip().split("\n")
+    assert len(lines) == 3
+    assert lines[0].startswith("(") and lines[1].startswith("(")
+    assert "(VB ran)" in lines[1]
+    assert lines[2].startswith("#PARSE-ERROR 2 sentence has 42 tokens")
+
+
 def test_parse_records_non_finite_scores_as_failures(workdir, tmp_path):
     model = load_checkpoint(workdir / "model.ckpt")
     model.store["scorer.c2"].tensor.data[0] = np.nan

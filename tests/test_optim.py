@@ -1,15 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spanparser
 import spanparser.autodiff as ad
 from spanparser import optim
 from spanparser.autodiff import backward
 from spanparser.checkpoint import load_checkpoint, save_checkpoint
 from spanparser.optim import (
-    ADAM_BETAS, ADAM_EPS, BLOCK, MIN_WORKER_BLOCKS, OptimizerError,
+    ADAM_BETAS, ADAM_EPS, BLOCK, DOT, MIN_WORKER_BLOCKS, OptimizerError,
     ParameterStore, adam_step, embedding_init, glorot_uniform, ones,
 )
 from spanparser.toydata import toy_treebank
@@ -138,9 +143,10 @@ def test_adam_two_steps_track_reference_formula():
 
 
 def block_square_sum(g):
-    """The gate's square sum: ``g . g`` of each BLOCK, added in order."""
-    return sum(np.dot(g[k:k + BLOCK], g[k:k + BLOCK])
-               for k in range(0, g.size, BLOCK))
+    """The gate's square sum: ``g . g`` of each run of DOT values, added in
+    order."""
+    return sum(np.dot(g[k:k + DOT], g[k:k + DOT])
+               for k in range(0, g.size, DOT))
 
 
 def assert_adam_is_the_reference_expressions(shapes, missing, seed=5):
@@ -150,7 +156,7 @@ def assert_adam_is_the_reference_expressions(shapes, missing, seed=5):
     step t the parameter ``missing[t]`` gets no gradient, its grad view
     still holding an earlier step's.  Each step copies the data arena it
     starts from into ``keep`` and returns the gradient's square sum,
-    its blocks' sums added in order."""
+    its runs' sums added in order."""
     rng = np.random.default_rng(seed)
     ref = {name: [rng.standard_normal(shape), np.zeros(shape),
                   np.zeros(shape)] for name, shape in shapes.items()}
@@ -264,6 +270,36 @@ def test_threaded_adam_is_bitwise_the_reference_expressions(
             # the calling thread takes the first piece, workers the others
             assert [ident == main for _, _, ident in ranges] == (
                 [True] + [False] * (expected - 1))
+
+
+SQUARE_SUM_SCRIPT = """
+import numpy as np
+from spanparser.optim import ParameterStore, adam_step
+store = ParameterStore()
+store.add("g", (40, 32768))
+store.allocate()
+rng = np.random.default_rng(12)
+p = store["g"]
+p.tensor.grad_view[...] = rng.standard_normal(p.shape) * np.exp(
+    rng.uniform(-20.0, 20.0, p.shape))
+p.tensor.grad = p.tensor.grad_view
+print(float(adam_step(store, lr=0.1)).hex())
+"""
+
+
+def test_the_square_sum_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10000 values across its threads;
+    # with 32768-value dots this gradient's sum differs in its last bits
+    sums = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(spanparser.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", SQUARE_SUM_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        sums.append(done.stdout.strip())
+    assert sums[0] == sums[1], sums
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5])

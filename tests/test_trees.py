@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spanparser.trees as trees_module
 from spanparser.evaluation import score
 from spanparser.trees import (
     NULL_LABEL, ParseError, Tree, binarize, collapse_unary, debinarize,
@@ -9,7 +10,7 @@ from spanparser.trees import (
 )
 from spanparser.vocab import LabelInventory
 
-from support import random_ntree
+from support import random_ntree, reference_tokenize
 
 EXAMPLE = "(S (NP (DT the) (NN cat)) (VP (VB sat)))"
 
@@ -188,24 +189,76 @@ def test_parse_bracketed_handles_deep_nesting():
     assert node.is_leaf() and (node.tag, node.word) == ("NN", "w")
 
 
-def test_parsers_fail_only_with_parse_error_on_fuzzed_input():
-    # random and truncated input either parses or raises ParseError with
-    # a position; no other exception escapes
+def fuzzed_texts(alphabet="()ab_ \n"):
+    """Random strings over ``alphabet`` and every prefix of a valid tree
+    file and a valid tagged file."""
     rng = np.random.default_rng(21)
     valid_trees = render_bracketed([random_ntree(rng) for _ in range(3)])
     valid_tagged = "the_DT cat_NN\na_b_NN sat_VB\n"
     texts = []
     for _ in range(400):
-        texts.append("".join(rng.choice(list("()ab_ \n"),
+        texts.append("".join(rng.choice(list(alphabet),
                                         size=int(rng.integers(0, 30)))))
     for valid in (valid_trees, valid_tagged):
         texts += [valid[:k] for k in range(len(valid) + 1)]
-    for text in texts:
+    return texts
+
+
+def test_parsers_fail_only_with_parse_error_on_fuzzed_input():
+    # random and truncated input either parses or raises ParseError with
+    # a position; no other exception escapes
+    for text in fuzzed_texts():
         for parse in (parse_bracketed, parse_tagged):
             try:
                 parse(text)
             except ParseError as exc:
                 assert exc.line >= 1 and exc.column >= 1
+
+
+def test_the_tokenizer_matches_the_character_loop(monkeypatch):
+    # the fuzzed texts, once more over an alphabet that adds whitespace
+    # that is not a space and ends no line
+    texts = fuzzed_texts() + fuzzed_texts("()ab_ \n\r\t\x0c\u00a0")
+    texts += ["(S\r\n (A\ta)\x0c(B\u00a0b)\x85(C c)\u2028)\n",
+              "(A a)\x0c\n\t(B b)\r)", "(A a)\n (B\t\x0c(C c)\r\n\n"]
+    outcomes = []
+    for text in texts:
+        tokens = reference_tokenize(text)
+        assert trees_module._tokenize(text) == tokens, repr(text)
+        try:
+            outcomes.append(parse_bracketed(text))
+            continue
+        except ParseError as exc:
+            outcomes.append(str(exc))
+            where = (exc.line, exc.column)
+        # an error points at a token, or just past the last one
+        tok, line, column = tokens[-1]
+        assert where in {(line, column) for _, line, column in tokens} | {
+            (line, column + len(tok))}, (repr(text), str(exc))
+    # placing each error by the loop's tokens gives the same ParseErrors
+    monkeypatch.setattr(trees_module, "_tokenize", reference_tokenize)
+    for text, outcome in zip(texts, outcomes):
+        try:
+            assert parse_bracketed(text) == outcome
+        except ParseError as exc:
+            assert str(exc) == outcome
+    assert any(isinstance(outcome, str) and "line 2," in outcome
+               for outcome in outcomes)
+
+
+def test_a_tagged_line_is_one_sentence():
+    # "\x0c" and the other characters that str.splitlines breaks at, but
+    # "\n" does not, separate tokens
+    text = "a_DT b_NN\nc_DT\x0cd_NN\ne_DT f_NN\n"
+    assert parse_tagged(text, line_indices=True) == (
+        [[("a", "DT"), ("b", "NN")], [("c", "DT"), ("d", "NN")],
+         [("e", "DT"), ("f", "NN")]], [0, 1, 2])
+    for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\u00a0\r\t":
+        assert parse_tagged("x_X%sy_Y\nz_Z" % sep, line_indices=True) == (
+            [[("x", "X"), ("y", "Y")], [("z", "Z")]], [0, 1]), repr(sep)
+    with pytest.raises(ParseError) as e:
+        parse_tagged("a_DT\u2028b_NN\nc_DT\x0cd\n")
+    assert (e.value.line, e.value.column) == (2, 6)
 
 
 def test_deep_branching_tree_collapses_binarizes_and_round_trips():
