@@ -26,7 +26,10 @@ DimensionError naming the operation and the offending shapes.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
+import glob
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -124,12 +127,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise _dimerr("add", a.shape, b.shape)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise _dimerr("sub", a.shape, b.shape)
-    return _result(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise _dimerr("mul", a.shape, b.shape)
@@ -160,6 +157,30 @@ def mul_const(x: Tensor, c) -> Tensor:
 # on the thread count.  A weight gradient reduces over every row of a pack;
 # it is summed from row blocks no longer than this, in order.
 REDUCTION_BLOCK = 384
+
+
+def pin_blas_threads() -> bool:
+    """Set the OpenBLAS bundled with numpy's wheel to one thread, for the
+    whole process, so that no product's bits depend on the BLAS thread
+    count (``OPENBLAS_NUM_THREADS`` included).  Returns False, changing
+    nothing, when that library or its setter is not found (a numpy built
+    against another BLAS); the guarantee then does not hold.  Importing
+    the package does not call this."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                           "numpy.libs", "libscipy_openblas64_-*.so")
+    for path in glob.glob(pattern):
+        try:
+            lib = ctypes.CDLL(path)     # the copy numpy has already loaded
+            setter = lib.scipy_openblas_set_num_threads64_
+            getter = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter(1)
+        if getter() == 1:
+            return True
+    return False
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -349,7 +370,7 @@ def take_rows(x: Tensor, indices) -> Tensor:
 
 def row_differences(x: Tensor, ends, starts) -> Tensor:
     """Rows x[ends[k]] - x[starts[k]], subtracted in place in the gathered
-    ``ends`` rows; x's grad is bitwise that of ``sub`` of two
+    ``ends`` rows; x's grad is bitwise that of the difference of two
     ``take_rows``."""
     ends = np.asarray(ends, dtype=np.intp)
     starts = np.asarray(starts, dtype=np.intp)

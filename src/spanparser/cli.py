@@ -1,16 +1,20 @@
 """Command-line interface: train, parse, eval, and the analysis sweeps.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
-Every run is deterministic given the config, seed, and input files and
-the BLAS thread count; for small models the checkpoint a training run
-writes is also byte-identical with one and with two BLAS threads (see the
-README for why larger ones can differ).  Training uses every usable CPU
-(Adam's gradient check and update, and the best-iterate copy the update
-makes, split across threads; large weights' gradients applied on a
-worker thread).  Training and parsing alike run a factored
-encoder's position stream on a worker thread beside the content stream
-when there are two usable CPUs and its weights are as large as the paper
-config's.  No output's bits depend on how many CPUs there are.
+Every run is deterministic given the config, seed, and input files.
+Before running a command, :func:`main` sets the OpenBLAS bundled with
+numpy to one thread (:func:`autodiff.pin_blas_threads`), so no product's
+bits depend on ``OPENBLAS_NUM_THREADS``; where it cannot, it says so on
+stderr, and large products may then differ with the BLAS thread count
+(see the README).  Building a new model uses every usable CPU (the Glorot
+draws of its initialization, split across threads from advanced copies of
+the generator), and so does training (Adam's gradient check and update,
+and the best-iterate copy the update makes, split across threads; large
+weights' gradients applied on a worker thread).  Training and parsing
+alike run a factored encoder's position stream on a worker thread beside
+the content stream when there are two usable CPUs and its weights are as
+large as the paper config's.  No output's bits depend on how many CPUs
+there are.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import sys
 
 from . import checkpoint as ckpt
 from . import evaluation
+from .autodiff import pin_blas_threads
 from .config import (ConfigError, apply_overrides, build_configs,
                      load_config_file)
 from .encoder import WINDOW_MODES, AttentionControl
@@ -42,6 +47,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    if not pin_blas_threads():
+        print("warning: could not set numpy's OpenBLAS to one thread; "
+              "large products may differ in their last bits with the BLAS "
+              "thread count", file=sys.stderr)
     try:
         return args.func(args) or 0
     except USAGE_ERRORS as exc:

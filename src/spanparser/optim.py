@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -99,24 +101,24 @@ class ParameterStore:
         parameters' (a checkpoint loader passes the payload mapped from
         its file); it must be a writable 1-d little-endian float64 array
         of the layout's size.  Without it the data arena is zeroed and
-        each ``init`` runs in insertion order.  ``np.zeros`` maps a large
-        arena lazily, so the pages of ``grad``, ``m`` and ``v`` of a model
-        that never trains are never touched."""
+        each ``init`` runs in insertion order, the Glorot draws possibly on
+        several threads with the same bits (see :func:`_initialize`).
+        ``np.zeros`` maps a large arena lazily, so the pages of ``grad``,
+        ``m`` and ``v`` of a model that never trains are never touched."""
         if data is not None and (data.dtype != np.dtype("<f8")
                                  or data.shape != (self.size,)
                                  or not data.flags.writeable):
             raise ValueError("a data arena must be a writable <f8 array of "
                              "shape (%d,), got %s %s"
                              % (self.size, data.dtype, data.shape))
-        draw = data is None
-        self.data = np.zeros(self.size, dtype="<f8") if draw else data
+        self.data = np.zeros(self.size, dtype="<f8") if data is None else data
         self.grad, self.m, self.v = (np.zeros(self.size, dtype="<f8")
                                      for _ in range(3))
-        for p, init in zip(self, self._inits):
+        for p in self:
             p.tensor = GradLeaf(self.data[p.start:p.stop].reshape(p.shape),
                                 self.grad[p.start:p.stop].reshape(p.shape))
-            if draw and init is not None:
-                init(p.tensor.data)
+        if data is None:
+            _initialize(self, self._inits)
         self._inits = None
 
     def check_views(self) -> None:
@@ -196,11 +198,15 @@ def glorot_uniform(rng: np.random.Generator, out: np.ndarray,
     ``rng.uniform(-limit, limit, out.shape)``.  ``fans`` overrides
     (fan_in, fan_out), so a stack of per-head blocks keeps each block's own
     limit."""
-    fan_in, fan_out = fans or (out.shape[0], out.shape[-1])
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    limit = _glorot_limit(out.shape, fans)
     rng.random(out=out)
     out *= 2 * limit
     out -= limit
+
+
+def _glorot_limit(shape, fans):
+    fan_in, fan_out = fans or (shape[0], shape[-1])
+    return np.sqrt(6.0 / (fan_in + fan_out))
 
 
 def embedding_init(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -219,6 +225,104 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _piece_bounds(size: int) -> list:
+    """Bounds of the contiguous pieces that split ``size`` values among
+    up to :func:`usable_cpus` threads: each piece but the last is a whole
+    number of BLOCKs, and each takes at least MIN_WORKER_BLOCKS blocks, so
+    a size of fewer than twice as many is one piece."""
+    blocks = -(-size // BLOCK)
+    pieces = max(1, min(usable_cpus(), blocks // MIN_WORKER_BLOCKS))
+    return [min(size, BLOCK * (blocks * k // pieces))
+            for k in range(pieces + 1)]
+
+
+# bit generators whose ``advance(n)`` skips exactly n 64-bit outputs, one
+# per uniform double (Philox's counts blocks of four)
+_ADVANCES_BY_DRAWS = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _initialize(store: ParameterStore, inits) -> None:
+    """Run each parameter's ``init`` in insertion order, drawing each
+    maximal run of Glorot-uniform inits on one generator as one stream.
+
+    A Glorot-uniform init is ``functools.partial(glorot_uniform, rng)``,
+    with or without ``fans``.  Parameters without an init and those whose
+    init is :func:`ones` draw nothing and may sit inside a run; any other
+    init, such as :func:`embedding_init`, ends the run and runs after it.
+    The run's values, in order, are one stream of uniform doubles from its
+    generator, split by :func:`_piece_bounds` and drawn by
+    :func:`_uniform_blocks`.  The calling thread draws the first piece
+    from the generator itself, and each other piece, on a worker, from a
+    copy advanced to its first value; the generator is then advanced past
+    the run.  So every value, and the generator's next draw, is bitwise
+    that of calling each init in turn.  A run on a bit generator outside
+    _ADVANCES_BY_DRAWS, or one holding a buffered 32-bit half (which
+    ``advance`` drops), is one piece."""
+    run, rng = [], None
+    for p, init in zip(store, inits):
+        if init is None:
+            continue
+        if init is ones:
+            ones(p.data)
+            continue
+        drawn = _glorot_draw(init)
+        if drawn is None or drawn[0] is not rng:
+            _draw_run(store.data, rng, run)
+            run, rng = [], None if drawn is None else drawn[0]
+        if drawn is None:
+            init(p.data)
+        else:
+            run.append((p.start, p.stop, _glorot_limit(p.shape, drawn[1])))
+    _draw_run(store.data, rng, run)
+
+
+def _glorot_draw(init):
+    """``(rng, fans)`` of a Glorot-uniform init, None for any other."""
+    if (isinstance(init, functools.partial) and init.func is glorot_uniform
+            and len(init.args) == 1 and set(init.keywords) <= {"fans"}):
+        return init.args[0], init.keywords.get("fans")
+    return None
+
+
+def _draw_run(data, rng, run) -> None:
+    """Draw a run of Glorot-uniform inits from ``rng`` into ``data``; the
+    run lists each parameter's ``(start, stop, limit)``."""
+    if not run:
+        return
+    size = sum(stop - start for start, stop, _ in run)
+    bits = rng.bit_generator
+    bounds = ([0, size] if type(bits) not in _ADVANCES_BY_DRAWS
+              or bits.state["has_uint32"] else _piece_bounds(size))
+    generators = {0: rng}
+    if len(bounds) == 2:
+        _uniform_blocks(data, run, generators, 0, size)
+        return
+    for start in bounds[1:-1]:
+        copied = copy.deepcopy(bits)
+        generators[start] = np.random.Generator(copied.advance(start))
+    with ThreadPoolExecutor(len(bounds) - 2) as pool:
+        _on_pieces(pool, bounds, _uniform_blocks, data, run, generators)
+    bits.advance(size - bounds[1])
+
+
+def _uniform_blocks(data, run, generators, start, stop):
+    """Values ``start:stop`` of a run's stream, drawn from
+    ``generators[start]`` BLOCK at a time into their places in ``data``,
+    each block scaled to its parameter's [-limit, limit) while in cache,
+    as :func:`glorot_uniform` scales the whole parameter."""
+    rng = generators[start]
+    offset = 0      # the stream position of the parameter's first value
+    for first, last, limit in run:
+        lo, hi = max(start, offset), min(stop, offset + last - first)
+        at = first - offset
+        for k in range(lo, hi, BLOCK):
+            block = data[at + k:at + min(k + BLOCK, hi)]
+            rng.random(out=block)
+            block *= 2 * limit
+            block -= limit
+        offset += last - first
 
 
 def adam_step(store: ParameterStore, lr: float,
@@ -278,12 +382,9 @@ def adam_step(store: ParameterStore, lr: float,
     for p in store:
         if p.grad is None:
             p.tensor.grad_view.fill(0.0)
-    blocks = -(-store.size // BLOCK)
-    pieces = max(1, min(usable_cpus(), blocks // MIN_WORKER_BLOCKS))
-    bounds = [min(store.size, BLOCK * (blocks * k // pieces))
-              for k in range(pieces + 1)]
+    bounds = _piece_bounds(store.size)
     squares = np.empty(-(-store.size // DOT))
-    with ThreadPoolExecutor(max(1, pieces - 1)) as pool:
+    with ThreadPoolExecutor(max(1, len(bounds) - 2)) as pool:
         _on_pieces(pool, bounds, _square_blocks, store.grad, squares)
         # in order: the sum can overflow where no dot does
         square_sum = sum(squares.tolist())

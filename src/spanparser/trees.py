@@ -13,6 +13,7 @@ and never participate in unary collapsing or span labeling.
 
 from __future__ import annotations
 
+import gc
 import re
 
 NULL_LABEL = "∅"  # reserved label for nodes introduced by binarization
@@ -193,87 +194,88 @@ def parse_bracketed(text):
     line and column of the offending token.
     """
     tokens = _TOKEN.findall(text)
-    trees = []
-    pos = 0
+    # the new nodes form no reference cycles, so the cyclic collector is
+    # paused rather than left to rescan them every few hundred nodes
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        while pos < len(tokens):
-            if tokens[pos] != "(":
-                raise _Misplaced("expected '(' to open a tree, found %r"
-                                 % tokens[pos], pos, 0)
-            tree, pos = _parse_node(tokens, pos)
-            trees.append(tree)
+        return _build_trees(tokens)
     except _Misplaced as exc:
         message, index, shift = exc.args
         _, line, column = _tokenize(text)[index]
         raise ParseError(message, line, column + shift) from None
-    return trees
+    finally:
+        if collecting:
+            gc.enable()
 
 
-def _parse_node(tokens, pos):
-    """Parse the constituent opening at tokens[pos]; returns (Tree, next
-    position).  Open constituents live on an explicit stack, so nesting
-    depth is not limited by the interpreter's recursion limit."""
-    stack = []  # (label, children) of the constituents still open
-    while True:
-        node, pos = _open_constituent(tokens, pos, stack)
-        while True:
-            if node is not None:
-                if not stack:
-                    return node, pos
-                stack[-1][1].append(node)
-            if pos >= len(tokens):
-                raise _Misplaced("unbalanced parentheses: missing ')'",
-                                 len(tokens) - 1, len(tokens[-1]))
-            tok = tokens[pos]
-            if tok == ")":
-                label, children = stack.pop()
-                node, pos = Tree(label, children), pos + 1
-                continue
-            if tok != "(":
+def _build_trees(tokens):
+    """The trees of a token list, read in one loop: each '(' with its
+    label, and a whole leaf "(TAG word)" at once.  Open constituents live
+    on an explicit stack, so nesting depth is not limited by the
+    interpreter's recursion limit.  The loop checks what Tree's
+    constructor would (an internal node has children, a leaf a word), so
+    it builds nodes without calling it."""
+    missing = "unbalanced parentheses: missing ')'"
+    new = Tree.__new__
+    trees = siblings = []   # the innermost open constituent's children
+    stack = []              # (label, enclosing siblings) of each open one
+    n = len(tokens)
+    pos = 0
+    while pos < n:
+        tok = tokens[pos]
+        if tok == ")" and stack:
+            label, enclosing = stack.pop()
+            node = new(Tree)
+            node.label, node.children = label, tuple(siblings)
+            node.word = node.tag = None
+            enclosing.append(node)
+            siblings = enclosing
+            pos += 1
+            continue
+        if tok != "(":
+            if stack:
                 raise _Misplaced("unexpected token %r inside constituent %r"
                                  % (tok, stack[-1][0]), pos, 0)
-            break
-
-
-def _open_constituent(tokens, pos, stack):
-    """Read the '(' at tokens[pos] and its label.  A leaf "(TAG word)" is
-    read whole and returned; an internal node is pushed onto ``stack`` as
-    (label, []) and None is returned.  Either way with the next position."""
-    missing = "unbalanced parentheses: missing ')'"
-    pos += 1
-    if pos >= len(tokens):
-        raise _Misplaced(missing, pos - 1, 0)
-
-    tok = tokens[pos]
-    if tok == ")":
-        raise _Misplaced("empty constituent", pos, 0)
-    label = ""
-    if tok != "(":
-        label = tok
-        pos += 1
-        if pos >= len(tokens):
-            raise _Misplaced(missing, pos - 1, 0)
-        tok = tokens[pos]
-
-    if tok == ")":
-        raise _Misplaced("constituent %r has no children" % label, pos, 0)
-
-    if tok not in "()":
-        # leaf: (TAG word)
-        word = tok
-        pos += 1
-        if pos >= len(tokens):
-            raise _Misplaced(missing, pos - 1, 0)
-        tok = tokens[pos]
+            raise _Misplaced("expected '(' to open a tree, found %r" % tok,
+                             pos, 0)
+        if pos + 1 >= n:
+            raise _Misplaced(missing, pos, 0)
+        label = tokens[pos + 1]
+        if label == ")":
+            raise _Misplaced("empty constituent", pos + 1, 0)
+        if label == "(":    # an unlabeled constituent
+            stack.append(("", siblings))
+            siblings = []
+            pos += 1
+            continue
+        if pos + 2 >= n:
+            raise _Misplaced(missing, pos + 1, 0)
+        word = tokens[pos + 2]
+        if word == ")":
+            raise _Misplaced("constituent %r has no children" % label,
+                             pos + 2, 0)
+        if word == "(":
+            stack.append((label, siblings))
+            siblings = []
+            pos += 2
+            continue
+        if pos + 3 >= n:
+            raise _Misplaced(missing, pos + 2, 0)
+        tok = tokens[pos + 3]
         if tok == "(":
-            raise _Misplaced("leaf %r cannot have children" % word, pos, 0)
+            raise _Misplaced("leaf %r cannot have children" % word, pos + 3, 0)
         if tok != ")":
             raise _Misplaced("expected ')' after leaf word, found %r" % tok,
-                             pos, 0)
-        return Tree.leaf(word, label), pos + 1
-
-    stack.append((label, []))
-    return None, pos
+                             pos + 3, 0)
+        leaf = new(Tree)
+        leaf.label = leaf.tag = label
+        leaf.children, leaf.word = (), word
+        siblings.append(leaf)
+        pos += 4
+    if stack:
+        raise _Misplaced(missing, n - 1, len(tokens[-1]))
+    return trees
 
 
 def render_bracketed(trees):

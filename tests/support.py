@@ -154,12 +154,21 @@ def reference_softmax(x):
     return ad._result(out, (x,), grad_fn)
 
 
+def sub(a, b):
+    """a - b of two tensors of one shape: the span differences of the
+    reference path, which the package takes with ``row_differences``."""
+    if a.shape != b.shape:
+        raise ad.DimensionError("sub: incompatible shapes %s and %s"
+                                % (a.shape, b.shape))
+    return ad._result(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
 def reference_affine(x, w, b):
     return ad.add(ad.matmul(x, w), b)
 
 
 def reference_row_differences(x, ends, starts):
-    return ad.sub(ad.take_rows(x, ends), ad.take_rows(x, starts))
+    return sub(ad.take_rows(x, ends), ad.take_rows(x, starts))
 
 
 def reference_split(rows, heads, mask):
@@ -261,8 +270,8 @@ def span_vector(i: int, j: int, fwd: Tensor, bwd: Tensor) -> Tensor:
     n = fwd.shape[0] - 2
     if not 0 <= i < j <= n:
         raise ValueError("span (%d, %d) out of range for %d words" % (i, j, n))
-    f = ad.sub(ad.take_rows(fwd, [j]), ad.take_rows(fwd, [i]))
-    b = ad.sub(ad.take_rows(bwd, [j + 1]), ad.take_rows(bwd, [i + 1]))
+    f = sub(ad.take_rows(fwd, [j]), ad.take_rows(fwd, [i]))
+    b = sub(ad.take_rows(bwd, [j + 1]), ad.take_rows(bwd, [i + 1]))
     return ad.concat([f, b], axis=1)
 
 

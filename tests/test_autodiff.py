@@ -1,15 +1,20 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spanparser
 import spanparser.autodiff as ad
 from spanparser.autodiff import DimensionError, Tensor, backward, tensor
 
 from support import leaf_gradcheck as check
 from support import (plain_leaf, reference_backward, reference_dropout,
                      reference_layer_norm, reference_merge,
-                     reference_softmax, reference_split)
+                     reference_softmax, reference_split, sub)
 
 
 def leaf(rng, *shape):
@@ -19,7 +24,7 @@ def leaf(rng, *shape):
 def test_add_sub_mul_scale():
     rng = np.random.default_rng(1)
     a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
-    check(lambda: ad.sum_all(ad.mul(ad.add(a, b), ad.sub(a, b))), [a, b])
+    check(lambda: ad.sum_all(ad.mul(ad.add(a, b), sub(a, b))), [a, b])
     check(lambda: ad.sum_all(ad.mul_const(a, -2.5)), [a])
 
 
@@ -278,7 +283,7 @@ def test_row_differences_accumulate_repeats_as_sub_of_take_rows():
         return out.data.tobytes(), rows.grad.tobytes()
 
     assert grads(lambda r: ad.row_differences(r, ends, starts)) == grads(
-        lambda r: ad.sub(ad.take_rows(r, ends), ad.take_rows(r, starts)))
+        lambda r: sub(ad.take_rows(r, ends), ad.take_rows(r, starts)))
     check(lambda: ad.sum_all(ad.mul(ad.row_differences(x, ends, starts),
                                     ad.row_differences(x, ends, starts))),
           [x])
@@ -568,3 +573,35 @@ def test_a_leaf_requiring_grad_owns_a_zeroed_buffer():
     s = tensor(2.0, requires_grad=True)
     backward(s)
     assert s.grad is s.grad_view and s.grad == 1.0
+
+
+PIN_SCRIPT = """
+import hashlib
+import numpy as np
+from spanparser.autodiff import pin_blas_threads
+rng = np.random.default_rng(3)
+a, g = rng.standard_normal((40, 1024)), rng.standard_normal((40, 250))
+print(hashlib.sha256((a.T @ g).tobytes()).hexdigest())
+print(pin_blas_threads())
+print(hashlib.sha256((a.T @ g).tobytes()).hexdigest())
+"""
+
+
+def test_pinned_blas_gives_the_bits_of_one_thread():
+    # a weight gradient over 40 rows: OpenBLAS on two threads sums it in
+    # another order than on one, until the pin; importing pins nothing
+    lines = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(spanparser.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", PIN_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        lines[threads] = done.stdout.split()
+    one, two = lines["1"], lines["2"]
+    if two[1] != "True":
+        pytest.skip("numpy bundles no OpenBLAS with a known thread setter")
+    assert one[1] == "True"
+    assert two[2] == one[2] == one[0]
+    if len(os.sched_getaffinity(0)) > 1:
+        assert two[0] != one[0]

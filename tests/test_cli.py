@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spanparser import cli
 from spanparser.checkpoint import load_checkpoint, save_checkpoint
 from spanparser.cli import main, parse_disable_spec
 from spanparser.config import ConfigError
@@ -196,6 +197,21 @@ def test_eval_self_is_perfect(workdir, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "labeled F1          100.00" in out
+
+
+def test_main_pins_blas_and_warns_when_it_cannot(workdir, monkeypatch,
+                                                 capsys):
+    calls = []
+    monkeypatch.setattr(cli, "pin_blas_threads",
+                        lambda: calls.append("pin") or False)
+    capsys.readouterr()
+    assert main(["eval", str(workdir / "dev.txt"),
+                 str(workdir / "dev.txt")]) == 0
+    assert calls == ["pin"]
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "warning: could not set numpy's OpenBLAS to one thread")
+    assert "labeled F1          100.00" in captured.out
 
 
 def test_eval_count_mismatch_is_runtime_error(workdir, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -13,11 +14,15 @@ import spanparser.autodiff as ad
 from spanparser import optim
 from spanparser.autodiff import backward
 from spanparser.checkpoint import load_checkpoint, save_checkpoint
+from spanparser.encoder import VARIANTS, EncoderConfig
+from spanparser.lexical import LexicalConfig
+from spanparser.model import SpanParser
 from spanparser.optim import (
     ADAM_BETAS, ADAM_EPS, BLOCK, DOT, MIN_WORKER_BLOCKS, OptimizerError,
     ParameterStore, adam_step, embedding_init, glorot_uniform, ones,
 )
 from spanparser.toydata import toy_treebank
+from spanparser.vocab import LabelInventory, Vocabulary
 
 from support import plain_leaf, reference_backward, set_grad, tiny_model
 
@@ -523,6 +528,117 @@ def test_in_place_inits_match_the_old_draws():
         assert np.array_equal(p.data, expected[name]), name
     assert np.array_equal(store.data, np.concatenate(
         [x.ravel() for x in expected.values()]))
+
+
+def sequential_data(build, monkeypatch):
+    """The data arena ``build()`` gives when every init is called in turn,
+    none recognized as a Glorot draw."""
+    with monkeypatch.context() as m:
+        m.setattr(optim, "_glorot_draw", lambda init: None)
+        return build().store.data.copy()
+
+
+def record_pieces(monkeypatch):
+    """The (start, stop) of each piece of a Glorot run drawn from now on."""
+    pieces = []
+    draw = optim._uniform_blocks
+
+    def recorded(data, run, generators, start, stop):
+        pieces.append((start, stop))
+        draw(data, run, generators, start, stop)
+    monkeypatch.setattr(optim, "_uniform_blocks", recorded)
+    return pieces
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("mode", ["tags", "char-lstm", "char-concat",
+                                  "external"])
+def test_split_initialization_is_bitwise_the_sequential_one(
+        variant, mode, monkeypatch):
+    # blocks of 97 values and one block per piece make a toy model's runs
+    # split, with piece boundaries inside parameters and the char-LSTM's
+    # run ended by the position table's embedding init
+    kw = {"external_dim": 5} if mode == "external" else {}
+
+    def build():
+        return tiny_model(TREES, mode=mode, variant=variant, d_model=64, **kw)
+    expected = sequential_data(build, monkeypatch)
+    monkeypatch.setattr(optim, "BLOCK", 97)
+    monkeypatch.setattr(optim, "MIN_WORKER_BLOCKS", 1)
+    pieces = record_pieces(monkeypatch)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+        pieces.clear()
+        assert build().store.data.tobytes() == expected.tobytes(), cpus
+        assert sum(start > 0 for start, _ in pieces) >= cpus - 1
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM,
+                                  np.random.Philox, np.random.MT19937])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_split_draws_leave_the_generator_where_sequential_draws_do(
+        bits, buffered, monkeypatch, short_switch_interval):
+    # one run spans zero biases and ``ones``, with a per-head fans; an
+    # embedding init and a second generator's draw each end a run
+    def build():
+        rng = np.random.Generator(bits(23))
+        if buffered:    # leaves half of a 64-bit output for the next one
+            rng.integers(7, dtype=np.uint32)
+        glorot = functools.partial(glorot_uniform, rng)
+        store = ParameterStore()
+        store.add("w1", (30, 50), glorot)
+        store.add("b1", (50,))
+        store.add("gain", (50,), ones)
+        store.add("heads", (50, 40), functools.partial(glorot, fans=(50, 10)))
+        store.add("emb", (20, 7), functools.partial(embedding_init, rng))
+        store.add("w2", (7, 300), glorot)
+        store.add("other", (3, 5), functools.partial(
+            glorot_uniform, np.random.default_rng(5)))
+        store.add("w3", (300, 11), glorot)
+        store.allocate()
+        return store.data, (rng.integers(2 ** 32 - 1, size=3, dtype=np.uint32),
+                            rng.random(3))
+
+    with monkeypatch.context() as m:
+        m.setattr(optim, "_glorot_draw", lambda init: None)
+        expected = build()
+    monkeypatch.setattr(optim, "BLOCK", 16)
+    monkeypatch.setattr(optim, "MIN_WORKER_BLOCKS", 1)
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 3)
+    pieces = record_pieces(monkeypatch)
+    data, after = build()
+    assert data.tobytes() == expected[0].tobytes()
+    for a, b in zip(after, expected[1]):
+        assert a.tobytes() == b.tobytes()
+    # four runs: w1..heads, w2, other (one block) and w3; only an advance
+    # that counts draws, from an unbuffered generator, splits the others
+    split = bits in (np.random.PCG64, np.random.PCG64DXSM) and not buffered
+    expected_pieces = [(0, 15)]
+    for size in (1500 + 2000, 7 * 300, 300 * 11):
+        bounds = optim._piece_bounds(size) if split else [0, size]
+        expected_pieces += zip(bounds, bounds[1:])
+    assert sorted(pieces) == sorted(expected_pieces)
+    assert len(pieces) == (1 + 3 * 3 if split else 4)
+
+
+def test_the_toy_config_is_initialized_on_the_calling_thread(monkeypatch):
+    # the toy config's largest run is under 2 * MIN_WORKER_BLOCKS blocks
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 8)
+    model = SpanParser(
+        EncoderConfig(num_layers=2, d_model=64, num_heads=4, d_k=16, d_v=16,
+                      d_ff=128, span_hidden=64),
+        LexicalConfig(mode="char-lstm", char_embedding_dim=16,
+                      char_lstm_hidden=32),
+        Vocabulary.from_trees(TREES), LabelInventory.from_trees(TREES))
+    assert model.store.size < 2 * MIN_WORKER_BLOCKS * BLOCK
+    assert started == []
 
 
 def test_glorot_and_embedding_init_scales():

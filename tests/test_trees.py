@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,48 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as e:
         parse_bracketed("(A (X a))\n(B (Y b)")
     assert e.value.line == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(A a) b", "expected '(' to open a tree, found 'b' (line 1, column 7)"),
+    (")", "expected '(' to open a tree, found ')' (line 1, column 1)"),
+    ("(A (X a)) )",
+     "expected '(' to open a tree, found ')' (line 1, column 11)"),
+    ("()", "empty constituent (line 1, column 2)"),
+    ("(S", "unbalanced parentheses: missing ')' (line 1, column 2)"),
+    ("(S (", "unbalanced parentheses: missing ')' (line 1, column 4)"),
+    ("(S (NN", "unbalanced parentheses: missing ')' (line 1, column 5)"),
+    ("(S (NP (DT the))",
+     "unbalanced parentheses: missing ')' (line 1, column 17)"),
+    ("((S (NN a))\n",
+     "unbalanced parentheses: missing ')' (line 1, column 12)"),
+    ("(S)", "constituent 'S' has no children (line 1, column 3)"),
+    ("(S (NN dog (", "leaf 'dog' cannot have children (line 1, column 12)"),
+    ("(S (NN dog cat))",
+     "expected ')' after leaf word, found 'cat' (line 1, column 12)"),
+    ("(S (NN dog)\n  cat)",
+     "unexpected token 'cat' inside constituent 'S' (line 2, column 3)"),
+])
+def test_each_parse_error_names_its_token(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_bracketed(text)
+    assert str(e.value) == message
+
+
+def test_reading_trees_leaves_the_collector_as_it_was():
+    # parse_bracketed pauses the cyclic collector while it builds nodes
+    assert gc.isenabled()
+    assert parse_bracketed(EXAMPLE)[0].render() == EXAMPLE
+    assert gc.isenabled()
+    with pytest.raises(ParseError):
+        parse_bracketed("(S (NN a)")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        parse_bracketed(EXAMPLE)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_tree_file_roundtrip(tmp_path):
