@@ -29,13 +29,13 @@ once.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .optim import ParameterStore, glorot_uniform, ones
+from .optim import GlorotInit, ParameterStore, ones
 from .trees import BinaryTree, gold_spans
 
 NULL_ID = 0  # LabelInventory reserves id 0 for the dummy label
@@ -112,7 +112,7 @@ class SpanScorer:
         if num_labels < 2:
             raise ValueError("need at least one real label besides the dummy")
         self.num_labels = num_labels
-        glorot = partial(glorot_uniform, rng)
+        glorot = GlorotInit(rng)
         self.m1 = store.add("scorer.m1", (d_model, hidden), glorot)
         self.c1 = store.add("scorer.c1", (hidden,))
         self.ln_gain = store.add("scorer.ln.gain", (hidden,), ones)

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .optim import (ParameterStore, embedding_init, glorot_uniform, ones,
+from .optim import (GlorotInit, ParameterStore, embedding_init, ones,
                     usable_cpus)
 
 VARIANTS = (
@@ -237,12 +237,11 @@ class MultiHeadAttention:
         n = len(suffixes)
         d_io, d_k, d_v = config.d_model // n, config.d_k // n, config.d_v // n
         self.d_k = d_k
-        glorot = functools.partial(glorot_uniform, rng)
         # "w_q"/"w_k"/"w_v" are [d_in, H * d_k] with head h in column block
         # h, "w_o" is [H * d_v, d_out] with head h in row block h; each block
         # is drawn with its own per-head fans
         self.streams = _add_streams(store, prefix, suffixes, [
-            (role, shape, functools.partial(glorot, fans=fans))
+            (role, shape, GlorotInit(rng, fans))
             for role, shape, fans in (
                 ("w_q", (d_io, heads * d_k), (d_io, d_k)),
                 ("w_k", (d_io, heads * d_k), (d_io, d_k)),
@@ -352,7 +351,7 @@ class FeedForward:
         suffixes = stream_suffixes(config.variant)
         d = config.d_model // len(suffixes)
         dff = config.d_ff // len(suffixes)
-        glorot = functools.partial(glorot_uniform, rng)
+        glorot = GlorotInit(rng)
         self.streams = _add_streams(store, prefix, suffixes, (
             ("w1", (d, dff), glorot), ("b1", (dff,), None),
             ("w2", (dff, d), glorot), ("b2", (d,), None)))

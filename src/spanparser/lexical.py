@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .optim import ParameterStore, glorot_uniform, embedding_init
+from .optim import GlorotInit, ParameterStore, embedding_init
 from .vocab import Vocabulary, START, STOP
 
 MODES = ("tags", "char-lstm", "char-concat", "external")
@@ -129,7 +129,7 @@ class CharLSTM:
         self.char_dim = config.resolved_char_dim()
         self.hidden = config.char_lstm_hidden
         self.char_dropout = config.char_dropout
-        glorot = partial(glorot_uniform, rng)
+        glorot = GlorotInit(rng)
         self.char_emb = store.add("lexical.char_emb",
                                   (len(vocab.chars), self.char_dim),
                                   partial(embedding_init, rng))
@@ -218,7 +218,7 @@ class LexicalModel:
         elif mode == "external":
             self.external_proj = store.add(
                 "lexical.external_proj", (config.external_dim, slot_dim),
-                partial(glorot_uniform, rng))
+                GlorotInit(rng))
             self.external_boundaries = store.add(
                 "lexical.external_boundaries", (2, slot_dim),
                 partial(embedding_init, rng))

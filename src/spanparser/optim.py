@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -204,6 +203,22 @@ def glorot_uniform(rng: np.random.Generator, out: np.ndarray,
     out -= limit
 
 
+class GlorotInit:
+    """The init that draws a parameter with :func:`glorot_uniform` from
+    ``rng``, with ``fans`` if given.  A module asks for a Glorot init with
+    this class and no other wrapper: ParameterStore.allocate recognizes it
+    by its type and draws runs of them on several threads (see
+    :func:`_initialize`)."""
+
+    __slots__ = ("rng", "fans")
+
+    def __init__(self, rng: np.random.Generator, fans=None):
+        self.rng, self.fans = rng, fans
+
+    def __call__(self, out: np.ndarray) -> None:
+        glorot_uniform(self.rng, out, self.fans)
+
+
 def _glorot_limit(shape, fans):
     fan_in, fan_out = fans or (shape[0], shape[-1])
     return np.sqrt(6.0 / (fan_in + fan_out))
@@ -247,10 +262,10 @@ def _initialize(store: ParameterStore, inits) -> None:
     """Run each parameter's ``init`` in insertion order, drawing each
     maximal run of Glorot-uniform inits on one generator as one stream.
 
-    A Glorot-uniform init is ``functools.partial(glorot_uniform, rng)``,
-    with or without ``fans``.  Parameters without an init and those whose
-    init is :func:`ones` draw nothing and may sit inside a run; any other
-    init, such as :func:`embedding_init`, ends the run and runs after it.
+    A Glorot-uniform init is a :class:`GlorotInit`.  Parameters without
+    an init and those whose init is :func:`ones` draw nothing and may sit
+    inside a run; any other init, such as :func:`embedding_init`, ends the
+    run and runs after it.
     The run's values, in order, are one stream of uniform doubles from its
     generator, split by :func:`_piece_bounds` and drawn by
     :func:`_uniform_blocks`.  The calling thread draws the first piece
@@ -267,23 +282,15 @@ def _initialize(store: ParameterStore, inits) -> None:
         if init is ones:
             ones(p.data)
             continue
-        drawn = _glorot_draw(init)
-        if drawn is None or drawn[0] is not rng:
+        glorot = type(init) is GlorotInit
+        if not glorot or init.rng is not rng:
             _draw_run(store.data, rng, run)
-            run, rng = [], None if drawn is None else drawn[0]
-        if drawn is None:
-            init(p.data)
+            run, rng = [], init.rng if glorot else None
+        if glorot:
+            run.append((p.start, p.stop, _glorot_limit(p.shape, init.fans)))
         else:
-            run.append((p.start, p.stop, _glorot_limit(p.shape, drawn[1])))
+            init(p.data)
     _draw_run(store.data, rng, run)
-
-
-def _glorot_draw(init):
-    """``(rng, fans)`` of a Glorot-uniform init, None for any other."""
-    if (isinstance(init, functools.partial) and init.func is glorot_uniform
-            and len(init.args) == 1 and set(init.keywords) <= {"fans"}):
-        return init.args[0], init.keywords.get("fans")
-    return None
 
 
 def _draw_run(data, rng, run) -> None:

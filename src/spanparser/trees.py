@@ -13,7 +13,6 @@ and never participate in unary collapsing or span labeling.
 
 from __future__ import annotations
 
-import gc
 import re
 
 NULL_LABEL = "∅"  # reserved label for nodes introduced by binarization
@@ -193,20 +192,12 @@ def parse_bracketed(text):
     tokens by one regex scan; malformed text raises ParseError with the
     line and column of the offending token.
     """
-    tokens = _TOKEN.findall(text)
-    # the new nodes form no reference cycles, so the cyclic collector is
-    # paused rather than left to rescan them every few hundred nodes
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        return _build_trees(tokens)
+        return _build_trees(_TOKEN.findall(text))
     except _Misplaced as exc:
         message, index, shift = exc.args
         _, line, column = _tokenize(text)[index]
         raise ParseError(message, line, column + shift) from None
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def _build_trees(tokens):

@@ -33,6 +33,17 @@ seed = 0
 """
 
 
+@pytest.fixture(scope="module", autouse=True)
+def unpinned_blas():
+    """``main`` with the BLAS pin stubbed out: the pin would set the test
+    process's OpenBLAS to one thread for every test run after it, and
+    where it cannot, its warning would precede each command's stderr.
+    The pin itself is tested in a subprocess in test_autodiff.py."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "pin_blas_threads", lambda: True)
+        yield
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")

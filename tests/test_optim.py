@@ -18,8 +18,9 @@ from spanparser.encoder import VARIANTS, EncoderConfig
 from spanparser.lexical import LexicalConfig
 from spanparser.model import SpanParser
 from spanparser.optim import (
-    ADAM_BETAS, ADAM_EPS, BLOCK, DOT, MIN_WORKER_BLOCKS, OptimizerError,
-    ParameterStore, adam_step, embedding_init, glorot_uniform, ones,
+    ADAM_BETAS, ADAM_EPS, BLOCK, DOT, MIN_WORKER_BLOCKS, GlorotInit,
+    OptimizerError, ParameterStore, adam_step, embedding_init, glorot_uniform,
+    ones,
 )
 from spanparser.toydata import toy_treebank
 from spanparser.vocab import LabelInventory, Vocabulary
@@ -530,11 +531,18 @@ def test_in_place_inits_match_the_old_draws():
         [x.ravel() for x in expected.values()]))
 
 
+def call_in_turn(store, inits):
+    """Each parameter's init called on its view in insertion order."""
+    for p, init in zip(store, inits):
+        if init is not None:
+            init(p.data)
+
+
 def sequential_data(build, monkeypatch):
     """The data arena ``build()`` gives when every init is called in turn,
-    none recognized as a Glorot draw."""
+    none drawn as part of a run."""
     with monkeypatch.context() as m:
-        m.setattr(optim, "_glorot_draw", lambda init: None)
+        m.setattr(optim, "_initialize", call_in_turn)
         return build().store.data.copy()
 
 
@@ -584,23 +592,22 @@ def test_split_draws_leave_the_generator_where_sequential_draws_do(
         rng = np.random.Generator(bits(23))
         if buffered:    # leaves half of a 64-bit output for the next one
             rng.integers(7, dtype=np.uint32)
-        glorot = functools.partial(glorot_uniform, rng)
+        glorot = GlorotInit(rng)
         store = ParameterStore()
         store.add("w1", (30, 50), glorot)
         store.add("b1", (50,))
         store.add("gain", (50,), ones)
-        store.add("heads", (50, 40), functools.partial(glorot, fans=(50, 10)))
+        store.add("heads", (50, 40), GlorotInit(rng, fans=(50, 10)))
         store.add("emb", (20, 7), functools.partial(embedding_init, rng))
         store.add("w2", (7, 300), glorot)
-        store.add("other", (3, 5), functools.partial(
-            glorot_uniform, np.random.default_rng(5)))
+        store.add("other", (3, 5), GlorotInit(np.random.default_rng(5)))
         store.add("w3", (300, 11), glorot)
         store.allocate()
         return store.data, (rng.integers(2 ** 32 - 1, size=3, dtype=np.uint32),
                             rng.random(3))
 
     with monkeypatch.context() as m:
-        m.setattr(optim, "_glorot_draw", lambda init: None)
+        m.setattr(optim, "_initialize", call_in_turn)
         expected = build()
     monkeypatch.setattr(optim, "BLOCK", 16)
     monkeypatch.setattr(optim, "MIN_WORKER_BLOCKS", 1)

@@ -1,5 +1,3 @@
-import gc
-
 import numpy as np
 import pytest
 
@@ -74,22 +72,6 @@ def test_each_parse_error_names_its_token(text, message):
     with pytest.raises(ParseError) as e:
         parse_bracketed(text)
     assert str(e.value) == message
-
-
-def test_reading_trees_leaves_the_collector_as_it_was():
-    # parse_bracketed pauses the cyclic collector while it builds nodes
-    assert gc.isenabled()
-    assert parse_bracketed(EXAMPLE)[0].render() == EXAMPLE
-    assert gc.isenabled()
-    with pytest.raises(ParseError):
-        parse_bracketed("(S (NN a)")
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        parse_bracketed(EXAMPLE)
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
 
 
 def test_tree_file_roundtrip(tmp_path):
