@@ -19,7 +19,7 @@ rng = np.random.default_rng(0)
 enc = Encoder(store, cfg, rng)
 store.allocate()
 print("encoder holds %d values in %d parameters"
-      % (store.num_values(), len(store)))
+      % (store.size, len(store)))
 
 # content rows for a 6-token sentence (start and stop included), a pack of
 # one; in the real model these come from the lexical layer

@@ -20,6 +20,7 @@ there are.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -34,7 +35,7 @@ from .encoder import WINDOW_MODES, AttentionControl
 from .lexical import read_vector_file
 from .model import SpanParser
 from .training import default_eval_fn, train
-from .trees import ParseError, load_tagged, load_trees
+from .trees import ParseError, load_tagged, load_trees, parse_tagged
 from .vocab import LabelInventory, Vocabulary
 
 USAGE_ERRORS = (ConfigError, ParseError, FileNotFoundError,
@@ -132,21 +133,33 @@ def _build_parser():
     p.add_argument("--window", metavar="DISTANCE:MODE",
                    help="impose an attention window, e.g. 2:strict")
     p.add_argument("--out", default="-")
-    p.add_argument("--vectors", help="external vectors for the sentence")
+    p.add_argument("--vectors",
+                   help="external vectors for every sentence read (all of "
+                        "--input, or the --text sentence); the first is used")
     p.set_defaults(func=_cmd_dump_attention)
 
     return parser
 
 
-def _open_out(path):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+def _output(path):
+    """A context manager giving stdout for "-", otherwise ``path`` opened
+    for writing, which it closes on leaving the block."""
+    return (contextlib.nullcontext(sys.stdout) if path == "-"
+            else open(path, "w", encoding="utf-8"))
 
 
-def _load_vectors(path, sentences, what):
+def _load_vectors(path, sentences, what, mode, flag):
+    """The matrices of the vector file ``path``, given as ``flag``, one for
+    each of the ``sentences`` read from ``what``; None without a file.
+    External ``mode`` needs a file and the other modes read none: a
+    mismatch is a usage error."""
     if path is None:
+        if mode == "external":
+            raise ConfigError("lexical mode 'external' needs %s" % flag)
         return None
+    if mode != "external":
+        raise ConfigError("%s given, but lexical mode %r reads no vectors"
+                          % (flag, mode))
     mats, _ = read_vector_file(path)
     if len(mats) != len(sentences):
         raise ValueError("%s holds %d sentences but %s has %d"
@@ -171,9 +184,11 @@ def _cmd_train(args):
                         (args.dev_file, dev_trees)):
         if not trees:
             raise ConfigError("%s contains no trees" % path)
-    train_vecs = _load_vectors(args.train_vectors,
-                               train_trees, args.train_file)
-    dev_vecs = _load_vectors(args.dev_vectors, dev_trees, args.dev_file)
+    train_vecs = _load_vectors(args.train_vectors, train_trees,
+                               args.train_file, lexical_cfg.mode,
+                               "--train-vectors")
+    dev_vecs = _load_vectors(args.dev_vectors, dev_trees, args.dev_file,
+                             lexical_cfg.mode, "--dev-vectors")
     # the checkpoint is written after training: find out now if it cannot be
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
@@ -216,9 +231,9 @@ def _cmd_train(args):
 def _cmd_parse(args):
     model = ckpt.load_checkpoint(args.checkpoint)
     sentences, lines = load_tagged(args.input, line_indices=True)
-    vectors = _load_vectors(args.vectors, sentences, args.input)
-    out, close = _open_out(args.out)
-    try:
+    vectors = _load_vectors(args.vectors, sentences, args.input,
+                            model.lexical_config.mode, "--vectors")
+    with _output(args.out) as out:
         for k, sentence in enumerate(sentences):
             try:
                 tree = model.parse(sentence, external=_ext(vectors, k))
@@ -226,9 +241,6 @@ def _cmd_parse(args):
                 out.write("#PARSE-ERROR %d %s\n" % (lines[k], exc))
                 continue
             out.write(tree.render() + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -255,25 +267,32 @@ def _parse_distance(text):
     return value
 
 
-def _cmd_analyze_window(args):
+def _sweep(args, header, controls):
+    """Load the checkpoint, the dev trees and their vectors, then write
+    ``header`` and, for each ``(label, control)`` of ``controls(model)``,
+    a ``label<TAB>F1`` line: the F1 of the trees parsed under the
+    control."""
     model = ckpt.load_checkpoint(args.checkpoint)
     trees = load_trees(args.dev_file)
-    vectors = _load_vectors(args.vectors, trees, args.dev_file)
-    distances = [_parse_distance(d) for d in args.distances.split(",")]
-    modes = ["strict", "relaxed"] if args.mode == "both" else [args.mode]
-    out, close = _open_out(args.out)
-    try:
-        out.write("# distance\tmode\tF1\n")
-        for distance in distances:
-            for mode in modes:
-                control = AttentionControl(window=(distance, mode))
-                f1 = default_eval_fn(model, trees, vectors, control)
-                shown = "inf" if distance == math.inf else "%d" % distance
-                out.write("%s\t%s\t%.2f\n" % (shown, mode, f1))
-    finally:
-        if close:
-            out.close()
+    vectors = _load_vectors(args.vectors, trees, args.dev_file,
+                            model.lexical_config.mode, "--vectors")
+    rows = controls(model)
+    with _output(args.out) as out:
+        out.write(header)
+        for label, control in rows:
+            f1 = default_eval_fn(model, trees, vectors, control)
+            out.write("%s\t%.2f\n" % (label, f1))
     return 0
+
+
+def _cmd_analyze_window(args):
+    def controls(model):
+        distances = [_parse_distance(d) for d in args.distances.split(",")]
+        modes = ["strict", "relaxed"] if args.mode == "both" else [args.mode]
+        return [("%s\t%s" % ("inf" if d == math.inf else "%d" % d, mode),
+                 AttentionControl(window=(d, mode)))
+                for d in distances for mode in modes]
+    return _sweep(args, "# distance\tmode\tF1\n", controls)
 
 
 def parse_disable_spec(spec: str, num_layers: int) -> AttentionControl:
@@ -317,27 +336,14 @@ def parse_disable_spec(spec: str, num_layers: int) -> AttentionControl:
 
 
 def _cmd_analyze_disable(args):
-    model = ckpt.load_checkpoint(args.checkpoint)
-    trees = load_trees(args.dev_file)
-    vectors = _load_vectors(args.vectors, trees, args.dev_file)
-    specs = args.spec or ["content:all,position:all"]
-    num_layers = model.encoder_config.num_layers
-    out, close = _open_out(args.out)
-    try:
-        out.write("# spec\tF1\n")
-        for spec in specs:
-            control = parse_disable_spec(spec, num_layers)
-            f1 = default_eval_fn(model, trees, vectors, control)
-            out.write("%s\t%.2f\n" % (spec or "baseline", f1))
-    finally:
-        if close:
-            out.close()
-    return 0
+    def controls(model):    # each spec is parsed as its turn comes
+        num_layers = model.encoder_config.num_layers
+        return ((spec or "baseline", parse_disable_spec(spec, num_layers))
+                for spec in args.spec or ["content:all,position:all"])
+    return _sweep(args, "# spec\tF1\n", controls)
 
 
 def _cmd_dump_attention(args):
-    from .trees import parse_tagged
-
     model = ckpt.load_checkpoint(args.checkpoint)
     if (args.text is None) == (args.input is None):
         raise ConfigError("give exactly one of --text or --input")
@@ -348,7 +354,9 @@ def _cmd_dump_attention(args):
     if not sentences:
         raise ConfigError("no sentence to analyze")
     sentence = sentences[0]
-    vectors = _load_vectors(args.vectors, [sentence], "the sentence")
+    vectors = _load_vectors(args.vectors, sentences,
+                            args.input or "the sentence",
+                            model.lexical_config.mode, "--vectors")
 
     control = None
     if args.window:
@@ -363,8 +371,7 @@ def _cmd_dump_attention(args):
     record = {}
     tree = model.parse(sentence, control=control,
                        external=_ext(vectors, 0), record=record)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("# tree %s\n" % tree.render())
         out.write("# tokens <start> %s <stop>\n"
                   % " ".join(w for w, _ in sentence))
@@ -375,7 +382,4 @@ def _cmd_dump_attention(args):
                 for k in range(probs.shape[1]):
                     out.write("%d\t%d\t%d\t%d\t%.10f\n"
                               % (layer, head, q, k, probs[q, k]))
-    finally:
-        if close:
-            out.close()
     return 0

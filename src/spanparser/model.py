@@ -45,7 +45,7 @@ class SpanParser:
         self.store.allocate(None if data is None else data(self.store))
 
     def num_parameters(self) -> int:
-        return self.store.num_values()
+        return self.store.size
 
     def span_score_tensor(self, sentence, train: bool = False, rng=None,
                           control=None, external=None, record=None):

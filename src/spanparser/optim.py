@@ -153,23 +153,10 @@ class ParameterStore:
     def items(self):
         return self._params.items()
 
-    def num_values(self) -> int:
-        return self.size
-
-    def snapshot(self, out: np.ndarray = None) -> np.ndarray:
-        """A copy of the data arena, into ``out`` (an earlier one) if given.
-        ``out`` must be a <f8 array of the arena's shape that shares no
-        memory with it; otherwise this raises ValueError."""
-        if out is None:
-            out = np.empty_like(self.data)
-        else:
-            self.check_copy(out, "snapshot")
-        np.copyto(out, self.data)
-        return out
-
     def restore(self, snap: np.ndarray) -> None:
-        """Copy a snapshot back into the data arena.  ``snap`` must be a
-        <f8 array of the arena's shape that shares no memory with it;
+        """Copy a snapshot of the data arena (such as the copy that
+        :func:`adam_step` writes into ``keep``) back into it.  ``snap`` must
+        be a <f8 array of the arena's shape that shares no memory with it;
         otherwise this raises ValueError."""
         self.check_copy(snap, "restore")
         np.copyto(self.data, snap)
@@ -303,15 +290,12 @@ def _draw_run(data, rng, run) -> None:
     bounds = ([0, size] if type(bits) not in _ADVANCES_BY_DRAWS
               or bits.state["has_uint32"] else _piece_bounds(size))
     generators = {0: rng}
-    if len(bounds) == 2:
-        _uniform_blocks(data, run, generators, 0, size)
-        return
     for start in bounds[1:-1]:
         copied = copy.deepcopy(bits)
         generators[start] = np.random.Generator(copied.advance(start))
-    with ThreadPoolExecutor(len(bounds) - 2) as pool:
-        _on_pieces(pool, bounds, _uniform_blocks, data, run, generators)
-    bits.advance(size - bounds[1])
+    _on_pieces(bounds, _uniform_blocks, data, run, generators)
+    if len(bounds) > 2:
+        bits.advance(size - bounds[1])
 
 
 def _uniform_blocks(data, run, generators, start, stop):
@@ -391,33 +375,36 @@ def adam_step(store: ParameterStore, lr: float,
             p.tensor.grad_view.fill(0.0)
     bounds = _piece_bounds(store.size)
     squares = np.empty(-(-store.size // DOT))
-    with ThreadPoolExecutor(max(1, len(bounds) - 2)) as pool:
-        _on_pieces(pool, bounds, _square_blocks, store.grad, squares)
-        # in order: the sum can overflow where no dot does
-        square_sum = sum(squares.tolist())
-        if not math.isfinite(square_sum):
-            raise OptimizerError(
-                "non-finite gradient square sum; parameter %r holds the "
-                "largest |g|" % _owner(store, np.argmax(np.abs(store.grad))))
-        store.steps += 1
-        b1, b2 = ADAM_BETAS
-        coefficients = (b1, b2, lr / (1.0 - b1 ** store.steps),
-                        1.0 / math.sqrt(1.0 - b2 ** store.steps))
-        _on_pieces(pool, bounds, _adam_blocks, store, coefficients, keep)
+    _on_pieces(bounds, _square_blocks, store.grad, squares)
+    # in order: the sum can overflow where no dot does
+    square_sum = sum(squares.tolist())
+    if not math.isfinite(square_sum):
+        raise OptimizerError(
+            "non-finite gradient square sum; parameter %r holds the "
+            "largest |g|" % _owner(store, np.argmax(np.abs(store.grad))))
+    store.steps += 1
+    b1, b2 = ADAM_BETAS
+    coefficients = (b1, b2, lr / (1.0 - b1 ** store.steps),
+                    1.0 / math.sqrt(1.0 - b2 ** store.steps))
+    _on_pieces(bounds, _adam_blocks, store, coefficients, keep)
     for p in store:
         p.clear_grad()
     return square_sum
 
 
-def _on_pieces(pool, bounds, fn, *args):
+def _on_pieces(bounds, fn, *args):
     """``fn(*args, start, stop)`` for each piece ``bounds[k]:bounds[k+1]``,
-    the first on the calling thread and the others on ``pool``; returns
-    once every piece is done, raising the first exception of one."""
-    futures = [submit(pool, fn, *args, start, stop)
-               for start, stop in zip(bounds[1:-1], bounds[2:])]
-    fn(*args, bounds[0], bounds[1])
-    for f in futures:
-        f.result()
+    the first on the calling thread and each other on a thread of its own,
+    under this thread's numpy error state; returns once every piece is
+    done and the threads are joined, raising the first exception of one.
+    An executor starts a thread only when given work, so a single piece
+    starts none."""
+    with ThreadPoolExecutor(max(1, len(bounds) - 2)) as pool:
+        futures = [submit(pool, fn, *args, start, stop)
+                   for start, stop in zip(bounds[1:-1], bounds[2:])]
+        fn(*args, bounds[0], bounds[1])
+        for f in futures:
+            f.result()
 
 
 def _square_blocks(grad, squares, start, stop):

@@ -235,7 +235,7 @@ def test_factored_encoder_has_fewer_parameters():
                             d_v=64, d_ff=1024, variant=variant,
                             max_sentence_length=300)
         Encoder(store, cfg, np.random.default_rng(0))
-        counts[variant] = store.num_values()
+        counts[variant] = store.size
     print("\nencoder parameter counts at d_model=512, 8 layers, 8 heads:")
     for variant, count in counts.items():
         print("  %-28s %d" % (variant, count))

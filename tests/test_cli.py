@@ -437,33 +437,125 @@ def test_dump_attention_input_flag_and_errors(workdir, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-def test_external_mode_through_cli(tmp_path, capsys):
+def write_tagged(path, sentences):
+    """One ``word_tag`` line per sentence."""
+    with open(path, "w") as fh:
+        for sentence in sentences:
+            fh.write(" ".join("%s_%s" % pair for pair in sentence) + "\n")
+
+
+@pytest.fixture(scope="module")
+def external(tmp_path_factory):
+    """A directory holding an external-mode config (``model.cfg``), the
+    treebanks and vector files it was trained on, the checkpoint
+    (``m.ckpt``) and the dev sentences tagged."""
+    root = tmp_path_factory.mktemp("external")
     trees = toy_treebank(6, seed=3)
-    save_trees(trees, tmp_path / "train.txt")
-    save_trees(trees[:2], tmp_path / "dev.txt")
+    save_trees(trees, root / "train.txt")
+    save_trees(trees[:2], root / "dev.txt")
     cfg = CONFIG.replace("mode = tags", "mode = external\nexternal_dim = 5")
-    (tmp_path / "model.cfg").write_text(cfg)
+    (root / "model.cfg").write_text(cfg)
     rng = np.random.default_rng(0)
-    write_vector_file(tmp_path / "train.vec",
+    write_vector_file(root / "train.vec",
                       [rng.standard_normal((len(t.sentence()), 5))
                        for t in trees])
-    write_vector_file(tmp_path / "dev.vec",
+    write_vector_file(root / "dev.vec",
                       [rng.standard_normal((len(t.sentence()), 5))
                        for t in trees[:2]])
-    code = main(["train", str(tmp_path / "train.txt"),
-                 str(tmp_path / "dev.txt"),
-                 "--config", str(tmp_path / "model.cfg"),
-                 "--out", str(tmp_path / "m.ckpt"),
-                 "--train-vectors", str(tmp_path / "train.vec"),
-                 "--dev-vectors", str(tmp_path / "dev.vec"), "--quiet"])
+    code = main(["train", str(root / "train.txt"), str(root / "dev.txt"),
+                 "--config", str(root / "model.cfg"),
+                 "--out", str(root / "m.ckpt"),
+                 "--train-vectors", str(root / "train.vec"),
+                 "--dev-vectors", str(root / "dev.vec"), "--quiet"])
     assert code == 0
-    with open(tmp_path / "dev.tagged", "w") as fh:
-        for t in trees[:2]:
-            fh.write(" ".join("%s_%s" % (w, g) for w, g in t.sentence()) + "\n")
-    code = main(["parse", str(tmp_path / "m.ckpt"),
-                 str(tmp_path / "dev.tagged"),
-                 "--vectors", str(tmp_path / "dev.vec"),
+    write_tagged(root / "dev.tagged", [t.sentence() for t in trees[:2]])
+    return root
+
+
+def test_external_mode_through_cli(external, tmp_path):
+    code = main(["parse", str(external / "m.ckpt"),
+                 str(external / "dev.tagged"),
+                 "--vectors", str(external / "dev.vec"),
                  "--out", str(tmp_path / "pred.txt")])
     assert code == 0
     assert len(load_trees(tmp_path / "pred.txt")) == 2
+
+
+def test_dump_attention_checks_the_vectors_of_every_sentence_read(
+        external, tmp_path, capsys):
+    # the vector file holds a matrix for each sentence of --input, and the
+    # first one's is used: the tree is the first sentence's parse
+    sentences = [t.sentence() for t in toy_treebank(3, seed=8)]
+    rng = np.random.default_rng(1)
+    mats = [rng.standard_normal((len(s), 5)) for s in sentences]
+    write_tagged(tmp_path / "three.tagged", sentences)
+    write_vector_file(tmp_path / "three.vec", mats)
+    write_tagged(tmp_path / "first.tagged", sentences[:1])
+    write_vector_file(tmp_path / "first.vec", mats[:1])
+    model = str(external / "m.ckpt")
+    assert main(["dump-attention", model,
+                 "--input", str(tmp_path / "three.tagged"),
+                 "--vectors", str(tmp_path / "three.vec"),
+                 "--out", str(tmp_path / "input.tsv")]) == 0
+    assert main(["parse", model, str(tmp_path / "first.tagged"),
+                 "--vectors", str(tmp_path / "first.vec"),
+                 "--out", str(tmp_path / "first.txt")]) == 0
+    tree = (tmp_path / "first.txt").read_text()
+    assert tree.startswith("(") and tree.count("\n") == 1
+    dump = (tmp_path / "input.tsv").read_text()
+    assert dump.splitlines()[0] == "# tree " + tree.rstrip("\n")
+    # --text reads one sentence, so its vector file holds one matrix
+    text = " ".join("%s_%s" % pair for pair in sentences[0])
     capsys.readouterr()
+    assert main(["dump-attention", model, "--text", text,
+                 "--vectors", str(tmp_path / "three.vec")]) == 1
+    assert ("three.vec holds 3 sentences but the sentence has 1"
+            in capsys.readouterr().err)
+    assert main(["dump-attention", model, "--text", text,
+                 "--vectors", str(tmp_path / "first.vec"),
+                 "--out", str(tmp_path / "text.tsv")]) == 0
+    assert (tmp_path / "text.tsv").read_text() == dump
+
+
+def test_parse_vectors_must_match_the_lexical_mode(workdir, external,
+                                                   tmp_path, capsys):
+    # a tags model given vectors, and an external one given none, are
+    # usage errors raised before any sentence is parsed
+    capsys.readouterr()
+    for model, vectors, words in (
+            (workdir / "model.ckpt", ["--vectors", str(external / "dev.vec")],
+             ("--vectors given", "lexical mode 'tags'")),
+            (external / "m.ckpt", [], ("lexical mode 'external'",
+                                       "needs --vectors"))):
+        out = tmp_path / "pred.txt"
+        assert main(["parse", str(model), str(external / "dev.tagged"),
+                     "--out", str(out)] + vectors) == 2
+        err = capsys.readouterr().err
+        assert all(w in err for w in words), err
+        assert not out.exists()
+
+
+def test_train_vectors_must_match_the_lexical_mode(external, tmp_path,
+                                                   capsys, monkeypatch):
+    # checked before a model is built or trained
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a model")
+    monkeypatch.setattr(cli, "SpanParser", refuse)
+    tags = tmp_path / "tags.cfg"
+    tags.write_text(CONFIG)
+    vectors = ["--train-vectors", str(external / "train.vec"),
+               "--dev-vectors", str(external / "dev.vec")]
+    capsys.readouterr()
+    for config, flags, words in (
+            (tags, vectors, ("--train-vectors given", "lexical mode 'tags'")),
+            (external / "model.cfg", vectors[:2],
+             ("lexical mode 'external'", "needs --dev-vectors")),
+            (external / "model.cfg", vectors[2:],
+             ("lexical mode 'external'", "needs --train-vectors"))):
+        out = tmp_path / "m.ckpt"
+        assert main(["train", str(external / "train.txt"),
+                     str(external / "dev.txt"), "--config", str(config),
+                     "--out", str(out), "--quiet"] + flags) == 2
+        err = capsys.readouterr().err
+        assert all(w in err for w in words), err
+        assert not out.exists()

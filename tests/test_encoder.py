@@ -234,7 +234,7 @@ def test_assemble_rejects_unfactored_heads():
 def test_factored_has_fewer_parameters_than_unfactored():
     _, fact_store, _ = tiny_encoder("factored")
     _, dense_store, _ = tiny_encoder("concatenative-unfactored")
-    assert fact_store.num_values() < dense_store.num_values()
+    assert fact_store.size < dense_store.size
 
 
 def test_length_and_width_validation():

@@ -121,7 +121,7 @@ def test_scripted_f1_drives_halving_and_best_restore():
     snapshots = []
 
     def eval_fn(m, d):
-        snapshots.append(m.store.snapshot())
+        snapshots.append(m.store.data.copy())
         return next(script)
 
     result = train(model, TREES, TREES[:2],
@@ -159,7 +159,6 @@ def test_final_best_iterate_is_kept_without_a_snapshot(monkeypatch):
         raise AssertionError("the steps copy every best iterate but the "
                              "last, which is the model")
 
-    monkeypatch.setattr(model.store, "snapshot", refuse)
     monkeypatch.setattr(model.store, "restore", refuse)
     monkeypatch.setattr("spanparser.training.adam_step", adam_step)
     result = train(model, TREES, TREES[:2], cfg(max_epochs=3),
@@ -224,7 +223,7 @@ def test_empty_treebank_rejected():
 
 def test_empty_dev_set_rejected_without_an_eval_fn():
     model = fresh_model()
-    before = model.store.snapshot()
+    before = model.store.data.copy()
     with pytest.raises(ValueError, match="dev set is empty"):
         train(model, TREES, [], cfg())
     assert np.array_equal(model.store.data, before)
