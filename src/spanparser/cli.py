@@ -276,7 +276,7 @@ def _sweep(args, header, controls):
     trees = load_trees(args.dev_file)
     vectors = _load_vectors(args.vectors, trees, args.dev_file,
                             model.lexical_config.mode, "--vectors")
-    rows = controls(model)
+    rows = list(controls(model))     # every usage error before any output
     with _output(args.out) as out:
         out.write(header)
         for label, control in rows:
@@ -336,7 +336,7 @@ def parse_disable_spec(spec: str, num_layers: int) -> AttentionControl:
 
 
 def _cmd_analyze_disable(args):
-    def controls(model):    # each spec is parsed as its turn comes
+    def controls(model):
         num_layers = model.encoder_config.num_layers
         return ((spec or "baseline", parse_disable_spec(spec, num_layers))
                 for spec in args.spec or ["content:all,position:all"])

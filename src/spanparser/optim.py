@@ -153,30 +153,6 @@ class ParameterStore:
     def items(self):
         return self._params.items()
 
-    def restore(self, snap: np.ndarray) -> None:
-        """Copy a snapshot of the data arena (such as the copy that
-        :func:`adam_step` writes into ``keep``) back into it.  ``snap`` must
-        be a <f8 array of the arena's shape that shares no memory with it;
-        otherwise this raises ValueError."""
-        self.check_copy(snap, "restore")
-        np.copyto(self.data, snap)
-
-    def check_copy(self, a, what: str) -> None:
-        """Raise ValueError, naming ``what``, unless ``a`` can hold a copy
-        of the data arena: a <f8 array of shape ``(size,)`` that shares no
-        memory with it.  A copy into a narrower dtype would round, and
-        numpy would broadcast a shorter array."""
-        if (not isinstance(a, np.ndarray) or a.dtype != np.dtype("<f8")
-                or a.shape != (self.size,)):
-            raise ValueError("%s: expected a <f8 array of shape (%d,), got %s"
-                             % (what, self.size,
-                                "%s %s" % (a.dtype.str, a.shape)
-                                if isinstance(a, np.ndarray)
-                                else type(a).__name__))
-        if np.shares_memory(a, self.data):
-            raise ValueError("%s: the array shares memory with the data "
-                             "arena" % what)
-
 
 def glorot_uniform(rng: np.random.Generator, out: np.ndarray,
                    fans=None) -> None:
@@ -316,18 +292,14 @@ def _uniform_blocks(data, run, generators, start, stop):
         offset += last - first
 
 
-def adam_step(store: ParameterStore, lr: float,
-              keep: np.ndarray = None) -> float:
+def adam_step(store: ParameterStore, lr: float) -> float:
     """One Adam update of every parameter in ``store``, with ADAM_BETAS
     and ADAM_EPS; returns the square sum of the gradients it used (the
     squared global gradient norm).
 
     ``lr`` must be finite and not negative; otherwise the step raises
-    ValueError.  ``keep``, if given, receives a copy of the data arena as
-    it was before the step (a best-iterate snapshot); it must be an array
-    that :meth:`ParameterStore.check_copy` accepts.  A parameter without a
-    gradient has zero gradient (its grad view is zeroed; its moments still
-    decay).
+    ValueError.  A parameter without a gradient has zero gradient (its
+    grad view is zeroed; its moments still decay).
 
     The step has two phases over the same pieces of the arenas.  The gate
     computes ``np.dot(g, g)`` of each run of DOT values of the grad arena
@@ -335,10 +307,9 @@ def adam_step(store: ParameterStore, lr: float,
     infinity, a value above about 1.3e154, or values whose squares
     overflow only in the sum), the step raises OptimizerError, naming the
     parameter that holds the largest |g| (the first NaN, if any); then, as
-    after a ValueError, ``data``, ``m``, ``v``, ``steps`` and ``keep`` are
+    after a ValueError, ``data``, ``m``, ``v`` and ``steps`` are
     untouched.  The update then goes through the arenas BLOCK values at a
-    time, first copying a block of ``data`` into ``keep`` and then
-    updating it with the thirteen in-place operations of
+    time, updating each block with the thirteen in-place operations of
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
     x -= (m * step) / (sqrt(v) * c + eps), with the bias corrections
     folded into step = lr / (1 - b1^t) and c = 1 / sqrt(1 - b2^t)
@@ -361,15 +332,13 @@ def adam_step(store: ParameterStore, lr: float,
     stops at its first such block, so the step is half done: ``steps`` has
     advanced, ``m`` and ``v`` are updated up to and including the failing
     blocks, ``data`` up to them (a failing block's may hold the non-finite
-    result), ``keep``'s contents are unspecified, and the gradients are
-    kept.  Restore a snapshot first.
+    result), and the gradients are kept.  Restore a saved copy of the
+    data arena first.
     """
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError("adam_step: lr must be finite and not negative, "
                          "got %r" % (lr,))
     store.check_views()
-    if keep is not None:
-        store.check_copy(keep, "adam_step keep")
     for p in store:
         if p.grad is None:
             p.tensor.grad_view.fill(0.0)
@@ -386,7 +355,7 @@ def adam_step(store: ParameterStore, lr: float,
     b1, b2 = ADAM_BETAS
     coefficients = (b1, b2, lr / (1.0 - b1 ** store.steps),
                     1.0 / math.sqrt(1.0 - b2 ** store.steps))
-    _on_pieces(bounds, _adam_blocks, store, coefficients, keep)
+    _on_pieces(bounds, _adam_blocks, store, coefficients)
     for p in store:
         p.clear_grad()
     return square_sum
@@ -422,10 +391,9 @@ def _square_blocks(grad, squares, start, stop):
             squares[whole // DOT] = np.dot(g, g)
 
 
-def _adam_blocks(store, coefficients, keep, start, stop):
+def _adam_blocks(store, coefficients, start, stop):
     """The Adam update of values ``start:stop`` of the arenas, BLOCK at a
-    time through two scratch buffers of this call's own, each block of
-    ``data`` first copied into ``keep`` if given."""
+    time through two scratch buffers of this call's own."""
     b1, b2, step, v_scale = coefficients
     scratch = np.empty(BLOCK), np.empty(BLOCK)
     try:    # numpy checks the floating-point status after every operation
@@ -435,8 +403,6 @@ def _adam_blocks(store, coefficients, keep, start, stop):
                 x, mb, vb, g = (arena[lo:hi] for arena in
                                 (store.data, store.m, store.v, store.grad))
                 a, b = (s[:x.size] for s in scratch)
-                if keep is not None:
-                    np.copyto(keep[lo:hi], x)
                 np.multiply(mb, b1, out=mb)
                 np.multiply(g, 1.0 - b1, out=a)
                 np.add(mb, a, out=mb)

@@ -4,6 +4,7 @@ patience-triggered learning-rate halving, and best-iterate selection."""
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,20 +43,13 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Schedule and selection state of a training run.
-
-    ``best_params`` is the copy of the best dev iterate (of the store's
-    data arena) made by the first Adam step after the evaluation that
-    found it, as that step moves the model away from it (``adam_step``'s
-    ``keep``); it is set once that step has returned.  It is None before
-    the first evaluation and while the model still is the best iterate, so
-    also after training when the final evaluation was the best.
-    """
+    """Schedule and selection state of a training run.  The best dev
+    iterate itself is not held here: :func:`train` keeps its copy in a
+    temporary file that lives as long as the run."""
 
     lr: float = 0.0
     batches_seen: int = 0
     best_f1: float = -1.0
-    best_params: np.ndarray = None
     epochs_since_improvement: int = 0
     num_halvings: int = 0
 
@@ -103,12 +97,16 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
     lexical rows and for the encoder.
 
     An evaluation that improves on the best F1 marks the current iterate as
-    the best; only the next Adam step copies it, block by block just
-    before it updates each (``adam_step``'s ``keep``), into the one array
-    the run's first copy allocated.  When training ends, the best copy, if
-    one was taken, is restored; when the final evaluation was the best,
-    the model already is that iterate, nothing is copied and
-    ``TrainState.best_params`` stays None.
+    the best; just before the next Adam step moves away from it, the data
+    arena is written, from offset 0, into one unlinked temporary file
+    (``tempfile.TemporaryFile()``, in ``tempfile.gettempdir()``, which
+    ``TMPDIR`` picks) that the run's first copy opens.  When training
+    ends, the best copy, if the model has moved away from it, is read back
+    into the arena; when the final evaluation was the best, the model
+    already is that iterate and nothing is read.  The file is closed when
+    ``train`` returns or raises.  A copy that cannot be written or read
+    back in full raises OSError naming the directory and the byte count;
+    after a failed read the arena holds neither iterate.
 
     ``eval_fn(model, dev)``, when given, replaces dev parsing in packs
     (``default_eval_fn``; tests use it to script the F1 trajectory).
@@ -137,11 +135,11 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
     eval_points = sorted({math.ceil(total * k / config.evals_per_epoch)
                           for k in range(1, config.evals_per_epoch + 1)})
     loss_sum, loss_sentences = 0.0, 0
-    best_unsaved = False    # the model is the best iterate, not yet copied
-    best_copy = None        # the one array every best-iterate copy fills
+    best_in = None      # what holds the best iterate: "model" or "file"
+    best_file = None    # the one file every best-iterate copy overwrites
 
     def run_eval():
-        nonlocal loss_sum, loss_sentences, best_unsaved
+        nonlocal loss_sum, loss_sentences, best_in
         f1 = eval_fn(model, dev)
         mean_loss = loss_sum / loss_sentences if loss_sentences else 0.0
         row = (state.batches_seen, state.lr, mean_loss, f1)
@@ -151,56 +149,86 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
         loss_sum, loss_sentences = 0.0, 0
         if f1 > state.best_f1:
             state.best_f1 = f1
-            state.best_params = None
-            best_unsaved = True
+            best_in = "model"
             return True
         return False
 
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(total)
-        improved = False
-        processed = 0
-        next_eval = 0
-        for start in range(0, total, config.batch_size):
-            batch = [data[k] for k in order[start:start + config.batch_size]]
-            try:
-                results, loss = model.batch_loss(batch, train=True, rng=rng)
-            except NonFiniteScoreError as exc:
-                raise RuntimeError(
-                    "non-finite training loss (epoch %d, batch at "
-                    "sentence %d, lr %g): %s"
-                    % (epoch, start, state.lr, exc)) from exc
-            batch_value = sum(result.value for result in results)
-            if not np.isfinite(batch_value):
-                raise RuntimeError(
-                    "non-finite training loss (epoch %d, batch at sentence "
-                    "%d, lr %g)" % (epoch, start, state.lr))
-            if loss is not None:
-                backward(loss)
-            # free the batch's graph (and its gradients) before the update
-            loss = results = None
-            state.batches_seen += 1
-            state.lr = lr_schedule(state.batches_seen, state, config)
-            if best_unsaved and best_copy is None:
-                best_copy = np.empty_like(model.store.data)
-            # the step copies the best iterate before it moves away from it
-            adam_step(model.store, state.lr,
-                      best_copy if best_unsaved else None)
-            if best_unsaved:
-                state.best_params, best_unsaved = best_copy, False
-            loss_sum += batch_value
-            loss_sentences += len(batch)
-            processed += len(batch)
-            while next_eval < len(eval_points) and processed >= eval_points[next_eval]:
-                improved = run_eval() or improved
-                next_eval += 1
-        if improved:
-            state.epochs_since_improvement = 0
-        else:
-            state.epochs_since_improvement += 1
-            if state.epochs_since_improvement >= config.patience_epochs:
-                state.num_halvings += 1
+    def copy_best(read):
+        """Write the data arena into the best-iterate file, opening it at
+        the first copy, or ``read`` it back from there."""
+        nonlocal best_file
+        arena = model.store.data
+        try:
+            if best_file is None:
+                best_file = tempfile.TemporaryFile()
+            best_file.seek(0)
+            if not read:
+                best_file.write(arena)
+                best_file.flush()
+                return
+            got = best_file.readinto(arena)
+        except OSError as exc:
+            raise OSError(exc.errno, "cannot %s the best iterate (%d bytes) "
+                          "in a temporary file in %s: %s"
+                          % ("read back" if read else "keep", arena.nbytes,
+                             tempfile.gettempdir(), exc.strerror or exc)
+                          ) from exc
+        if got != arena.nbytes:
+            raise OSError("read back %d of the best iterate's %d bytes from "
+                          "a temporary file in %s; the model holds neither "
+                          "the best nor the last iterate"
+                          % (got, arena.nbytes, tempfile.gettempdir()))
+
+    try:
+        for epoch in range(config.max_epochs):
+            order = rng.permutation(total)
+            improved = False
+            processed = 0
+            next_eval = 0
+            for start in range(0, total, config.batch_size):
+                batch = [data[k] for k in
+                         order[start:start + config.batch_size]]
+                try:
+                    results, loss = model.batch_loss(batch, train=True,
+                                                     rng=rng)
+                except NonFiniteScoreError as exc:
+                    raise RuntimeError(
+                        "non-finite training loss (epoch %d, batch at "
+                        "sentence %d, lr %g): %s"
+                        % (epoch, start, state.lr, exc)) from exc
+                batch_value = sum(result.value for result in results)
+                if not np.isfinite(batch_value):
+                    raise RuntimeError(
+                        "non-finite training loss (epoch %d, batch at "
+                        "sentence %d, lr %g)" % (epoch, start, state.lr))
+                if loss is not None:
+                    backward(loss)
+                # free the batch's graph (and its gradients) before the
+                # update
+                loss = results = None
+                state.batches_seen += 1
+                state.lr = lr_schedule(state.batches_seen, state, config)
+                if best_in == "model":    # the step moves away from it
+                    copy_best(read=False)
+                    best_in = "file"
+                adam_step(model.store, state.lr)
+                loss_sum += batch_value
+                loss_sentences += len(batch)
+                processed += len(batch)
+                while (next_eval < len(eval_points)
+                       and processed >= eval_points[next_eval]):
+                    improved = run_eval() or improved
+                    next_eval += 1
+            if improved:
                 state.epochs_since_improvement = 0
-    if state.best_params is not None:
-        model.store.restore(state.best_params)
+            else:
+                state.epochs_since_improvement += 1
+                if state.epochs_since_improvement >= config.patience_epochs:
+                    state.num_halvings += 1
+                    state.epochs_since_improvement = 0
+        if best_in == "file":
+            copy_best(read=True)
+    finally:
+        if best_file is not None:
+            best_file.close()
     return TrainResult(best_f1=state.best_f1, log_rows=log_rows, state=state)

@@ -383,6 +383,17 @@ def test_analyze_disable_default_is_baseline(workdir, tmp_path):
     assert lines[1].startswith("content:all,position:all\t")
 
 
+def test_a_bad_spec_after_a_good_one_writes_no_table(workdir, tmp_path,
+                                                    capsys):
+    # every spec is parsed before the output is opened
+    out_path = tmp_path / "dis3.tsv"
+    assert main(["analyze-disable", str(workdir / "model.ckpt"),
+                 str(workdir / "dev.txt"), "--spec", "content:all",
+                 "--spec", "bogus:all", "--out", str(out_path)]) == 2
+    assert "'bogus'" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_dump_attention_rows_are_distributions(workdir, tmp_path):
     out_path = tmp_path / "att.tsv"
     code = main(["dump-attention", str(workdir / "model.ckpt"),

@@ -1,3 +1,7 @@
+import errno
+import mmap
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 from spanparser import (EncoderConfig, LabelInventory, LexicalConfig,
                         SpanParser, Vocabulary, toy_treebank, training)
 from spanparser.autodiff import backward
-from spanparser.checkpoint import save_checkpoint
+from spanparser.checkpoint import load_checkpoint, save_checkpoint
 from spanparser.training import (
     TrainConfig, TrainState, lr_schedule, train,
 )
@@ -133,46 +137,194 @@ def test_scripted_f1_drives_halving_and_best_restore():
     assert np.array_equal(model.store.data, snapshots[0])
 
 
-def test_final_best_iterate_is_kept_without_a_snapshot(monkeypatch):
+class BestFile:
+    """Stands in for ``tempfile.TemporaryFile()`` in ``train``: a real
+    unlinked temporary file that records, in ``events``, each copy of the
+    best iterate (with the offset it starts at and the file's bytes once
+    flushed) and each read back.  ``write_error``, if given, is raised by
+    every write, and ``short`` bytes are dropped from every read."""
+
+    opened = []
+
+    def __init__(self, events=None, write_error=None, short=0):
+        self.file = REAL_TEMPORARY_FILE()
+        self.events = [] if events is None else events
+        self.write_error, self.short = write_error, short
+        self.copies = []
+        self.closed = False
+        BestFile.opened.append(self)
+
+    def seek(self, offset):
+        return self.file.seek(offset)
+
+    def write(self, data):
+        self.events.append("copy")
+        if self.write_error is not None:
+            raise self.write_error
+        self.copies.append([self.file.tell()])
+        return self.file.write(data)
+
+    def flush(self):
+        self.file.flush()
+        self.copies[-1].append(os.pread(self.file.fileno(), 1 << 30, 0))
+
+    def readinto(self, buffer):
+        self.events.append("read back")
+        view = memoryview(buffer).cast("B")
+        return self.file.readinto(view[:len(view) - self.short])
+
+    def close(self):
+        self.closed = True
+        self.file.close()
+
+
+REAL_TEMPORARY_FILE = tempfile.TemporaryFile
+
+
+@pytest.fixture
+def best_files(monkeypatch):
+    """Patches ``make()`` in for ``tempfile.TemporaryFile`` and returns
+    the list of BestFiles each call made."""
+    monkeypatch.setattr(BestFile, "opened", [])
+
+    def patch(make=BestFile):
+        monkeypatch.setattr(tempfile, "TemporaryFile", make)
+    patch()
+    return BestFile.opened, patch
+
+
+def test_final_best_iterate_is_kept_without_a_snapshot(monkeypatch,
+                                                      best_files):
     # F1 rises at every evaluation: each best iterate but the last is
-    # copied by the step that leaves it, and the last is the model itself,
-    # so nothing is copied or restored at the end; the second copy goes
-    # into the array of the first
+    # copied just before the step that leaves it, and the last is the
+    # model itself, so nothing is read back at the end; the second copy
+    # overwrites the first in the run's one file
+    opened, patch = best_files
     model = fresh_model()
     script = iter([10.0, 20.0, 30.0])
     events = []
     evaluated = []
-    kept = []
+    patch(lambda: BestFile(events))
 
     def eval_fn(m, d):
         events.append("eval")
         evaluated.append(m.store.data.copy())
         return next(script)
 
-    def adam_step(params, lr, keep=None, step=training.adam_step):
-        events.append("step" if keep is None else "copying step")
-        step(params, lr, keep)
-        if keep is not None:
-            kept.append((keep, keep.copy()))
+    def adam_step(params, lr, step=training.adam_step):
+        events.append("step")
+        return step(params, lr)
 
-    def refuse(*args):
-        raise AssertionError("the steps copy every best iterate but the "
-                             "last, which is the model")
-
-    monkeypatch.setattr(model.store, "restore", refuse)
     monkeypatch.setattr("spanparser.training.adam_step", adam_step)
     result = train(model, TREES, TREES[:2], cfg(max_epochs=3),
                    eval_fn=eval_fn)
     assert result.best_f1 == 30.0
-    assert result.state.best_params is None
-    # 2 batches per epoch; the step after each improving evaluation copies
-    assert events == ["step", "step", "eval", "copying step", "step",
-                      "eval", "copying step", "step", "eval"]
+    # 2 batches per epoch; the step after each improving evaluation is
+    # preceded by a copy
+    assert events == ["step", "step", "eval", "copy", "step", "step",
+                      "eval", "copy", "step", "step", "eval"]
     assert np.array_equal(model.store.data, evaluated[-1])
-    (first, first_copy), (second, second_copy) = kept
-    assert second is first
-    assert np.array_equal(first_copy, evaluated[0])
-    assert np.array_equal(second_copy, evaluated[1])
+    (best_file,) = opened
+    assert best_file.closed
+    (first_at, first), (second_at, second) = best_file.copies
+    assert first_at == second_at == 0
+    assert first == evaluated[0].tobytes()
+    assert second == evaluated[1].tobytes()
+
+
+def test_a_best_iterate_that_cannot_be_written_fails_loudly(best_files):
+    opened, patch = best_files
+    patch(lambda: BestFile(write_error=OSError(
+        errno.ENOSPC, os.strerror(errno.ENOSPC))))
+    model = fresh_model()
+    script = iter([10.0, 5.0])
+    with pytest.raises(OSError) as e:
+        train(model, TREES, TREES[:2], cfg(max_epochs=2),
+              eval_fn=lambda m, d: next(script))
+    assert e.value.errno == errno.ENOSPC
+    message = str(e.value)
+    assert tempfile.gettempdir() in message
+    assert "%d bytes" % model.store.data.nbytes in message
+    assert "No space left" in message
+    (best_file,) = opened
+    assert best_file.events == ["copy"] and best_file.closed
+
+
+def test_a_short_read_back_of_the_best_iterate_raises(best_files):
+    opened, patch = best_files
+    patch(lambda: BestFile(short=8))
+    model = fresh_model()
+    script = iter([50.0, 10.0])
+    with pytest.raises(OSError, match="read back %d of the best iterate's "
+                       "%d bytes" % (model.store.data.nbytes - 8,
+                                     model.store.data.nbytes)):
+        train(model, TREES, TREES[:2], cfg(max_epochs=2),
+              eval_fn=lambda m, d: next(script))
+    (best_file,) = opened
+    assert best_file.events == ["copy", "read back"] and best_file.closed
+
+
+def test_the_best_iterate_file_is_closed_when_training_raises(best_files):
+    opened, _ = best_files
+    model = fresh_model()
+    calls = []
+
+    def eval_fn(m, d):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("evaluation failed")
+        return 10.0
+
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        train(model, TREES, TREES[:2], cfg(max_epochs=2), eval_fn=eval_fn)
+    (best_file,) = opened
+    assert best_file.events == ["copy"] and best_file.closed
+
+
+def test_a_loaded_model_trains_and_restores_its_best_iterate(tmp_path):
+    # a loaded model's data arena is a copy-on-write mapping of the
+    # checkpoint file; the best iterate comes back bitwise and the file
+    # keeps its bytes
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(fresh_model(), path)
+    saved = path.read_bytes()
+    model = load_checkpoint(path)
+    assert isinstance(model.store.data.base.obj, mmap.mmap)
+    script = iter([50.0, 10.0, 10.0])
+    evaluated = []
+
+    def eval_fn(m, d):
+        evaluated.append(m.store.data.copy())
+        return next(script)
+
+    result = train(model, TREES, TREES[:2], cfg(max_epochs=3),
+                   eval_fn=eval_fn)
+    assert result.best_f1 == 50.0
+    assert not np.array_equal(evaluated[0], evaluated[-1])
+    assert model.store.data.tobytes() == evaluated[0].tobytes()
+    assert path.read_bytes() == saved
+
+
+def test_training_allocates_no_copy_of_the_data_arena():
+    # a wide feed-forward layer makes the arena dwarf the batch's graph:
+    # the best-iterate copy lives in a file, so the traced peak stays
+    # below one arena
+    model = SpanParser(
+        EncoderConfig(num_layers=1, d_model=256, num_heads=2, d_k=8, d_v=8,
+                      d_ff=4096, span_hidden=12, max_sentence_length=24),
+        LexicalConfig(mode="tags", word_dropout=0.0, tag_dropout=0.0),
+        Vocabulary.from_trees(TREES), LabelInventory.from_trees(TREES))
+    script = iter([50.0, 10.0])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = train(model, TREES, TREES[:2], cfg(max_epochs=2),
+                       eval_fn=lambda m, d: next(script))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert result.state.batches_seen == 4
+    assert peak < model.store.data.nbytes
 
 
 def test_improvement_must_be_strict():
