@@ -15,9 +15,9 @@ from spanparser.optim import ParameterStore
 cfg = EncoderConfig(num_layers=2, d_model=32, num_heads=2, d_k=8, d_v=8,
                     d_ff=48, variant="factored", max_sentence_length=16)
 store = ParameterStore()
+enc = Encoder(store, cfg)
+store.allocate(seed=0)
 rng = np.random.default_rng(0)
-enc = Encoder(store, cfg, rng)
-store.allocate()
 print("encoder holds %d values in %d parameters"
       % (store.size, len(store)))
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .optim import GlorotInit, ParameterStore, ones
+from .optim import ParameterStore, glorot_uniform, ones
 from .trees import BinaryTree, gold_spans
 
 NULL_ID = 0  # LabelInventory reserves id 0 for the dummy label
@@ -108,16 +108,16 @@ class SpanScorer:
     """
 
     def __init__(self, store: ParameterStore, d_model: int, hidden: int,
-                 num_labels: int, rng):
+                 num_labels: int):
         if num_labels < 2:
             raise ValueError("need at least one real label besides the dummy")
         self.num_labels = num_labels
-        glorot = GlorotInit(rng)
-        self.m1 = store.add("scorer.m1", (d_model, hidden), glorot)
+        self.m1 = store.add("scorer.m1", (d_model, hidden), glorot_uniform)
         self.c1 = store.add("scorer.c1", (hidden,))
         self.ln_gain = store.add("scorer.ln.gain", (hidden,), ones)
         self.ln_bias = store.add("scorer.ln.bias", (hidden,))
-        self.m2 = store.add("scorer.m2", (hidden, num_labels - 1), glorot)
+        self.m2 = store.add("scorer.m2", (hidden, num_labels - 1),
+                            glorot_uniform)
         self.c2 = store.add("scorer.c2", (num_labels - 1,))
 
     def project(self, rows: Tensor) -> Tensor:

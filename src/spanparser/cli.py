@@ -6,15 +6,17 @@ Before running a command, :func:`main` sets the OpenBLAS bundled with
 numpy to one thread (:func:`autodiff.pin_blas_threads`), so no product's
 bits depend on ``OPENBLAS_NUM_THREADS``; where it cannot, it says so on
 stderr, and large products may then differ with the BLAS thread count
-(see the README).  Building a new model uses every usable CPU (the Glorot
-draws of its initialization, split across threads from advanced copies of
-the generator), and so does training (Adam's gradient check and update,
-and the best-iterate copy the update makes, split across threads; large
-weights' gradients applied on a worker thread).  Training and parsing
-alike run a factored encoder's position stream on a worker thread beside
-the content stream when there are two usable CPUs and its weights are as
-large as the paper config's.  No output's bits depend on how many CPUs
-there are.
+(see the README).  Building a new model uses every usable CPU: each
+parameter draws its initialization from a generator of its own, spawned
+from the seed, and the parameters are shared out among threads.  So does
+training: Adam's gradient check and update are split across threads, and
+large weights' gradients are applied on a worker thread, while the copy of
+the best dev iterate is written to a temporary file on the calling
+thread.  Training and parsing alike run a factored encoder's position
+stream on a worker thread beside the content stream when there are two
+usable CPUs and its weights are as large as the paper config's.  The toy
+config's model is built and trained on the calling thread alone.  No
+output's bits depend on how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -190,6 +192,8 @@ def _cmd_train(args):
     dev_vecs = _load_vectors(args.dev_vectors, dev_trees, args.dev_file,
                              lexical_cfg.mode, "--dev-vectors")
     # the checkpoint is written after training: find out now if it cannot be
+    if os.path.isdir(args.out):
+        raise ConfigError("cannot write %s: it is a directory" % args.out)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
         raise ConfigError("cannot write %s: %s is not a writable directory"

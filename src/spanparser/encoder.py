@@ -44,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .optim import (GlorotInit, ParameterStore, embedding_init, ones,
+from .optim import (ParameterStore, embedding_init, glorot_uniform, ones,
                     usable_cpus)
 
 VARIANTS = (
@@ -230,7 +230,7 @@ class MultiHeadAttention:
     """
 
     def __init__(self, store: ParameterStore, prefix: str,
-                 config: EncoderConfig, rng):
+                 config: EncoderConfig):
         self.position_queries = config.variant == "position-only"
         self.num_heads = heads = config.num_heads
         suffixes = stream_suffixes(config.variant)
@@ -241,7 +241,7 @@ class MultiHeadAttention:
         # h, "w_o" is [H * d_v, d_out] with head h in row block h; each block
         # is drawn with its own per-head fans
         self.streams = _add_streams(store, prefix, suffixes, [
-            (role, shape, GlorotInit(rng, fans))
+            (role, shape, functools.partial(glorot_uniform, fans=fans))
             for role, shape, fans in (
                 ("w_q", (d_io, heads * d_k), (d_io, d_k)),
                 ("w_k", (d_io, heads * d_k), (d_io, d_k)),
@@ -347,14 +347,13 @@ class FeedForward:
     on the calling thread, in stream order, so the random stream and the
     order of the relu calls are those of one thread."""
 
-    def __init__(self, store, prefix, config: EncoderConfig, rng):
+    def __init__(self, store, prefix, config: EncoderConfig):
         suffixes = stream_suffixes(config.variant)
         d = config.d_model // len(suffixes)
         dff = config.d_ff // len(suffixes)
-        glorot = GlorotInit(rng)
         self.streams = _add_streams(store, prefix, suffixes, (
-            ("w1", (d, dff), glorot), ("b1", (dff,), None),
-            ("w2", (dff, d), glorot), ("b2", (d,), None)))
+            ("w1", (d, dff), glorot_uniform), ("b1", (dff,), None),
+            ("w2", (dff, d), glorot_uniform), ("b2", (d,), None)))
 
     def forward(self, x: Tensor, train: bool, rng, relu_p: float,
                 worker=None) -> list:
@@ -372,10 +371,10 @@ def _affine(weight, bias, x, stream):
 
 
 class EncoderLayer:
-    def __init__(self, store, prefix, config: EncoderConfig, rng):
+    def __init__(self, store, prefix, config: EncoderConfig):
         self.config = config
-        self.attn = MultiHeadAttention(store, prefix + ".attn", config, rng)
-        self.ffn = FeedForward(store, prefix + ".ffn", config, rng)
+        self.attn = MultiHeadAttention(store, prefix + ".attn", config)
+        self.ffn = FeedForward(store, prefix + ".ffn", config)
         d = config.d_model
         self.ln1_gain = store.add(prefix + ".ln1.gain", (d,), ones)
         self.ln1_bias = store.add(prefix + ".ln1.bias", (d,))
@@ -398,14 +397,13 @@ class EncoderLayer:
 class Encoder:
     """The full stack: learned position table plus num_layers layers."""
 
-    def __init__(self, store: ParameterStore, config: EncoderConfig, rng):
+    def __init__(self, store: ParameterStore, config: EncoderConfig):
         config.validate()
         self.config = config
         self.position_table = store.add(
             "encoder.positions",
-            (config.max_sentence_length, config.content_dim),
-            functools.partial(embedding_init, rng))
-        self.layers = [EncoderLayer(store, "encoder.layer%d" % i, config, rng)
+            (config.max_sentence_length, config.content_dim), embedding_init)
+        self.layers = [EncoderLayer(store, "encoder.layer%d" % i, config)
                        for i in range(config.num_layers)]
 
     def encode(self, x: Tensor, lengths=None, train: bool = False, rng=None,

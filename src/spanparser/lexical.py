@@ -18,13 +18,12 @@ since pretrained files only cover real tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .optim import GlorotInit, ParameterStore, embedding_init
+from .optim import ParameterStore, embedding_init, glorot_uniform
 from .vocab import Vocabulary, START, STOP
 
 MODES = ("tags", "char-lstm", "char-concat", "external")
@@ -79,7 +78,7 @@ class CharConcat:
     last ``suffix_length`` letters and concatenate all of them."""
 
     def __init__(self, store: ParameterStore, vocab: Vocabulary,
-                 config: LexicalConfig, slot_dim: int, rng):
+                 config: LexicalConfig, slot_dim: int):
         self.vocab = vocab
         self.prefix = config.prefix_length
         self.suffix = config.suffix_length
@@ -94,7 +93,7 @@ class CharConcat:
                                 width, slot_dim))
         self.char_emb = store.add("lexical.char_emb",
                                   (len(vocab.chars), self.char_dim),
-                                  partial(embedding_init, rng))
+                                  embedding_init)
 
     def positions(self, word: str) -> np.ndarray:
         """Char ids for one word: prefix letters padded right, suffix
@@ -124,27 +123,28 @@ class CharLSTM:
     """
 
     def __init__(self, store: ParameterStore, vocab: Vocabulary,
-                 config: LexicalConfig, slot_dim: int, rng):
+                 config: LexicalConfig, slot_dim: int):
         self.vocab = vocab
         self.char_dim = config.resolved_char_dim()
         self.hidden = config.char_lstm_hidden
         self.char_dropout = config.char_dropout
-        glorot = GlorotInit(rng)
         self.char_emb = store.add("lexical.char_emb",
                                   (len(vocab.chars), self.char_dim),
-                                  partial(embedding_init, rng))
+                                  embedding_init)
         self.dirs = {}
         for tag in ("fwd", "bwd"):
             self.dirs[tag] = {
                 "w_x": store.add("lexical.char_lstm.%s.w_x" % tag,
-                                 (self.char_dim, 4 * self.hidden), glorot),
+                                 (self.char_dim, 4 * self.hidden),
+                                 glorot_uniform),
                 "w_h": store.add("lexical.char_lstm.%s.w_h" % tag,
-                                 (self.hidden, 4 * self.hidden), glorot),
+                                 (self.hidden, 4 * self.hidden),
+                                 glorot_uniform),
                 "b": store.add("lexical.char_lstm.%s.b" % tag,
                                (4 * self.hidden,)),
             }
         self.proj = store.add("lexical.char_lstm.proj",
-                              (2 * self.hidden, slot_dim), glorot)
+                              (2 * self.hidden, slot_dim), glorot_uniform)
         self.proj_bias = store.add("lexical.char_lstm.proj_bias", (slot_dim,))
 
     def _run_direction(self, ids: np.ndarray, last: np.ndarray, weights,
@@ -192,7 +192,7 @@ class LexicalModel:
     """Maps a pack of tagged sentences to their stacked content rows."""
 
     def __init__(self, store: ParameterStore, vocab: Vocabulary,
-                 config: LexicalConfig, slot_dim: int, rng):
+                 config: LexicalConfig, slot_dim: int):
         config.validate()
         self.vocab = vocab
         self.config = config
@@ -206,22 +206,21 @@ class LexicalModel:
                               and config.use_word_embeddings):
             self.word_emb = store.add("lexical.word_emb",
                                       (len(vocab.words), slot_dim),
-                                      partial(embedding_init, rng))
+                                      embedding_init)
         if mode == "tags":
             self.tag_emb = store.add("lexical.tag_emb",
                                      (len(vocab.tags), slot_dim),
-                                     partial(embedding_init, rng))
+                                     embedding_init)
         elif mode == "char-lstm":
-            self.chars = CharLSTM(store, vocab, config, slot_dim, rng)
+            self.chars = CharLSTM(store, vocab, config, slot_dim)
         elif mode == "char-concat":
-            self.chars = CharConcat(store, vocab, config, slot_dim, rng)
+            self.chars = CharConcat(store, vocab, config, slot_dim)
         elif mode == "external":
             self.external_proj = store.add(
                 "lexical.external_proj", (config.external_dim, slot_dim),
-                GlorotInit(rng))
+                glorot_uniform)
             self.external_boundaries = store.add(
-                "lexical.external_boundaries", (2, slot_dim),
-                partial(embedding_init, rng))
+                "lexical.external_boundaries", (2, slot_dim), embedding_init)
 
     def content_vectors(self, sentences, train: bool = False, rng=None,
                         externals=None) -> Tensor:

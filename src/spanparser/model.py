@@ -3,8 +3,6 @@ span scorer, and CKY decoding glued into one trainable object."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .chart import (SpanScorer, build_chart, cky_decode, fenceposts,
                     hinge_loss, margin_loss, span_vectors)
@@ -22,7 +20,9 @@ class SpanParser:
     """Scores labeled spans of tagged sentences and decodes parse trees.
 
     Construction is deterministic in ``seed``; two parsers built from equal
-    configs, vocabularies, and seeds are identical parameter for parameter.
+    configs, vocabularies, and seeds are identical parameter for parameter,
+    each parameter drawn from a generator of its own spawned from ``seed``
+    (see :meth:`ParameterStore.allocate`).
     ``data``, if given, is called with the parameter store once every
     parameter is registered and before anything is allocated, and returns
     the data arena to adopt instead of drawing an initialization (see
@@ -40,9 +40,8 @@ class SpanParser:
         self.seed = seed
         self.store = ParameterStore()
         self.lexical, self.encoder, self.scorer = _modules(
-            self.store, encoder_config, lexical_config, vocab, labels,
-            np.random.default_rng(seed))
-        self.store.allocate(None if data is None else data(self.store))
+            self.store, encoder_config, lexical_config, vocab, labels)
+        self.store.allocate(None if data is None else data(self.store), seed)
 
     def num_parameters(self) -> int:
         return self.store.size
@@ -141,7 +140,7 @@ class SpanParser:
         return results, margin_loss(scores, results)
 
 
-def _modules(store, encoder_config, lexical_config, vocab, labels, rng):
+def _modules(store, encoder_config, lexical_config, vocab, labels):
     """Validate the configs and register the lexical layer's, the
     encoder's and the scorer's parameters in ``store``, in that order."""
     if len(labels) < 2:
@@ -149,7 +148,7 @@ def _modules(store, encoder_config, lexical_config, vocab, labels, rng):
     encoder_config.validate()
     lexical_config.validate()
     return (LexicalModel(store, vocab, lexical_config,
-                         encoder_config.content_dim, rng),
-            Encoder(store, encoder_config, rng),
+                         encoder_config.content_dim),
+            Encoder(store, encoder_config),
             SpanScorer(store, encoder_config.d_model,
-                       encoder_config.span_hidden, len(labels), rng))
+                       encoder_config.span_hidden, len(labels)))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -66,8 +65,9 @@ class ParameterStore:
     parameter's values, in insertion order), ``grad`` (where backward
     writes their gradients) and Adam's moments ``m`` and ``v``; ``steps``
     counts Adam steps.  ``add`` records the layout, then ``allocate``
-    creates the arenas and writes each initialization into its view, or
-    adopts a given data arena, such as a checkpoint's mapped payload.
+    creates the arenas and draws each initialization into its view from a
+    seed, or adopts a given data arena, such as a checkpoint's mapped
+    payload.
     Insertion order defines the checkpoint layout, so construction must be
     deterministic.
     """
@@ -80,9 +80,9 @@ class ParameterStore:
         self.steps = 0
 
     def add(self, name: str, shape, init=None) -> Parameter:
-        """Register a parameter of ``shape``.  ``init(out)``, if given,
-        fills its view when the store is allocated; without one it stays
-        zero."""
+        """Register a parameter of ``shape``.  ``init(rng, out)``, if
+        given, fills its view ``out`` from the parameter's own generator
+        ``rng`` when the store is allocated; without one it stays zero."""
         if self.data is not None:
             raise ValueError("cannot add parameter %r: the store is "
                              "already allocated" % name)
@@ -94,14 +94,14 @@ class ParameterStore:
         self._inits.append(init)
         return p
 
-    def allocate(self, data: np.ndarray = None) -> None:
+    def allocate(self, data: np.ndarray = None, seed: int = 0) -> None:
         """Create the arenas and give every parameter its views.  ``data``,
         if given, is adopted as the data arena as it is, its values the
         parameters' (a checkpoint loader passes the payload mapped from
         its file); it must be a writable 1-d little-endian float64 array
         of the layout's size.  Without it the data arena is zeroed and
-        each ``init`` runs in insertion order, the Glorot draws possibly on
-        several threads with the same bits (see :func:`_initialize`).
+        each ``init`` draws from a generator of the parameter's own, spawned
+        from ``seed`` (see :func:`_initialize`).
         ``np.zeros`` maps a large arena lazily, so the pages of ``grad``,
         ``m`` and ``v`` of a model that never trains are never touched."""
         if data is not None and (data.dtype != np.dtype("<f8")
@@ -117,7 +117,7 @@ class ParameterStore:
             p.tensor = GradLeaf(self.data[p.start:p.stop].reshape(p.shape),
                                 self.grad[p.start:p.stop].reshape(p.shape))
         if data is None:
-            _initialize(self, self._inits)
+            _initialize(self, self._inits, seed)
         self._inits = None
 
     def check_views(self) -> None:
@@ -160,31 +160,11 @@ def glorot_uniform(rng: np.random.Generator, out: np.ndarray,
     ``rng.uniform(-limit, limit, out.shape)``.  ``fans`` overrides
     (fan_in, fan_out), so a stack of per-head blocks keeps each block's own
     limit."""
-    limit = _glorot_limit(out.shape, fans)
+    fan_in, fan_out = fans or (out.shape[0], out.shape[-1])
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
     rng.random(out=out)
     out *= 2 * limit
     out -= limit
-
-
-class GlorotInit:
-    """The init that draws a parameter with :func:`glorot_uniform` from
-    ``rng``, with ``fans`` if given.  A module asks for a Glorot init with
-    this class and no other wrapper: ParameterStore.allocate recognizes it
-    by its type and draws runs of them on several threads (see
-    :func:`_initialize`)."""
-
-    __slots__ = ("rng", "fans")
-
-    def __init__(self, rng: np.random.Generator, fans=None):
-        self.rng, self.fans = rng, fans
-
-    def __call__(self, out: np.ndarray) -> None:
-        glorot_uniform(self.rng, out, self.fans)
-
-
-def _glorot_limit(shape, fans):
-    fan_in, fan_out = fans or (shape[0], shape[-1])
-    return np.sqrt(6.0 / (fan_in + fan_out))
 
 
 def embedding_init(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -194,7 +174,8 @@ def embedding_init(rng: np.random.Generator, out: np.ndarray) -> None:
     out /= np.sqrt(out.shape[-1])
 
 
-def ones(out: np.ndarray) -> None:
+def ones(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with 1; draws nothing."""
     out.fill(1.0)
 
 
@@ -216,80 +197,24 @@ def _piece_bounds(size: int) -> list:
             for k in range(pieces + 1)]
 
 
-# bit generators whose ``advance(n)`` skips exactly n 64-bit outputs, one
-# per uniform double (Philox's counts blocks of four)
-_ADVANCES_BY_DRAWS = (np.random.PCG64, np.random.PCG64DXSM)
+def _initialize(store: ParameterStore, inits, seed: int) -> None:
+    """Call each parameter's ``init(rng, out)`` on its view, ``rng`` its
+    own generator: child ``k`` of ``SeedSequence(seed)`` for the parameter
+    at insertion index ``k``.  A parameter's values thus depend only on
+    the seed and its index, so the parameters are drawn on as many threads
+    as :func:`_piece_bounds` splits the data arena into, each parameter by
+    the thread whose piece holds its first value, with the same bits."""
+    seeds = np.random.SeedSequence(seed).spawn(len(store))
+    work = [(p, init, child) for p, init, child in zip(store, inits, seeds)
+            if init is not None]
+    _on_pieces(_piece_bounds(store.size), _init_piece, work)
 
 
-def _initialize(store: ParameterStore, inits) -> None:
-    """Run each parameter's ``init`` in insertion order, drawing each
-    maximal run of Glorot-uniform inits on one generator as one stream.
-
-    A Glorot-uniform init is a :class:`GlorotInit`.  Parameters without
-    an init and those whose init is :func:`ones` draw nothing and may sit
-    inside a run; any other init, such as :func:`embedding_init`, ends the
-    run and runs after it.
-    The run's values, in order, are one stream of uniform doubles from its
-    generator, split by :func:`_piece_bounds` and drawn by
-    :func:`_uniform_blocks`.  The calling thread draws the first piece
-    from the generator itself, and each other piece, on a worker, from a
-    copy advanced to its first value; the generator is then advanced past
-    the run.  So every value, and the generator's next draw, is bitwise
-    that of calling each init in turn.  A run on a bit generator outside
-    _ADVANCES_BY_DRAWS, or one holding a buffered 32-bit half (which
-    ``advance`` drops), is one piece."""
-    run, rng = [], None
-    for p, init in zip(store, inits):
-        if init is None:
-            continue
-        if init is ones:
-            ones(p.data)
-            continue
-        glorot = type(init) is GlorotInit
-        if not glorot or init.rng is not rng:
-            _draw_run(store.data, rng, run)
-            run, rng = [], init.rng if glorot else None
-        if glorot:
-            run.append((p.start, p.stop, _glorot_limit(p.shape, init.fans)))
-        else:
-            init(p.data)
-    _draw_run(store.data, rng, run)
-
-
-def _draw_run(data, rng, run) -> None:
-    """Draw a run of Glorot-uniform inits from ``rng`` into ``data``; the
-    run lists each parameter's ``(start, stop, limit)``."""
-    if not run:
-        return
-    size = sum(stop - start for start, stop, _ in run)
-    bits = rng.bit_generator
-    bounds = ([0, size] if type(bits) not in _ADVANCES_BY_DRAWS
-              or bits.state["has_uint32"] else _piece_bounds(size))
-    generators = {0: rng}
-    for start in bounds[1:-1]:
-        copied = copy.deepcopy(bits)
-        generators[start] = np.random.Generator(copied.advance(start))
-    _on_pieces(bounds, _uniform_blocks, data, run, generators)
-    if len(bounds) > 2:
-        bits.advance(size - bounds[1])
-
-
-def _uniform_blocks(data, run, generators, start, stop):
-    """Values ``start:stop`` of a run's stream, drawn from
-    ``generators[start]`` BLOCK at a time into their places in ``data``,
-    each block scaled to its parameter's [-limit, limit) while in cache,
-    as :func:`glorot_uniform` scales the whole parameter."""
-    rng = generators[start]
-    offset = 0      # the stream position of the parameter's first value
-    for first, last, limit in run:
-        lo, hi = max(start, offset), min(stop, offset + last - first)
-        at = first - offset
-        for k in range(lo, hi, BLOCK):
-            block = data[at + k:at + min(k + BLOCK, hi)]
-            rng.random(out=block)
-            block *= 2 * limit
-            block -= limit
-        offset += last - first
+def _init_piece(work, start, stop):
+    """The inits of the parameters whose first value is in ``start:stop``."""
+    for p, init, child in work:
+        if start <= p.start < stop:
+            init(np.random.default_rng(child), p.data)
 
 
 def adam_step(store: ParameterStore, lr: float) -> float:

@@ -403,8 +403,8 @@ def tiny_encoder(variant="factored", seed=0, num_layers=2, d_model=16,
                         variant=variant, max_sentence_length=max_len,
                         span_hidden=12, **kw)
     store = ParameterStore()
-    encoder = Encoder(store, cfg, np.random.default_rng(seed))
-    store.allocate()
+    encoder = Encoder(store, cfg)
+    store.allocate(seed=seed)
     return encoder, store, cfg
 
 

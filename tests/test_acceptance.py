@@ -234,7 +234,7 @@ def test_factored_encoder_has_fewer_parameters():
         cfg = EncoderConfig(num_layers=8, d_model=512, num_heads=8, d_k=64,
                             d_v=64, d_ff=1024, variant=variant,
                             max_sentence_length=300)
-        Encoder(store, cfg, np.random.default_rng(0))
+        Encoder(store, cfg)
         counts[variant] = store.size
     print("\nencoder parameter counts at d_model=512, 8 layers, 8 heads:")
     for variant, count in counts.items():
@@ -322,7 +322,7 @@ def test_char_concat_fills_512_wide_content_slot():
     # any other slot width is rejected up front
     with pytest.raises(ValueError):
         LexicalModel(ParameterStore(), Vocabulary.from_trees(trees), lex,
-                     500, np.random.default_rng(0))
+                     500)
 
 
 # ---------------------------------------------------------------------------

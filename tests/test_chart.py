@@ -87,8 +87,8 @@ def test_span_vectors_are_additive_along_splits():
 def test_span_scorer_matches_numpy_reimplementation():
     store = ParameterStore()
     rng = np.random.default_rng(3)
-    scorer = SpanScorer(store, d_model=10, hidden=7, num_labels=4, rng=rng)
-    store.allocate()
+    scorer = SpanScorer(store, d_model=10, hidden=7, num_labels=4)
+    store.allocate(seed=3)
     v = rng.standard_normal((6, 10))
     out = scorer.forward(scorer.project(tensor(v))).data
     h = v @ store["scorer.m1"].data + store["scorer.c1"].data
@@ -101,7 +101,7 @@ def test_span_scorer_matches_numpy_reimplementation():
     assert np.allclose(out, ref, atol=1e-12)
     assert out.shape == (6, 3)  # dummy label has no column
     with pytest.raises(ValueError):
-        SpanScorer(ParameterStore(), 10, 7, 1, rng)
+        SpanScorer(ParameterStore(), 10, 7, 1)
 
 
 def test_span_index_and_rows_follow_all_spans():
@@ -128,8 +128,8 @@ def test_projected_span_scores_match_span_vector_scores():
     # every span_vector, up to float rounding
     rng = np.random.default_rng(11)
     store = ParameterStore()
-    scorer = SpanScorer(store, d_model=10, hidden=7, num_labels=4, rng=rng)
-    store.allocate()
+    scorer = SpanScorer(store, d_model=10, hidden=7, num_labels=4)
+    store.allocate(seed=11)
     store["scorer.c1"].data[...] = rng.standard_normal(7)
     n = 6
     y = tensor(rng.standard_normal((n + 2, 10)), requires_grad=True)

@@ -288,6 +288,23 @@ def test_train_rejects_a_missing_out_directory_before_training(
     assert not out.parent.exists()
 
 
+def test_train_rejects_an_out_path_that_is_a_directory_before_training(
+        workdir, tmp_path, capsys):
+    out = tmp_path / "models"
+    out.mkdir()
+    log = tmp_path / "train.log"
+    capsys.readouterr()
+    assert main(["train", str(workdir / "train.txt"),
+                 str(workdir / "dev.txt"),
+                 "--config", str(workdir / "model.cfg"),
+                 "--out", str(out), "--log", str(log)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write %s: it is a directory" % out in captured.err
+    assert captured.out == ""
+    assert not log.exists()
+    assert list(out.iterdir()) == []
+
+
 def test_analyze_window_table(workdir, tmp_path):
     out_path = tmp_path / "win.tsv"
     code = main(["analyze-window", str(workdir / "model.ckpt"),

@@ -30,7 +30,7 @@ MODES = {
 def make(mode, slot=16, **kw):
     cfg = LexicalConfig(mode=mode, **kw)
     store = ParameterStore()
-    model = LexicalModel(store, VOCAB, cfg, slot, np.random.default_rng(0))
+    model = LexicalModel(store, VOCAB, cfg, slot)
     store.allocate()
     return model, store, cfg
 

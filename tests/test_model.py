@@ -31,6 +31,18 @@ def test_construction_is_deterministic_in_seed():
                for (_, pa), (_, pc) in zip(a.store.items(), c.store.items()))
 
 
+def test_different_seeds_draw_different_arenas():
+    # every drawn parameter's generator depends on the seed, not only on
+    # the parameter's index, so no drawn parameter repeats across seeds
+    models = [tiny_model(TREES, mode="char-lstm", seed=s) for s in (0, 1, 2)]
+    for k, a in enumerate(models):
+        for b in models[k + 1:]:
+            assert a.store.data.tobytes() != b.store.data.tobytes()
+            for (name, pa), (_, pb) in zip(a.store.items(), b.store.items()):
+                if np.any((pa.data != 0) & (pa.data != 1)):
+                    assert not np.array_equal(pa.data, pb.data), name
+
+
 def test_requires_real_labels():
     vocab = Vocabulary.from_trees(TREES)
     with pytest.raises(ValueError):

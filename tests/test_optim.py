@@ -18,9 +18,8 @@ from spanparser.encoder import VARIANTS, EncoderConfig
 from spanparser.lexical import LexicalConfig
 from spanparser.model import SpanParser
 from spanparser.optim import (
-    ADAM_BETAS, ADAM_EPS, BLOCK, DOT, MIN_WORKER_BLOCKS, GlorotInit,
-    OptimizerError, ParameterStore, adam_step, embedding_init, glorot_uniform,
-    ones,
+    ADAM_BETAS, ADAM_EPS, BLOCK, DOT, MIN_WORKER_BLOCKS, OptimizerError,
+    ParameterStore, adam_step, embedding_init, glorot_uniform, ones,
 )
 from spanparser.toydata import toy_treebank
 from spanparser.vocab import LabelInventory, Vocabulary
@@ -32,7 +31,7 @@ TREES = toy_treebank(6, seed=4)
 
 def filled(values):
     """An init that copies ``values`` into the parameter's view."""
-    return lambda out: np.copyto(out, values)
+    return lambda rng, out: np.copyto(out, values)
 
 
 def store_of(**arrays):
@@ -467,137 +466,69 @@ def test_rebound_parameter_is_rejected_before_any_update():
 
 
 def test_in_place_inits_match_the_old_draws():
-    # glorot (also with per-block fans), embedding, ones and zero inits
-    # written into a store's views draw bitwise what the former
-    # array-returning expressions drew from the same seed, in order
-    def old_glorot(rng, shape, fans=None):
+    # the reference: parameter k holds the array-returning expression its
+    # in-place init replaced, drawn from child k of SeedSequence(seed),
+    # whatever the others draw; glorot (also with per-block fans),
+    # embedding, ones and zero inits
+    def glorot(rng, shape, fans=None):
         fan_in, fan_out = fans if fans is not None else (shape[0], shape[-1])
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=shape)
 
-    rng = np.random.default_rng(17)
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(17).spawn(6)]
     expected = {
-        "w": old_glorot(rng, (5, 8)),
-        "emb": rng.standard_normal((9, 4)) / np.sqrt(4),
+        "w": glorot(rngs[0], (5, 8)),
+        "emb": rngs[1].standard_normal((9, 4)) / np.sqrt(4),
         "gain": np.ones(4),
         "bias": np.zeros(3),
-        "heads": old_glorot(rng, (6, 12), (6, 3)),
-        "table": rng.standard_normal((3, 7)) / np.sqrt(7),
+        "heads": glorot(rngs[4], (6, 12), (6, 3)),
+        "table": rngs[5].standard_normal((3, 7)) / np.sqrt(7),
     }
-    rng = np.random.default_rng(17)
     store = ParameterStore()
-    store.add("w", (5, 8), lambda out: glorot_uniform(rng, out))
-    store.add("emb", (9, 4), lambda out: embedding_init(rng, out))
+    store.add("w", (5, 8), glorot_uniform)
+    store.add("emb", (9, 4), embedding_init)
     store.add("gain", (4,), ones)
     store.add("bias", (3,))
-    store.add("heads", (6, 12), lambda out: glorot_uniform(rng, out, (6, 3)))
-    store.add("table", (3, 7), lambda out: embedding_init(rng, out))
-    store.allocate()
+    store.add("heads", (6, 12), functools.partial(glorot_uniform, fans=(6, 3)))
+    store.add("table", (3, 7), embedding_init)
+    store.allocate(seed=17)
     for name, p in store.items():
-        assert np.array_equal(p.data, expected[name]), name
-    assert np.array_equal(store.data, np.concatenate(
-        [x.ravel() for x in expected.values()]))
-
-
-def call_in_turn(store, inits):
-    """Each parameter's init called on its view in insertion order."""
-    for p, init in zip(store, inits):
-        if init is not None:
-            init(p.data)
-
-
-def sequential_data(build, monkeypatch):
-    """The data arena ``build()`` gives when every init is called in turn,
-    none drawn as part of a run."""
-    with monkeypatch.context() as m:
-        m.setattr(optim, "_initialize", call_in_turn)
-        return build().store.data.copy()
-
-
-def record_pieces(monkeypatch):
-    """The (start, stop) of each piece of a Glorot run drawn from now on."""
-    pieces = []
-    draw = optim._uniform_blocks
-
-    def recorded(data, run, generators, start, stop):
-        pieces.append((start, stop))
-        draw(data, run, generators, start, stop)
-    monkeypatch.setattr(optim, "_uniform_blocks", recorded)
-    return pieces
+        assert p.data.tobytes() == expected[name].tobytes(), name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("mode", ["tags", "char-lstm", "char-concat",
                                   "external"])
 def test_split_initialization_is_bitwise_the_sequential_one(
-        variant, mode, monkeypatch):
-    # blocks of 97 values and one block per piece make a toy model's runs
-    # split, with piece boundaries inside parameters and the char-LSTM's
-    # run ended by the position table's embedding init
+        variant, mode, monkeypatch, short_switch_interval):
+    # at the default BLOCK the toy model is one piece, drawn on the calling
+    # thread alone; blocks of 97 values and one block per piece split its
+    # arena among as many threads as there are usable CPUs
     kw = {"external_dim": 5} if mode == "external" else {}
 
     def build():
-        return tiny_model(TREES, mode=mode, variant=variant, d_model=64, **kw)
-    expected = sequential_data(build, monkeypatch)
+        return tiny_model(TREES, mode=mode, variant=variant, d_model=64,
+                          seed=5, **kw).store.data.tobytes()
+    expected = build()
     monkeypatch.setattr(optim, "BLOCK", 97)
     monkeypatch.setattr(optim, "MIN_WORKER_BLOCKS", 1)
-    pieces = record_pieces(monkeypatch)
+    pieces = []
+    init_piece = optim._init_piece
+
+    def recorded(work, start, stop):
+        pieces.append(start)
+        init_piece(work, start, stop)
+    monkeypatch.setattr(optim, "_init_piece", recorded)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
         pieces.clear()
-        assert build().store.data.tobytes() == expected.tobytes(), cpus
-        assert sum(start > 0 for start, _ in pieces) >= cpus - 1
-
-
-@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM,
-                                  np.random.Philox, np.random.MT19937])
-@pytest.mark.parametrize("buffered", [False, True])
-def test_split_draws_leave_the_generator_where_sequential_draws_do(
-        bits, buffered, monkeypatch, short_switch_interval):
-    # one run spans zero biases and ``ones``, with a per-head fans; an
-    # embedding init and a second generator's draw each end a run
-    def build():
-        rng = np.random.Generator(bits(23))
-        if buffered:    # leaves half of a 64-bit output for the next one
-            rng.integers(7, dtype=np.uint32)
-        glorot = GlorotInit(rng)
-        store = ParameterStore()
-        store.add("w1", (30, 50), glorot)
-        store.add("b1", (50,))
-        store.add("gain", (50,), ones)
-        store.add("heads", (50, 40), GlorotInit(rng, fans=(50, 10)))
-        store.add("emb", (20, 7), functools.partial(embedding_init, rng))
-        store.add("w2", (7, 300), glorot)
-        store.add("other", (3, 5), GlorotInit(np.random.default_rng(5)))
-        store.add("w3", (300, 11), glorot)
-        store.allocate()
-        return store.data, (rng.integers(2 ** 32 - 1, size=3, dtype=np.uint32),
-                            rng.random(3))
-
-    with monkeypatch.context() as m:
-        m.setattr(optim, "_initialize", call_in_turn)
-        expected = build()
-    monkeypatch.setattr(optim, "BLOCK", 16)
-    monkeypatch.setattr(optim, "MIN_WORKER_BLOCKS", 1)
-    monkeypatch.setattr(optim, "usable_cpus", lambda: 3)
-    pieces = record_pieces(monkeypatch)
-    data, after = build()
-    assert data.tobytes() == expected[0].tobytes()
-    for a, b in zip(after, expected[1]):
-        assert a.tobytes() == b.tobytes()
-    # four runs: w1..heads, w2, other (one block) and w3; only an advance
-    # that counts draws, from an unbuffered generator, splits the others
-    split = bits in (np.random.PCG64, np.random.PCG64DXSM) and not buffered
-    expected_pieces = [(0, 15)]
-    for size in (1500 + 2000, 7 * 300, 300 * 11):
-        bounds = optim._piece_bounds(size) if split else [0, size]
-        expected_pieces += zip(bounds, bounds[1:])
-    assert sorted(pieces) == sorted(expected_pieces)
-    assert len(pieces) == (1 + 3 * 3 if split else 4)
+        assert build() == expected, cpus
+        assert len(pieces) == cpus
 
 
 def test_the_toy_config_is_initialized_on_the_calling_thread(monkeypatch):
-    # the toy config's largest run is under 2 * MIN_WORKER_BLOCKS blocks
+    # the toy config's arena is under 2 * MIN_WORKER_BLOCKS blocks
     started = []
     start = threading.Thread.start
 
