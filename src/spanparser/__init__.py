@@ -7,7 +7,7 @@ feed-forward network; CKY decodes the best tree; training minimizes a
 margin loss with loss-augmented decoding.
 """
 
-from .autodiff import DimensionError, Tensor, backward, pin_blas_threads
+from .autodiff import DimensionError, Tensor, backward, one_blas_thread
 from .chart import (SpanScorer, all_spans, build_chart, cky_decode,
                     fenceposts, hamming_delta, hinge_loss,
                     loss_augmented_decode, margin_loss, span_vectors,

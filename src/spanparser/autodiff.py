@@ -18,6 +18,10 @@ worker too.  :func:`no_grad` is process-wide, not per thread: a worker
 building tensors inside the caller's ``no_grad`` block builds no graph
 either, and the encoder's stream worker relies on this.
 
+At the paper config's sizes, forward and backward products alike give
+other bits on several OpenBLAS threads than on one; ``training.train``
+and the command line hold BLAS to one thread (:func:`one_blas_thread`).
+
 Broadcasting is deliberately limited to the cases the model uses (a 1-d bias
 added to the rows of a matrix, constant masks); anything else raises a
 DimensionError naming the operation and the offending shapes.
@@ -151,36 +155,30 @@ def mul_const(x: Tensor, c) -> Tensor:
     return _result(out, (x,), lambda g: (g * c,))
 
 
-# OpenBLAS cuts a product's reduction into blocks at different points when
-# it runs on one thread and on several, once the reduction is longer than
-# its block (384 for the AVX-512 kernels), so such a product's bits depend
-# on the thread count.  A weight gradient reduces over every row of a pack;
-# it is summed from row blocks no longer than this, in order.
-REDUCTION_BLOCK = 384
-
-
-def pin_blas_threads() -> bool:
-    """Set the OpenBLAS bundled with numpy's wheel to one thread, for the
-    whole process, so that no product's bits depend on the BLAS thread
-    count (``OPENBLAS_NUM_THREADS`` included).  Returns False, changing
-    nothing, when that library or its setter is not found (a numpy built
-    against another BLAS); the guarantee then does not hold.  Importing
-    the package does not call this."""
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold the OpenBLAS bundled with numpy's wheel to one thread for the
+    block, and then restore its count, so that no product's bits depend on
+    ``OPENBLAS_NUM_THREADS``.  Yields whether that took: False, changing
+    nothing, for a numpy built against another BLAS.  The count is the
+    process's, so the caller's other threads get one BLAS thread too."""
     pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
                            "numpy.libs", "libscipy_openblas64_-*.so")
     for path in glob.glob(pattern):
         try:
             lib = ctypes.CDLL(path)     # the copy numpy has already loaded
-            setter = lib.scipy_openblas_set_num_threads64_
-            getter = lib.scipy_openblas_get_num_threads64_
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        setter(1)
-        if getter() == 1:
-            return True
-    return False
+        old = get()
+        try:
+            set_(1)
+            yield get() == 1
+        finally:
+            set_(old)
+        return
+    yield False
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -191,8 +189,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if isinstance(b, GradLeaf):
             # computed where it is applied, straight into b's buffer if it
             # is b's first contribution
-            return g @ b.data.T, functools.partial(_rows_product, a.data, g)
-        return g @ b.data.T, _rows_product(a.data, g)
+            return g @ b.data.T, functools.partial(np.matmul, a.data.T, g)
+        return g @ b.data.T, a.data.T @ g
 
     return _result(a.data @ b.data, (a, b), grad_fn)
 
@@ -206,16 +204,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     np.add(product.data, b.data, out=product.data)
     return _result(product.data, (product, b),
                    lambda g: (g, g.sum(axis=0)))
-
-
-def _rows_product(a, g, out=None):
-    """a.T @ g, summed over blocks of at most REDUCTION_BLOCK rows, into
-    ``out`` if given."""
-    out = np.matmul(a[:REDUCTION_BLOCK].T, g[:REDUCTION_BLOCK], out=out)
-    for start in range(REDUCTION_BLOCK, a.shape[0], REDUCTION_BLOCK):
-        stop = start + REDUCTION_BLOCK
-        out += a[start:stop].T @ g[start:stop]
-    return out
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:

@@ -119,7 +119,9 @@ def load_checkpoint(path) -> SpanParser:
                 config_from_values(LexicalConfig, header["lexical_config"]),
                 Vocabulary.from_dict(header["vocab"]),
                 LabelInventory.from_dict(header["labels"]))
-            seed = header.get("seed", 0)
+            seed = header["seed"]
+            if type(seed) is not int:
+                raise TypeError("seed %r is not an integer" % (seed,))
             listed = [(e["name"], tuple(e["shape"])) for e in header["params"]]
             # the modules validate the configs as they are built
             return SpanParser(*configs, seed=seed, data=lambda store: _payload(

@@ -2,13 +2,12 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 Every run is deterministic given the config, seed, and input files.
-Before running a command, :func:`main` sets the OpenBLAS bundled with
-numpy to one thread (:func:`autodiff.pin_blas_threads`), so no product's
-bits depend on ``OPENBLAS_NUM_THREADS``; where it cannot, it says so on
-stderr, and large products may then differ with the BLAS thread count
-(see the README).  Building a new model uses every usable CPU: each
-parameter draws its initialization from a generator of its own, spawned
-from the seed, and the parameters are shared out among threads.  So does
+:func:`main` holds numpy's OpenBLAS to one thread while a command runs
+(:func:`autodiff.one_blas_thread`), so no product's bits depend on
+``OPENBLAS_NUM_THREADS``; where it cannot, it says so on stderr (see the
+README).  Building a new model uses every usable CPU: each parameter
+draws its initialization from a generator of its own, spawned from the
+seed, and the parameters are shared out among threads.  So does
 training: Adam's gradient check and update are split across threads, and
 large weights' gradients are applied on a worker thread, while the copy of
 the best dev iterate is written to a temporary file on the calling
@@ -30,7 +29,7 @@ import sys
 
 from . import checkpoint as ckpt
 from . import evaluation
-from .autodiff import pin_blas_threads
+from .autodiff import one_blas_thread
 from .config import (ConfigError, apply_overrides, build_configs,
                      load_config_file)
 from .encoder import WINDOW_MODES, AttentionControl
@@ -50,18 +49,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if not pin_blas_threads():
-        print("warning: could not set numpy's OpenBLAS to one thread; "
-              "large products may differ in their last bits with the BLAS "
-              "thread count", file=sys.stderr)
-    try:
-        return args.func(args) or 0
-    except USAGE_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    with one_blas_thread() as pinned:
+        if not pinned:
+            print("warning: could not set numpy's OpenBLAS to one thread; "
+                  "products may differ in their last bits with its thread "
+                  "count", file=sys.stderr)
+        try:
+            return args.func(args) or 0
+        except Exception as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2 if isinstance(exc, USAGE_ERRORS) else 1
 
 
 def _build_parser():
@@ -304,10 +301,9 @@ def parse_disable_spec(spec: str, num_layers: int) -> AttentionControl:
 
     Each clause names the layers where that attention term stays ENABLED:
     all, none, first<k>, or last<k>.  Terms without a clause stay enabled
-    everywhere.
+    everywhere; a term named in two clauses is a ConfigError.
     """
-    enabled = {"content": set(range(num_layers)),
-               "position": set(range(num_layers))}
+    enabled = {}    # the layers each term named so far keeps
     spec = spec.strip()
     if spec:
         for clause in spec.split(","):
@@ -315,9 +311,12 @@ def parse_disable_spec(spec: str, num_layers: int) -> AttentionControl:
                 raise ConfigError("disable clause %r is not of the form "
                                   "term:layers" % clause)
             term, layers = (s.strip() for s in clause.split(":", 1))
-            if term not in enabled:
+            if term not in ("content", "position"):
                 raise ConfigError("unknown attention term %r (use content "
                                   "or position)" % term)
+            if term in enabled:
+                raise ConfigError("attention term %r is named again in "
+                                  "disable clause %r" % (term, clause))
             counted = re.fullmatch(r"(first|last)([0-9]+)", layers)
             if layers == "all":
                 keep = set(range(num_layers))
@@ -332,11 +331,12 @@ def parse_disable_spec(spec: str, num_layers: int) -> AttentionControl:
                                   "(use all, none, first<k>, or last<k> with "
                                   "k >= 0)" % (layers, clause))
             enabled[term] = keep
+    every = range(num_layers)
     return AttentionControl(
-        disable_content=tuple(i not in enabled["content"]
-                              for i in range(num_layers)),
-        disable_position=tuple(i not in enabled["position"]
-                               for i in range(num_layers)))
+        disable_content=tuple(i not in enabled.get("content", every)
+                              for i in every),
+        disable_position=tuple(i not in enabled.get("position", every)
+                               for i in every))
 
 
 def _cmd_analyze_disable(args):

@@ -323,7 +323,8 @@ def read_vector_file(path):
             values = [kind(x) for x in lines[pos - 1].split()]
         except ValueError:
             values = []
-        if len(values) != width or kind is int and min(values) < 0:
+        if (len(values) != width or kind is int and min(values) < 0
+                or not np.isfinite(values).all()):
             raise ValueError("%s: line %d: expected %s, got %r"
                              % (path, pos, what, lines[pos - 1]))
         return values
@@ -337,6 +338,6 @@ def read_vector_file(path):
         (n,) = next_line("a token count", 1)
         mat = np.empty((n, dim))
         for i in range(n):
-            mat[i] = next_line("%d numbers" % dim, dim, float)
+            mat[i] = next_line("%d finite numbers" % dim, dim, float)
         out.append(mat)
     return out, dim

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import backward
+from .autodiff import backward, one_blas_thread
 from .chart import NonFiniteScoreError
 from .evaluation import score
 from .optim import adam_step
@@ -115,16 +116,20 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
     ``log_fn``, when given, receives one tab-separated line per
     evaluation: batches, lr, mean train loss since the previous
     evaluation, dev F1.
+
+    The run holds OpenBLAS to one thread (:func:`autodiff.one_blas_thread`,
+    or warns that it cannot), so its bits do not depend on the BLAS thread
+    count.  The cost: while ``train`` runs, the caller's other threads get
+    one BLAS thread too.
     """
     config.validate()
     if not treebank:
         raise ValueError("training set is empty")
     if not dev and eval_fn is None:
         raise ValueError("dev set is empty")
-    data = []
-    for k, tree in enumerate(treebank):
-        ext = train_external[k] if train_external is not None else None
-        data.append((tree.sentence(), model.gold_binary(tree), ext))
+    data = [(tree.sentence(), model.gold_binary(tree),
+             None if train_external is None else train_external[k])
+            for k, tree in enumerate(treebank)]
     if eval_fn is None:
         eval_fn = lambda m, d: default_eval_fn(m, d, dev_external)
 
@@ -179,56 +184,59 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
                           "the best nor the last iterate"
                           % (got, arena.nbytes, tempfile.gettempdir()))
 
-    try:
-        for epoch in range(config.max_epochs):
-            order = rng.permutation(total)
-            improved = False
-            processed = 0
-            next_eval = 0
-            for start in range(0, total, config.batch_size):
-                batch = [data[k] for k in
-                         order[start:start + config.batch_size]]
-                try:
-                    results, loss = model.batch_loss(batch, train=True,
-                                                     rng=rng)
-                except NonFiniteScoreError as exc:
-                    raise RuntimeError(
-                        "non-finite training loss (epoch %d, batch at "
-                        "sentence %d, lr %g): %s"
-                        % (epoch, start, state.lr, exc)) from exc
-                batch_value = sum(result.value for result in results)
-                if not np.isfinite(batch_value):
-                    raise RuntimeError(
-                        "non-finite training loss (epoch %d, batch at "
-                        "sentence %d, lr %g)" % (epoch, start, state.lr))
-                if loss is not None:
-                    backward(loss)
-                # free the batch's graph (and its gradients) before the
-                # update
-                loss = results = None
-                state.batches_seen += 1
-                state.lr = lr_schedule(state.batches_seen, state, config)
-                if best_in == "model":    # the step moves away from it
-                    copy_best(read=False)
-                    best_in = "file"
-                adam_step(model.store, state.lr)
-                loss_sum += batch_value
-                loss_sentences += len(batch)
-                processed += len(batch)
-                while (next_eval < len(eval_points)
-                       and processed >= eval_points[next_eval]):
-                    improved = run_eval() or improved
-                    next_eval += 1
-            if improved:
-                state.epochs_since_improvement = 0
-            else:
-                state.epochs_since_improvement += 1
-                if state.epochs_since_improvement >= config.patience_epochs:
+    with one_blas_thread() as pinned:
+        if not pinned:
+            warnings.warn("could not set numpy's OpenBLAS to one thread; "
+                          "training bits may vary with its thread count")
+        try:
+            for epoch in range(config.max_epochs):
+                order = rng.permutation(total)
+                improved = False
+                processed = 0
+                next_eval = 0
+                for start in range(0, total, config.batch_size):
+                    batch = [data[k] for k in
+                             order[start:start + config.batch_size]]
+                    try:
+                        results, loss = model.batch_loss(batch, train=True,
+                                                         rng=rng)
+                    except NonFiniteScoreError as exc:
+                        raise RuntimeError(
+                            "non-finite training loss (epoch %d, batch at "
+                            "sentence %d, lr %g): %s"
+                            % (epoch, start, state.lr, exc)) from exc
+                    batch_value = sum(result.value for result in results)
+                    if not np.isfinite(batch_value):
+                        raise RuntimeError(
+                            "non-finite training loss (epoch %d, batch at "
+                            "sentence %d, lr %g)" % (epoch, start, state.lr))
+                    if loss is not None:
+                        backward(loss)
+                    # free the batch's graph (and its gradients) before the
+                    # update
+                    loss = results = None
+                    state.batches_seen += 1
+                    state.lr = lr_schedule(state.batches_seen, state, config)
+                    if best_in == "model":    # the step moves away from it
+                        copy_best(read=False)
+                        best_in = "file"
+                    adam_step(model.store, state.lr)
+                    loss_sum += batch_value
+                    loss_sentences += len(batch)
+                    processed += len(batch)
+                    while (next_eval < len(eval_points)
+                           and processed >= eval_points[next_eval]):
+                        improved = run_eval() or improved
+                        next_eval += 1
+                stalled = (0 if improved
+                           else state.epochs_since_improvement + 1)
+                if stalled >= config.patience_epochs:
                     state.num_halvings += 1
-                    state.epochs_since_improvement = 0
-        if best_in == "file":
-            copy_best(read=True)
-    finally:
-        if best_file is not None:
-            best_file.close()
+                    stalled = 0
+                state.epochs_since_improvement = stalled
+            if best_in == "file":
+                copy_best(read=True)
+        finally:
+            if best_file is not None:
+                best_file.close()
     return TrainResult(best_f1=state.best_f1, log_rows=log_rows, state=state)

@@ -562,6 +562,30 @@ def test_backward_worker_runs_under_the_callers_errstate(monkeypatch):
                 backward(ad.sum_all(ad.matmul(x, w)))
 
 
+def test_a_large_leafs_weight_product_is_computed_on_the_worker(
+        monkeypatch):
+    # matmul hands a leaf's weight product a.T @ g over uncomputed, so for
+    # a leaf of WORKER_LEAF_SIZE values or more backward's worker computes
+    # it, and for a smaller one this thread does
+    threads = []
+    matmul = np.matmul
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    x = tensor(np.ones((3, 4)))
+    for size, on_worker in ((0, True), (10 ** 9, False)):
+        monkeypatch.setattr(ad, "WORKER_LEAF_SIZE", size)
+        w = ad.GradLeaf(np.ones((4, 2)))
+        threads.clear()
+        backward(ad.sum_all(ad.matmul(x, w)))
+        assert len(threads) == 1
+        assert (threads[0] is not threading.main_thread()) == on_worker
+        assert np.array_equal(w.grad, np.full((4, 2), 3.0))
+
+
 def test_a_leaf_requiring_grad_owns_a_zeroed_buffer():
     data = np.arange(6.0).reshape(2, 3)
     x = tensor(data, requires_grad=True)
@@ -578,12 +602,13 @@ def test_a_leaf_requiring_grad_owns_a_zeroed_buffer():
 PIN_SCRIPT = """
 import hashlib
 import numpy as np
-from spanparser.autodiff import pin_blas_threads
+from spanparser.autodiff import one_blas_thread
 rng = np.random.default_rng(3)
 a, g = rng.standard_normal((40, 1024)), rng.standard_normal((40, 250))
 print(hashlib.sha256((a.T @ g).tobytes()).hexdigest())
-print(pin_blas_threads())
-print(hashlib.sha256((a.T @ g).tobytes()).hexdigest())
+with one_blas_thread() as pinned:
+    print(pinned)
+    print(hashlib.sha256((a.T @ g).tobytes()).hexdigest())
 """
 
 

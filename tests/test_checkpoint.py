@@ -264,13 +264,17 @@ MALFORMED_HEADERS = [
     # well-typed, but refused by EncoderConfig.validate as the model is built
     (lambda h: h["encoder_config"].update(variant="nonsense"),
      "malformed header: ValueError: unknown encoder variant 'nonsense'"),
+    (lambda h: h.pop("seed"), "malformed header: no 'seed' entry"),
+    (lambda h: h.update(seed="x"), "seed 'x' is not an integer"),
+    (lambda h: h.update(seed=True), "seed True is not an integer"),
 ]
 
 
 @pytest.mark.parametrize("edit, problem", MALFORMED_HEADERS,
                          ids=["no-params", "unknown-config-key",
                               "string-d_model", "other-class-key",
-                              "invalid-variant"])
+                              "invalid-variant", "no-seed", "string-seed",
+                              "bool-seed"])
 def test_malformed_header_names_the_file_and_the_problem(tmp_path, edit,
                                                          problem):
     path = tmp_path / "m.ckpt"

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -35,12 +36,12 @@ seed = 0
 
 @pytest.fixture(scope="module", autouse=True)
 def unpinned_blas():
-    """``main`` with the BLAS pin stubbed out: the pin would set the test
-    process's OpenBLAS to one thread for every test run after it, and
-    where it cannot, its warning would precede each command's stderr.
-    The pin itself is tested in a subprocess in test_autodiff.py."""
+    """``main`` with its BLAS pin stubbed out: where the pin cannot take,
+    its warning would precede each command's stderr.  The pin itself is
+    tested in subprocesses in test_autodiff.py and test_training.py."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cli, "pin_blas_threads", lambda: True)
+        m.setattr(cli, "one_blas_thread",
+                  lambda: contextlib.nullcontext(True))
         yield
 
 
@@ -213,12 +214,18 @@ def test_eval_self_is_perfect(workdir, capsys):
 def test_main_pins_blas_and_warns_when_it_cannot(workdir, monkeypatch,
                                                  capsys):
     calls = []
-    monkeypatch.setattr(cli, "pin_blas_threads",
-                        lambda: calls.append("pin") or False)
+
+    @contextlib.contextmanager
+    def pin_that_failed():
+        calls.append("pin")
+        yield False
+        calls.append("unpin")
+
+    monkeypatch.setattr(cli, "one_blas_thread", pin_that_failed)
     capsys.readouterr()
     assert main(["eval", str(workdir / "dev.txt"),
                  str(workdir / "dev.txt")]) == 0
-    assert calls == ["pin"]
+    assert calls == ["pin", "unpin"]
     captured = capsys.readouterr()
     assert captured.err.startswith(
         "warning: could not set numpy's OpenBLAS to one thread")
@@ -362,11 +369,15 @@ def test_parse_disable_spec_layer_subsets():
     c = parse_disable_spec("content:first0", 2)
     assert c.disable_content == (True, True)
     # a negative, missing or non-numeric count is an error, not "no layers"
+    # and so is a term named again ("position:all" comes first)
     for clause in ("content:first-2", "content:last-1", "content:firstX",
-                   "content:last", "position:first 1", "content:last1.5"):
+                   "content:last", "position:first 1", "content:last1.5",
+                   "position:none"):
         with pytest.raises(ConfigError) as e:
             parse_disable_spec("position:all," + clause, 4)
         assert repr(clause) in str(e.value)
+    with pytest.raises(ConfigError, match="term 'content' is named again"):
+        parse_disable_spec("content:first2,content:last1", 4)
 
 
 def test_analyze_disable_table(workdir, tmp_path, capsys):

@@ -32,13 +32,13 @@ seed = 3
 """
 
 
-# ``spanparser train`` with the BLAS pin stubbed out, so that OpenBLAS
-# runs on the thread count the environment gives it and the training
-# code's own bits are what is compared
+# ``spanparser train`` with the command's BLAS pin stubbed out, so that
+# only ``train``'s own pin holds OpenBLAS to one thread
 UNPINNED_MAIN = """\
+import contextlib
 import sys
 from spanparser import cli
-cli.pin_blas_threads = lambda: True
+cli.one_blas_thread = lambda: contextlib.nullcontext(True)
 sys.exit(cli.main(sys.argv[1:]))
 """
 

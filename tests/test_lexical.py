@@ -294,7 +294,11 @@ def test_zero_width_vectors_are_not_written(tmp_path):
     ("1 2\n1\n0.0 one\n", 3),              # a non-numeric value
     ("1 -2\n1\n\n", 1),                    # a negative dimension
     ("\n2 0\n1\n\n1\n\n", 2),              # a dimension of 0
-], ids=["header", "count", "value", "negative-dim", "zero-dim"])
+    ("1 2\n2\n0.0 1.0\n0.5 nan\n", 4),     # non-finite values, which
+    ("1 2\n1\n\ninf 1.0\n", 4),              # would surface only as a
+    ("1 2\n1\n-inf 1.0\n", 3),               # non-finite chart or loss
+], ids=["header", "count", "value", "negative-dim", "zero-dim", "nan", "inf",
+        "minus-inf"])
 def test_malformed_vector_file_names_the_path_and_line(tmp_path, text, line):
     path = tmp_path / "bad.txt"
     path.write_text(text)

@@ -1,12 +1,19 @@
+import contextlib
 import errno
+import json
 import mmap
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spanparser
 from spanparser import (EncoderConfig, LabelInventory, LexicalConfig,
                         SpanParser, Vocabulary, toy_treebank, training)
 from spanparser.autodiff import backward
@@ -14,7 +21,7 @@ from spanparser.checkpoint import load_checkpoint, save_checkpoint
 from spanparser.training import (
     TrainConfig, TrainState, lr_schedule, train,
 )
-from spanparser.trees import parse_bracketed
+from spanparser.trees import parse_bracketed, save_trees
 
 from support import gradcheck, tiny_model
 
@@ -279,6 +286,87 @@ def test_the_best_iterate_file_is_closed_when_training_raises(best_files):
         train(model, TREES, TREES[:2], cfg(max_epochs=2), eval_fn=eval_fn)
     (best_file,) = opened
     assert best_file.events == ["copy"] and best_file.closed
+
+
+# the OpenBLAS thread count after import, inside ``train``, after it
+# returns, after it raises and after ``spanparser eval``, as a JSON line
+SCOPED_PIN_SCRIPT = """
+import contextlib
+import ctypes
+import glob
+import json
+import os
+import sys
+
+import numpy as np
+
+from spanparser import cli, toy_treebank
+from spanparser.training import TrainConfig, train
+from support import tiny_model
+
+found = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                               "numpy.libs", "libscipy_openblas64_-*.so"))
+if not found:
+    print("{}")
+    sys.exit(0)
+count = ctypes.CDLL(found[0]).scipy_openblas_get_num_threads64_
+counts = {"import": count()}
+trees = toy_treebank(6, seed=1)
+config = TrainConfig(batch_size=3, warmup_batches=1, max_epochs=1)
+
+
+def eval_fn(model, dev):
+    counts["inside"] = count()
+    return 1.0
+
+
+def failing_eval_fn(model, dev):
+    raise KeyError("scripted")
+
+
+train(tiny_model(trees, num_layers=1), trees, trees, config, eval_fn)
+counts["returned"] = count()
+with contextlib.suppress(KeyError):
+    train(tiny_model(trees, num_layers=1), trees, trees, config,
+          failing_eval_fn)
+counts["raised"] = count()
+with contextlib.redirect_stdout(sys.stderr):
+    assert cli.main(["eval", sys.argv[1], sys.argv[1]]) == 0
+counts["eval"] = count()
+print(json.dumps(counts))
+"""
+
+
+def test_train_holds_one_blas_thread_for_its_run_only(tmp_path):
+    save_trees(toy_treebank(4, seed=2), tmp_path / "dev.txt")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(spanparser.__file__).parents[1]),
+                    str(Path(__file__).parent)]))
+    done = subprocess.run([sys.executable, "-c", SCOPED_PIN_SCRIPT,
+                           str(tmp_path / "dev.txt")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    counts = json.loads(done.stdout.splitlines()[-1])
+    if not counts:
+        pytest.skip("numpy bundles no OpenBLAS with a known thread getter")
+    assert counts == {"import": 2, "inside": 1, "returned": 2, "raised": 2,
+                      "eval": 2}
+
+
+def test_train_warns_when_it_cannot_hold_one_blas_thread(monkeypatch):
+    monkeypatch.setattr(training, "one_blas_thread",
+                        lambda: contextlib.nullcontext(False))
+    with pytest.warns(UserWarning, match="could not set numpy's OpenBLAS"):
+        train(fresh_model(), TREES, TREES[:2], cfg(max_epochs=1),
+              eval_fn=lambda m, d: 0.0)
+    # a pin that took warns of nothing
+    monkeypatch.setattr(training, "one_blas_thread",
+                        lambda: contextlib.nullcontext(True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train(fresh_model(), TREES, TREES[:2], cfg(max_epochs=1),
+              eval_fn=lambda m, d: 0.0)
 
 
 def test_a_loaded_model_trains_and_restores_its_best_iterate(tmp_path):
