@@ -18,10 +18,6 @@ worker too.  :func:`no_grad` is process-wide, not per thread: a worker
 building tensors inside the caller's ``no_grad`` block builds no graph
 either, and the encoder's stream worker relies on this.
 
-At the paper config's sizes, forward and backward products alike give
-other bits on several OpenBLAS threads than on one; ``training.train``
-and the command line hold BLAS to one thread (:func:`one_blas_thread`).
-
 Broadcasting is deliberately limited to the cases the model uses (a 1-d bias
 added to the rows of a matrix, constant masks); anything else raises a
 DimensionError naming the operation and the offending shapes.
@@ -34,6 +30,8 @@ import ctypes
 import functools
 import glob
 import os
+import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -155,30 +153,50 @@ def mul_const(x: Tensor, c) -> Tensor:
     return _result(out, (x,), lambda g: (g * c,))
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Hold the OpenBLAS bundled with numpy's wheel to one thread for the
-    block, and then restore its count, so that no product's bits depend on
-    ``OPENBLAS_NUM_THREADS``.  Yields whether that took: False, changing
-    nothing, for a numpy built against another BLAS.  The count is the
-    process's, so the caller's other threads get one BLAS thread too."""
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
-                           "numpy.libs", "libscipy_openblas64_-*.so")
-    for path in glob.glob(pattern):
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS thread-count (getter, setter), looked up
+    once; None, with a warning, for a numpy built against another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so")):
         try:
             lib = ctypes.CDLL(path)     # the copy numpy has already loaded
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
+            get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_)
         except (OSError, AttributeError):
             continue
-        old = get()
-        try:
-            set_(1)
-            yield get() == 1
-        finally:
-            set_(old)
-        return
-    yield False
+        get.restype, set_.restype = ctypes.c_int, None
+        set_.argtypes = [ctypes.c_int]
+        return get, set_
+    warnings.warn("cannot hold numpy's OpenBLAS to one thread; bits may vary")
+    return None
+
+
+class _Pin:
+    lock = threading.Lock()
+    blocks = 0      # pinned blocks open in the process
+    saved = None    # the thread count the first of them found
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread for the block, so that no
+    product's bits depend on ``OPENBLAS_NUM_THREADS``; yields whether that
+    took.  The count is the process's: the first block to enter, in any
+    thread, saves it and sets 1, and the last to leave restores it."""
+    with _Pin.lock:
+        blas = _openblas()
+        if blas and not _Pin.blocks:
+            _Pin.saved = blas[0]()
+            blas[1](1)
+        _Pin.blocks += 1
+    try:
+        yield blas is not None
+    finally:
+        with _Pin.lock:
+            _Pin.blocks -= 1
+            if blas and not _Pin.blocks:
+                blas[1](_Pin.saved)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -584,7 +602,8 @@ def backward(loss: Tensor) -> None:
     same operations in the same order as on one thread, and the bits are
     the same.  The worker runs under this thread's numpy error state
     (:func:`submit`).  The call returns once the worker has applied
-    everything, and raises the worker's first exception, if any.
+    everything, and raises the worker's first exception, if any.  It holds
+    BLAS to one thread (:func:`one_blas_thread`), the worker's products too.
     """
     if loss.data.shape != ():
         raise ValueError("backward requires a scalar loss, got shape %s"
@@ -599,7 +618,7 @@ def backward(loss: Tensor) -> None:
     owned = set()
     # the executor starts its thread at the first submit, so a graph of
     # small leaves only starts none
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as worker:
         applied = []
 
         def arrive(leaf, g):

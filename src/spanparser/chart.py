@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import ParameterStore, glorot_uniform, ones
-from .trees import BinaryTree, gold_spans
+from .trees import BinaryTree, _fold, gold_spans
 
 NULL_ID = 0  # LabelInventory reserves id 0 for the dummy label
 
@@ -196,17 +196,23 @@ def cky_decode(chart: np.ndarray, sentence=None):
         by_start[:count, w] = value
         by_end[w:, w] = value
 
-    def build(i, j):
-        label = int(best_label[i, j])
+    def children(span):
+        i, j = span
         if j - i == 1:
-            word = tag = None
-            if sentence is not None:
-                word, tag = sentence[i]
-            return BinaryTree(label, (i, j), word=word, tag=tag)
+            return ()
         k = i + int(split[i, j - i])
-        return BinaryTree(label, (i, j), left=build(i, k), right=build(k, j))
+        return (i, k), (k, j)
 
-    return build(0, n), float(by_start[0, n])
+    def build(span, subtrees):
+        i, j = span
+        word = tag = None
+        if sentence is not None and not subtrees:
+            word, tag = sentence[i]
+        return BinaryTree(int(best_label[i, j]), span, *subtrees, word=word,
+                          tag=tag)
+
+    # without recursion, so a tree of any depth decodes
+    return _fold((0, n), children, build), float(by_start[0, n])
 
 
 def hamming_delta(candidate, gold) -> int:

@@ -2,20 +2,17 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 Every run is deterministic given the config, seed, and input files.
-:func:`main` holds numpy's OpenBLAS to one thread while a command runs
-(:func:`autodiff.one_blas_thread`), so no product's bits depend on
-``OPENBLAS_NUM_THREADS``; where it cannot, it says so on stderr (see the
-README).  Building a new model uses every usable CPU: each parameter
-draws its initialization from a generator of its own, spawned from the
-seed, and the parameters are shared out among threads.  So does
-training: Adam's gradient check and update are split across threads, and
-large weights' gradients are applied on a worker thread, while the copy of
-the best dev iterate is written to a temporary file on the calling
-thread.  Training and parsing alike run a factored encoder's position
-stream on a worker thread beside the content stream when there are two
-usable CPUs and its weights are as large as the paper config's.  The toy
-config's model is built and trained on the calling thread alone.  No
-output's bits depend on how many CPUs there are.
+Building a new model uses every usable CPU: each parameter draws its
+initialization from a generator of its own, spawned from the seed, and the
+parameters are shared out among threads.  So does training: Adam's
+gradient check and update are split across threads, and large weights'
+gradients are applied on a worker thread, while the copy of the best dev
+iterate is written to a temporary file on the calling thread.  Training
+and parsing alike run a factored encoder's position stream on a worker
+thread beside the content stream when there are two usable CPUs and its
+weights are as large as the paper config's.  The toy config's model is
+built and trained on the calling thread alone.  No output's bits depend on
+how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import sys
 
 from . import checkpoint as ckpt
 from . import evaluation
-from .autodiff import one_blas_thread
 from .config import (ConfigError, apply_overrides, build_configs,
                      load_config_file)
 from .encoder import WINDOW_MODES, AttentionControl
@@ -49,16 +45,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    with one_blas_thread() as pinned:
-        if not pinned:
-            print("warning: could not set numpy's OpenBLAS to one thread; "
-                  "products may differ in their last bits with its thread "
-                  "count", file=sys.stderr)
-        try:
-            return args.func(args) or 0
-        except Exception as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2 if isinstance(exc, USAGE_ERRORS) else 1
+    try:
+        return args.func(args) or 0
+    except Exception as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2 if isinstance(exc, USAGE_ERRORS) else 1
 
 
 def _build_parser():
@@ -278,6 +269,11 @@ def _sweep(args, header, controls):
     vectors = _load_vectors(args.vectors, trees, args.dev_file,
                             model.lexical_config.mode, "--vectors")
     rows = list(controls(model))     # every usage error before any output
+    for label, control in rows:
+        try:
+            control.validate(model.encoder_config)
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (label, exc)) from exc
     with _output(args.out) as out:
         out.write(header)
         for label, control in rows:

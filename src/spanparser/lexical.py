@@ -340,4 +340,9 @@ def read_vector_file(path):
         for i in range(n):
             mat[i] = next_line("%d finite numbers" % dim, dim, float)
         out.append(mat)
+    for extra, line in enumerate(lines[pos:], start=pos + 1):
+        if line.strip():
+            raise ValueError("%s: line %d: expected the end of the file "
+                             "after %d sentences, got %r"
+                             % (path, extra, count, line))
     return out, dim

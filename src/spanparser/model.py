@@ -58,16 +58,17 @@ class SpanParser:
         """Score a pack of tagged sentences in one pass: the
         [sum of num_spans, num_labels-1] tensor holding each sentence's
         span scores in turn.  The lexical layer, the encoder and the span
-        scorer each run once over the pack.  ``externals`` gives each
-        sentence's pretrained vectors (external mode)."""
+        scorer each run once over the pack, on one BLAS thread.  ``externals``
+        gives each sentence's pretrained vectors (external mode)."""
         if not sentences or not all(sentences):
             raise ValueError("cannot score an empty sentence")
         words = [len(s) for s in sentences]
         lengths = [n + 2 for n in words]
-        x = self.lexical.content_vectors(sentences, train, rng, externals)
-        y = self.encoder.encode(x, lengths, train, rng, control, record)
-        projected = self.scorer.project(fenceposts(y, lengths))
-        return self.scorer.forward(span_vectors(projected, words))
+        with ad.one_blas_thread():
+            x = self.lexical.content_vectors(sentences, train, rng, externals)
+            y = self.encoder.encode(x, lengths, train, rng, control, record)
+            projected = self.scorer.project(fenceposts(y, lengths))
+            return self.scorer.forward(span_vectors(projected, words))
 
     def score_chart(self, sentence, control=None, external=None, record=None):
         """The [n+1, n+1, num_labels] chart; builds no autodiff graph."""

@@ -1,9 +1,21 @@
 """Shared helpers for the test suite: finite-difference gradient checking,
 brute-force decode oracles and reference span vectors, random tree
-generators, tiny model builders."""
+generators, tiny model builders, and OpenBLAS thread counts read in a
+process of their own."""
+
+import contextlib
+import ctypes
+import glob
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import spanparser
 import spanparser.autodiff as ad
 from spanparser.autodiff import Tensor, backward
 from spanparser.chart import hamming_delta
@@ -429,3 +441,62 @@ def tiny_model(trees, mode="tags", variant="factored", seed=0, d_model=16,
     lex = LexicalConfig(mode=mode, char_lstm_hidden=char_lstm_hidden,
                         **lex_kw)
     return SpanParser(enc, lex, vocab, labels, seed=seed)
+
+
+def openblas_threads():
+    """The thread-count getter of the OpenBLAS bundled with numpy's wheel,
+    found apart from ``autodiff``'s own lookup; None where there is none."""
+    found = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                   "numpy.libs", "libscipy_openblas64_-*.so"))
+    return (ctypes.CDLL(found[0]).scipy_openblas_get_num_threads64_
+            if found else None)
+
+
+@contextlib.contextmanager
+def no_openblas():
+    """Within the block the pin's lookup finds no OpenBLAS, as on a numpy
+    built against another BLAS; the lookup is redone on both sides."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glob, "glob", lambda pattern: [])
+        ad._openblas.cache_clear()
+        try:
+            yield
+        finally:
+            ad._openblas.cache_clear()
+
+
+def recording_pins(monkeypatch):
+    """Wrap the pin so that each block appends what it yielded on entry and
+    ``"left"`` on leaving; returns the list."""
+    calls = []
+    pin = ad.one_blas_thread
+
+    @contextlib.contextmanager
+    def recorded():
+        with pin() as pinned:
+            calls.append(pinned)
+            yield pinned
+        calls.append("left")
+
+    monkeypatch.setattr(ad, "one_blas_thread", recorded)
+    return calls
+
+
+def blas_counts(script, *args):
+    """Run ``script`` in a process of its own at OPENBLAS_NUM_THREADS=2,
+    with the package and the test directory on its path, and return the
+    JSON object on the last line of its output: the thread counts it read
+    with :func:`openblas_threads`.  Skips the test when the script found no
+    OpenBLAS and printed ``{}``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(spanparser.__file__).parents[1]),
+                    str(Path(__file__).parent)]))
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    counts = json.loads(done.stdout.splitlines()[-1])
+    if not counts:
+        pytest.skip("numpy bundles no OpenBLAS with a known thread getter")
+    return counts

@@ -1,7 +1,9 @@
+import glob
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,8 @@ import spanparser.autodiff as ad
 from spanparser.autodiff import DimensionError, Tensor, backward, tensor
 
 from support import leaf_gradcheck as check
-from support import (plain_leaf, reference_backward, reference_dropout,
-                     reference_layer_norm, reference_merge,
+from support import (blas_counts, plain_leaf, reference_backward,
+                     reference_dropout, reference_layer_norm, reference_merge,
                      reference_softmax, reference_split, sub)
 
 
@@ -632,3 +634,100 @@ def test_pinned_blas_gives_the_bits_of_one_thread():
     # kernel, so it is reported rather than asserted
     print("unpinned two-thread product %s the one-thread bits"
           % ("equals" if two[0] == one[0] else "differs from"))
+
+
+# two threads whose pinned blocks overlap without nesting (A enters, B
+# enters, A leaves, B leaves), then nested blocks in one thread, then
+# eight threads entering and leaving at a short switch interval; the
+# OpenBLAS thread count at each point, as a JSON line
+OVERLAP_SCRIPT = """
+import json
+import sys
+import threading
+
+from spanparser.autodiff import one_blas_thread
+from support import openblas_threads
+
+count = openblas_threads()
+if count is None:
+    print("{}")
+    raise SystemExit
+counts = {"import": count()}
+a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+
+
+def a():
+    with one_blas_thread():
+        a_in.set()
+        b_in.wait(60)
+    a_out.set()
+
+
+def b():
+    a_in.wait(60)
+    with one_blas_thread():
+        b_in.set()
+        a_out.wait(60)
+        counts["b after a left"] = count()
+
+
+threads = [threading.Thread(target=a), threading.Thread(target=b)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+counts["both left"] = count()
+with one_blas_thread():
+    with one_blas_thread():
+        pass
+    counts["inner left"] = count()
+counts["outer left"] = count()
+inside = set()
+
+
+def churn():
+    for _ in range(300):
+        with one_blas_thread():
+            inside.add(count())
+
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=churn) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+counts["churned"] = not any(t.is_alive() for t in threads)
+counts["inside churn"] = sorted(inside)
+counts["churn left"] = count()
+print(json.dumps(counts))
+"""
+
+
+def test_the_pin_is_held_until_the_last_overlapping_block_leaves():
+    assert blas_counts(OVERLAP_SCRIPT) == {
+        "import": 2, "b after a left": 1, "both left": 2, "inner left": 1,
+        "outer left": 2, "churned": True, "inside churn": [1],
+        "churn left": 2}
+
+
+def test_the_pin_warns_once_where_it_cannot_pin(monkeypatch):
+    # a numpy without its bundled OpenBLAS: the lookup finds no library
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    ad._openblas.cache_clear()
+    try:
+        with pytest.warns(UserWarning) as caught:
+            for _ in range(2):
+                with ad.one_blas_thread() as pinned:
+                    assert pinned is False
+        assert len(caught) == 1
+        assert "cannot hold numpy's OpenBLAS" in str(caught[0].message)
+    finally:
+        ad._openblas.cache_clear()
+    # a pin that takes warns of nothing
+    monkeypatch.undo()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with ad.one_blas_thread() as pinned:
+            pass
+    assert not pinned or not caught

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,24 @@ def test_cky_copies_sentence_onto_leaves():
     tree, _ = cky_decode(chart, sent)
     leaves = [node for node in tree.nodes() if node.is_leaf()]
     assert [(lf.word, lf.tag) for lf in leaves] == sent
+
+
+def test_cky_decodes_a_tree_deeper_than_the_recursion_limit():
+    # every span ending at n scores 1 under label 1, so the best tree is
+    # right-branching, as deep as the sentence is long
+    n = sys.getrecursionlimit() + 50
+    chart = np.zeros((n + 1, n + 1, 2))
+    chart[:n, n, 1] = 1.0
+    sent = [("w%d" % i, "T") for i in range(n)]
+    tree, value = cky_decode(chart, sent)
+    assert value == n
+    node = tree
+    for i in range(n - 1):
+        assert node.span == (i, n) and node.label == 1
+        assert node.left.span == (i, i + 1) and node.left.word == "w%d" % i
+        node = node.right
+    assert node.span == (n - 1, n) and node.is_leaf()
+    assert (node.word, node.tag, node.label) == ("w%d" % (n - 1), "T", 1)
 
 
 def test_cky_matches_reference_loop_bitwise():

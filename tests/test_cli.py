@@ -1,4 +1,4 @@
-import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +9,11 @@ from spanparser.checkpoint import load_checkpoint, save_checkpoint
 from spanparser.cli import main, parse_disable_spec
 from spanparser.config import ConfigError
 from spanparser.lexical import write_vector_file
+from spanparser.model import SpanParser
 from spanparser.toydata import toy_treebank
 from spanparser.trees import load_trees, parse_bracketed, save_trees
+
+from support import no_openblas, openblas_threads, recording_pins
 
 CONFIG = """\
 # tiny model so command tests stay fast
@@ -32,17 +35,6 @@ evals_per_epoch = 1
 max_epochs = 1
 seed = 0
 """
-
-
-@pytest.fixture(scope="module", autouse=True)
-def unpinned_blas():
-    """``main`` with its BLAS pin stubbed out: where the pin cannot take,
-    its warning would precede each command's stderr.  The pin itself is
-    tested in subprocesses in test_autodiff.py and test_training.py."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(cli, "one_blas_thread",
-                  lambda: contextlib.nullcontext(True))
-        yield
 
 
 @pytest.fixture(scope="module")
@@ -212,24 +204,26 @@ def test_eval_self_is_perfect(workdir, capsys):
 
 
 def test_main_pins_blas_and_warns_when_it_cannot(workdir, monkeypatch,
-                                                 capsys):
-    calls = []
-
-    @contextlib.contextmanager
-    def pin_that_failed():
-        calls.append("pin")
-        yield False
-        calls.append("unpin")
-
-    monkeypatch.setattr(cli, "one_blas_thread", pin_that_failed)
-    capsys.readouterr()
-    assert main(["eval", str(workdir / "dev.txt"),
-                 str(workdir / "dev.txt")]) == 0
-    assert calls == ["pin", "unpin"]
-    captured = capsys.readouterr()
-    assert captured.err.startswith(
-        "warning: could not set numpy's OpenBLAS to one thread")
-    assert "labeled F1          100.00" in captured.out
+                                                 tmp_path):
+    # a command's products run inside the model's pin, each block left;
+    # where numpy has no OpenBLAS to hold, the command still runs and the
+    # pin warns once
+    calls = recording_pins(monkeypatch)
+    out = tmp_path / "pred.txt"
+    command = ["parse", str(workdir / "model.ckpt"),
+               str(workdir / "dev.tagged"), "--out", str(out)]
+    assert main(command) == 0
+    assert calls and calls.count("left") * 2 == len(calls)
+    assert {c for c in calls if c != "left"} == {
+        openblas_threads() is not None}
+    parsed = out.read_text()
+    calls.clear()
+    with no_openblas(), pytest.warns(UserWarning) as caught:
+        assert main(command) == 0
+    assert len(caught) == 1
+    assert "cannot hold numpy's OpenBLAS" in str(caught[0].message)
+    assert calls and {c for c in calls if c != "left"} == {False}
+    assert out.read_text() == parsed
 
 
 def test_eval_count_mismatch_is_runtime_error(workdir, tmp_path, capsys):
@@ -419,6 +413,23 @@ def test_a_bad_spec_after_a_good_one_writes_no_table(workdir, tmp_path,
                  str(workdir / "dev.txt"), "--spec", "content:all",
                  "--spec", "bogus:all", "--out", str(out_path)]) == 2
     assert "'bogus'" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_analyze_disable_on_an_unfactored_model_writes_no_table(
+        workdir, tmp_path, capsys):
+    # each control is checked against the model before the output is opened
+    factored = load_checkpoint(workdir / "model.ckpt")
+    model = SpanParser(dataclasses.replace(factored.encoder_config,
+                                           variant="additive-unfactored"),
+                       factored.lexical_config, factored.vocab,
+                       factored.labels)
+    save_checkpoint(model, tmp_path / "additive.ckpt")
+    out_path = tmp_path / "dis4.tsv"
+    capsys.readouterr()
+    assert main(["analyze-disable", str(tmp_path / "additive.ckpt"),
+                 str(workdir / "dev.txt"), "--out", str(out_path)]) == 2
+    assert "only applies to factored variants" in capsys.readouterr().err
     assert not out_path.exists()
 
 

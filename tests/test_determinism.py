@@ -1,4 +1,6 @@
-"""Training is bitwise reproducible whatever the BLAS thread count."""
+"""Training is bitwise reproducible whatever the BLAS thread count, with
+no pin of the command's or the caller's: ``SpanParser.pack_scores`` and
+``autodiff.backward`` hold BLAS to one thread themselves."""
 
 import os
 import subprocess
@@ -32,17 +34,6 @@ seed = 3
 """
 
 
-# ``spanparser train`` with the command's BLAS pin stubbed out, so that
-# only ``train``'s own pin holds OpenBLAS to one thread
-UNPINNED_MAIN = """\
-import contextlib
-import sys
-from spanparser import cli
-cli.one_blas_thread = lambda: contextlib.nullcontext(True)
-sys.exit(cli.main(sys.argv[1:]))
-"""
-
-
 def _train(root, threads):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads),
@@ -50,7 +41,7 @@ def _train(root, threads):
                    [str(Path(spanparser.__file__).parents[1])]
                    + sys.path))
     out = root / ("model-%d.ckpt" % threads)
-    subprocess.run([sys.executable, "-c", UNPINNED_MAIN, "train",
+    subprocess.run([sys.executable, "-m", "spanparser", "train",
                     str(root / "train.txt"), str(root / "dev.txt"),
                     "--config", str(root / "toy.cfg"), "--out", str(out),
                     "--quiet"], env=env, check=True, timeout=300)

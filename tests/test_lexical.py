@@ -297,8 +297,9 @@ def test_zero_width_vectors_are_not_written(tmp_path):
     ("1 2\n2\n0.0 1.0\n0.5 nan\n", 4),     # non-finite values, which
     ("1 2\n1\n\ninf 1.0\n", 4),              # would surface only as a
     ("1 2\n1\n-inf 1.0\n", 3),               # non-finite chart or loss
+    ("1 2\n1\n0.0 1.0\n\n1\n0.5 0.5\n", 5),  # a sentence past the header's
 ], ids=["header", "count", "value", "negative-dim", "zero-dim", "nan", "inf",
-        "minus-inf"])
+        "minus-inf", "extra-sentence"])
 def test_malformed_vector_file_names_the_path_and_line(tmp_path, text, line):
     path = tmp_path / "bad.txt"
     path.write_text(text)

@@ -9,10 +9,10 @@ from spanparser.encoder import (FACTORED_VARIANTS, AttentionControl,
 from spanparser.lexical import LexicalConfig
 from spanparser.model import PARSE_PACK, SpanParser
 from spanparser.toydata import toy_treebank
-from spanparser.trees import parse_bracketed
+from spanparser.trees import parse_bracketed, save_trees
 from spanparser.vocab import LabelInventory, Vocabulary
 
-from support import gradcheck, tiny_model
+from support import blas_counts, gradcheck, tiny_model
 
 TREES = parse_bracketed(
     "(S (NP (DT the) (NN cat)) (VP (VB saw) (NP (DT a) (NN telescope))))\n"
@@ -276,3 +276,71 @@ def test_batch_loss_results_match_sentence_losses():
         assert (packed.violator is None) == (lone.violator is None)
     assert float(loss.data) == pytest.approx(sum(r.value for r in own),
                                              abs=1e-10)
+
+
+# the OpenBLAS thread count after import, inside the encoder as
+# ``pack_scores`` runs it, inside a grad_fn as ``backward`` runs it, after
+# each of them returns and raises, and after ``spanparser eval``, as a
+# JSON line
+SCOPED_PIN_SCRIPT = """
+import contextlib
+import json
+import sys
+
+import numpy as np
+
+import spanparser.autodiff as ad
+from spanparser import cli, toy_treebank
+from support import openblas_threads, tiny_model
+
+count = openblas_threads()
+if count is None:
+    print("{}")
+    raise SystemExit
+counts = {"import": count()}
+trees = toy_treebank(4, seed=1)
+model = tiny_model(trees, num_layers=1)
+encode = model.encoder.encode
+
+
+def recording(name, then):
+    def record(*args):
+        counts[name] = count()
+        return then(*args)
+    return record
+
+
+def scripted_failure(*args):
+    raise KeyError("scripted")
+
+
+model.encoder.encode = recording("encode", encode)
+model.parse(trees[0].sentence())
+counts["parse returned"] = count()
+model.encoder.encode = recording("encode that raises", scripted_failure)
+with contextlib.suppress(KeyError):
+    model.parse_batch([t.sentence() for t in trees])
+counts["parse_batch raised"] = count()
+leaf = ad.tensor(2.0, requires_grad=True)
+ad.backward(ad.Tensor(np.array(3.0), (leaf,),
+                      recording("grad_fn", lambda g: (g,))))
+counts["backward returned"] = count()
+with contextlib.suppress(KeyError):
+    ad.backward(ad.Tensor(np.array(3.0), (leaf,),
+                          recording("grad_fn that raises", scripted_failure)))
+counts["backward raised"] = count()
+with contextlib.redirect_stdout(sys.stderr):
+    assert cli.main(["eval", sys.argv[1], sys.argv[1]]) == 0
+counts["eval"] = count()
+print(json.dumps(counts))
+"""
+
+
+def test_pack_scores_and_backward_hold_one_blas_thread_for_the_call_only(
+        tmp_path):
+    save_trees(toy_treebank(4, seed=2), tmp_path / "dev.txt")
+    assert blas_counts(SCOPED_PIN_SCRIPT, tmp_path / "dev.txt") == {
+        "import": 2, "encode": 1, "parse returned": 2,
+        "encode that raises": 1, "parse_batch raised": 2, "grad_fn": 1,
+        "backward returned": 2, "grad_fn that raises": 1,
+        "backward raised": 2, "eval": 2}
