@@ -61,8 +61,7 @@ print("both terms disabled, row 0:", np.round(record[(0, 0)][0], 3))
 layer = enc.layers[0]
 positions = ad.take_rows(enc.position_table.tensor, np.arange(T))
 x = compose_input(content, positions, cfg.variant)
-out = layer.attn.head_outputs(x, positions, None, False, False, False, None,
-                              0.0)
+out = layer.attn.head_outputs(x, positions, None, False, False)
 dense = assemble_block_sparse(layer, 0)
 xd = x.data
 logits = (xd @ dense["w_q"]) @ (xd @ dense["w_k"]).T / math.sqrt(cfg.d_k)

@@ -527,11 +527,11 @@ def _column_slices(blocks):
     return [slice(stop - b.shape[1], stop) for b, stop in zip(blocks, stops)]
 
 
-def dropout(x, p: float, rng, train: bool):
-    """Inverted dropout: scale kept entries by 1/(1-p) so eval is identity.
-    ``x`` may be a list of the column blocks of one matrix: the mask is
-    drawn for that matrix and its column slices scale the blocks."""
-    if not train or p == 0.0:
+def dropout(x, p: float, rng):
+    """Inverted dropout, kept entries scaled by 1/(1-p); the identity when
+    ``rng`` is None.  ``x`` may be a list of one matrix's column blocks: the
+    mask is drawn for that matrix and its column slices scale the blocks."""
+    if rng is None or p == 0.0:
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1), got %r" % p)
@@ -542,9 +542,9 @@ def dropout(x, p: float, rng, train: bool):
     return [mul_const(block, mask[:, col]) for block, col in zip(x, cols)]
 
 
-def row_dropout(x: Tensor, p: float, rng, train: bool) -> Tensor:
+def row_dropout(x: Tensor, p: float, rng) -> Tensor:
     """Dropout that zeroes whole rows (whole embedding vectors) at once."""
-    if not train or p == 0.0:
+    if rng is None or p == 0.0:
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1), got %r" % p)

@@ -112,12 +112,16 @@ def apply_overrides(raw: dict, overrides) -> dict:
 
 def build_configs(raw: dict):
     """Turn raw strings into validated (EncoderConfig, LexicalConfig,
-    TrainConfig).  Unknown keys are errors, not warnings."""
+    TrainConfig).  Unknown keys are errors, not warnings, and so is a value
+    a section's ``validate`` refuses: each raises ConfigError."""
     per_class = {cls: {} for cls in _SECTIONS}
     for key, text in raw.items():
         value = _parse_value(key, text)
         per_class[_FIELDS[key][0]][key] = value
-    return tuple(cls(**per_class[cls]).validate() for cls in _SECTIONS)
+    try:
+        return tuple(cls(**per_class[cls]).validate() for cls in _SECTIONS)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def config_from_values(cls, values: dict):

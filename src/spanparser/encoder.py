@@ -233,6 +233,7 @@ class MultiHeadAttention:
                  config: EncoderConfig):
         self.position_queries = config.variant == "position-only"
         self.num_heads = heads = config.num_heads
+        self.attention_dropout = config.attention_dropout
         suffixes = stream_suffixes(config.variant)
         n = len(suffixes)
         d_io, d_k, d_v = config.d_model // n, config.d_k // n, config.d_v // n
@@ -249,9 +250,8 @@ class MultiHeadAttention:
                 ("w_o", (heads * d_v, d_io), (d_v, d_io)))])
 
     def forward(self, x: Tensor, positions: Tensor, mask, penalty,
-                disable_content: bool, disable_position: bool,
-                train: bool, rng, dropout_p: float, record=None,
-                worker=None) -> list:
+                disable_content: bool, disable_position: bool, rng,
+                record=None, worker=None) -> list:
         """Sum of every head's contribution, shape [sum T_b, d_model], as
         one [sum T_b, d_model / streams] column block per stream.
 
@@ -266,20 +266,18 @@ class MultiHeadAttention:
         """
         probs, values = self._attend(x, positions, mask, penalty,
                                      disable_content, disable_position,
-                                     train, rng, dropout_p, record, worker)
+                                     rng, record, worker)
         return _map_streams(worker, functools.partial(_output, probs, mask),
                             *zip(values, self.streams))
 
     def head_outputs(self, x: Tensor, positions: Tensor, penalty,
-                     disable_content: bool, disable_position: bool,
-                     train: bool, rng, dropout_p: float) -> Tensor:
-        """Each head's own contribution to one sentence, shape
+                     disable_content: bool, disable_position: bool) -> Tensor:
+        """Each head's own contribution to one sentence at evaluation, shape
         [H, T, d_model]; these sum to :meth:`forward`'s blocks side by
         side."""
         mask = np.ones((1, x.shape[0]), dtype=bool)
         probs, values = self._attend(x, positions, mask, penalty,
-                                     disable_content, disable_position,
-                                     train, rng, dropout_p)
+                                     disable_content, disable_position, None)
         # w_o's row block h is head h's [d_v, d_out] output matrix
         return ad.concat(
             [ad.bmm(ad.bmm(probs, v),
@@ -288,8 +286,7 @@ class MultiHeadAttention:
              for v, stream in zip(values, self.streams)], axis=2)
 
     def _attend(self, x, positions, mask, penalty, disable_content,
-                disable_position, train, rng, dropout_p, record=None,
-                worker=None):
+                disable_position, rng, record=None, worker=None):
         """The [B * H, Tmax, Tmax] attention probabilities after dropout,
         and per stream the [B * H, Tmax, d_v] values they weight."""
         inputs = ad.split_cols(x, len(self.streams))
@@ -310,7 +307,7 @@ class MultiHeadAttention:
         probs = ad.softmax(logits)
         if record is not None:
             record.append(probs.data)
-        probs = ad.dropout(probs, dropout_p, rng, train)
+        probs = ad.dropout(probs, self.attention_dropout, rng)
         return probs, [v for _, v in projected]
 
     def _project(self, mask, source, inp, stream, on):
@@ -351,16 +348,17 @@ class FeedForward:
         suffixes = stream_suffixes(config.variant)
         d = config.d_model // len(suffixes)
         dff = config.d_ff // len(suffixes)
+        self.relu_dropout = config.relu_dropout
         self.streams = _add_streams(store, prefix, suffixes, (
             ("w1", (d, dff), glorot_uniform), ("b1", (dff,), None),
             ("w2", (dff, d), glorot_uniform), ("b2", (d,), None)))
 
-    def forward(self, x: Tensor, train: bool, rng, relu_p: float,
-                worker=None) -> list:
+    def forward(self, x: Tensor, rng, worker=None) -> list:
         inputs = ad.split_cols(x, len(self.streams))
         hidden = _map_streams(worker, functools.partial(_affine, "w1", "b1"),
                               *zip(inputs, self.streams))
-        hidden = [ad.dropout(ad.relu(h), relu_p, rng, train) for h in hidden]
+        hidden = [ad.dropout(ad.relu(h), self.relu_dropout, rng)
+                  for h in hidden]
         return _map_streams(worker, functools.partial(_affine, "w2", "b2"),
                             *zip(hidden, self.streams))
 
@@ -372,7 +370,7 @@ def _affine(weight, bias, x, stream):
 
 class EncoderLayer:
     def __init__(self, store, prefix, config: EncoderConfig):
-        self.config = config
+        self.residual_dropout = config.residual_dropout
         self.attn = MultiHeadAttention(store, prefix + ".attn", config)
         self.ffn = FeedForward(store, prefix + ".ffn", config)
         d = config.d_model
@@ -382,15 +380,13 @@ class EncoderLayer:
         self.ln2_bias = store.add(prefix + ".ln2.bias", (d,))
 
     def forward(self, x, positions, mask, penalty, disable_content,
-                disable_position, train, rng, record=None, worker=None):
-        cfg = self.config
-        attn = self.attn.forward(x, positions, mask, penalty,
-                                 disable_content, disable_position, train,
-                                 rng, cfg.attention_dropout, record, worker)
-        attn = ad.dropout(attn, cfg.residual_dropout, rng, train)
+                disable_position, rng, record=None, worker=None):
+        attn = self.attn.forward(x, positions, mask, penalty, disable_content,
+                                 disable_position, rng, record, worker)
+        attn = ad.dropout(attn, self.residual_dropout, rng)
         x = ad.layer_norm(x, self.ln1_gain.tensor, self.ln1_bias.tensor, attn)
-        ff = self.ffn.forward(x, train, rng, cfg.relu_dropout, worker)
-        ff = ad.dropout(ff, cfg.residual_dropout, rng, train)
+        ff = ad.dropout(self.ffn.forward(x, rng, worker),
+                        self.residual_dropout, rng)
         return ad.layer_norm(x, self.ln2_gain.tensor, self.ln2_bias.tensor, ff)
 
 
@@ -406,7 +402,7 @@ class Encoder:
         self.layers = [EncoderLayer(store, "encoder.layer%d" % i, config)
                        for i in range(config.num_layers)]
 
-    def encode(self, x: Tensor, lengths=None, train: bool = False, rng=None,
+    def encode(self, x: Tensor, lengths=None, rng=None,
                control: AttentionControl = None, record=None) -> Tensor:
         """Encode a pack of sentences: ``x`` holds every sentence's
         [T_b, content_dim] content rows, start and stop rows included, one
@@ -465,7 +461,7 @@ class Encoder:
             for i, layer in enumerate(self.layers):
                 layer_record = [] if record is not None else None
                 x = layer.forward(x, positions, mask, penalty,
-                                  bool(off_c[i]), bool(off_p[i]), train, rng,
+                                  bool(off_c[i]), bool(off_p[i]), rng,
                                   layer_record, worker)
                 if record is not None:
                     for h, probs in enumerate(layer_record[0]):

@@ -106,10 +106,10 @@ class CharConcat:
         suf = [pad] * (self.suffix - len(suf)) + suf
         return np.array(pre + suf, dtype=np.intp)
 
-    def forward(self, words, train: bool, rng) -> Tensor:
+    def forward(self, words, rng) -> Tensor:
         ids = np.stack([self.positions(w) for w in words])
         flat = ad.take_rows(self.char_emb.tensor, ids.ravel())
-        flat = ad.dropout(flat, self.char_dropout, rng, train)
+        flat = ad.dropout(flat, self.char_dropout, rng)
         return ad.reshape(flat, (len(words), ids.shape[1] * self.char_dim))
 
 
@@ -148,7 +148,7 @@ class CharLSTM:
         self.proj_bias = store.add("lexical.char_lstm.proj_bias", (slot_dim,))
 
     def _run_direction(self, ids: np.ndarray, last: np.ndarray, weights,
-                       train: bool, rng) -> Tensor:
+                       rng) -> Tensor:
         """Every word's final state, [W, H]: row ``last[k]`` of the [L * W,
         H] stack of every step's states (step t's in rows t * W ...)."""
         W, L = ids.shape
@@ -158,7 +158,7 @@ class CharLSTM:
         states = []
         for t in range(L):
             x_t = ad.take_rows(self.char_emb.tensor, ids[:, t])
-            x_t = ad.dropout(x_t, self.char_dropout, rng, train)
+            x_t = ad.dropout(x_t, self.char_dropout, rng)
             gates = ad.add(ad.add(ad.matmul(x_t, weights["w_x"].tensor),
                                   ad.matmul(h, weights["w_h"].tensor)),
                            weights["b"].tensor)
@@ -169,7 +169,7 @@ class CharLSTM:
             states.append(h)
         return ad.take_rows(ad.concat(states, axis=0), last)
 
-    def forward(self, words, train: bool, rng) -> Tensor:
+    def forward(self, words, rng) -> Tensor:
         seqs = [_char_id_seq(self.vocab, w) for w in words]
         W = len(seqs)
         L = max(len(s) for s in seqs)
@@ -182,8 +182,8 @@ class CharLSTM:
             bwd_ids[k, :n] = seq[::-1]
         # word k's last real character is at step len - 1
         last = (np.array([len(s) for s in seqs]) - 1) * W + np.arange(W)
-        h_f = self._run_direction(fwd_ids, last, self.dirs["fwd"], train, rng)
-        h_b = self._run_direction(bwd_ids, last, self.dirs["bwd"], train, rng)
+        h_f = self._run_direction(fwd_ids, last, self.dirs["fwd"], rng)
+        h_b = self._run_direction(bwd_ids, last, self.dirs["bwd"], rng)
         both = ad.concat([h_f, h_b], axis=1)
         return ad.add(ad.matmul(both, self.proj.tensor), self.proj_bias.tensor)
 
@@ -222,8 +222,7 @@ class LexicalModel:
             self.external_boundaries = store.add(
                 "lexical.external_boundaries", (2, slot_dim), embedding_init)
 
-    def content_vectors(self, sentences, train: bool = False, rng=None,
-                        externals=None) -> Tensor:
+    def content_vectors(self, sentences, rng=None, externals=None) -> Tensor:
         """Each sentence's [n+2, slot_dim] rows, boundaries included, one
         after the other, for a pack of lists of (word, tag) pairs.  Each
         table is looked up, each dropout mask drawn and the character modes
@@ -231,7 +230,7 @@ class LexicalModel:
         [n, external_dim] pretrained matrix (external mode only)."""
         cfg = self.config
         if cfg.mode == "external":
-            return self._external_rows(sentences, externals, train, rng)
+            return self._external_rows(sentences, externals, rng)
         tokens = [pair for sentence in sentences
                   for pair in [(START, START), *sentence, (STOP, STOP)]]
         words = [w for w, _ in tokens]
@@ -239,17 +238,17 @@ class LexicalModel:
         if self.word_emb is not None:
             ids = [self.vocab.word_id(w) for w in words]
             rows = ad.take_rows(self.word_emb.tensor, ids)
-            total = ad.row_dropout(rows, cfg.word_dropout, rng, train)
+            total = ad.row_dropout(rows, cfg.word_dropout, rng)
         if cfg.mode == "tags":
             ids = [self.vocab.tag_id(t) for _, t in tokens]
             rows = ad.take_rows(self.tag_emb.tensor, ids)
-            rows = ad.row_dropout(rows, cfg.tag_dropout, rng, train)
+            rows = ad.row_dropout(rows, cfg.tag_dropout, rng)
         else:
-            rows = self.chars.forward(words, train, rng)
-            rows = ad.row_dropout(rows, cfg.morph_dropout, rng, train)
+            rows = self.chars.forward(words, rng)
+            rows = ad.row_dropout(rows, cfg.morph_dropout, rng)
         return rows if total is None else ad.add(total, rows)
 
-    def _external_rows(self, sentences, externals, train, rng):
+    def _external_rows(self, sentences, externals, rng):
         """Each sentence's projected vectors between the learned start and
         stop rows.  In the product each sits between two zero rows, so that
         no product has one row: numpy hands those to another BLAS routine,
@@ -271,7 +270,7 @@ class LexicalModel:
         projected = ad.matmul(Tensor(vectors), self.external_proj.tensor)
         rows = ad.concat([self.external_boundaries.tensor, projected], axis=0)
         return ad.row_dropout(ad.take_rows(rows, ids),
-                              self.config.word_dropout, rng, train)
+                              self.config.word_dropout, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -46,27 +46,27 @@ class SpanParser:
     def num_parameters(self) -> int:
         return self.store.size
 
-    def span_score_tensor(self, sentence, train: bool = False, rng=None,
-                          control=None, external=None, record=None):
+    def span_score_tensor(self, sentence, rng=None, control=None,
+                          external=None, record=None):
         """Run the network on one tagged sentence (list of (word, tag)
         pairs) and return the [num_spans, num_labels-1] score tensor."""
-        return self.pack_scores([sentence], train, rng, control,
-                                [external], record)
+        return self.pack_scores([sentence], rng, control, [external], record)
 
-    def pack_scores(self, sentences, train: bool = False, rng=None,
-                    control=None, externals=None, record=None):
+    def pack_scores(self, sentences, rng=None, control=None, externals=None,
+                    record=None):
         """Score a pack of tagged sentences in one pass: the
         [sum of num_spans, num_labels-1] tensor holding each sentence's
         span scores in turn.  The lexical layer, the encoder and the span
-        scorer each run once over the pack, on one BLAS thread.  ``externals``
+        scorer each run once over the pack, on one BLAS thread.  ``rng``
+        draws every dropout mask; None (evaluation) draws none.  ``externals``
         gives each sentence's pretrained vectors (external mode)."""
         if not sentences or not all(sentences):
             raise ValueError("cannot score an empty sentence")
         words = [len(s) for s in sentences]
         lengths = [n + 2 for n in words]
         with ad.one_blas_thread():
-            x = self.lexical.content_vectors(sentences, train, rng, externals)
-            y = self.encoder.encode(x, lengths, train, rng, control, record)
+            x = self.lexical.content_vectors(sentences, rng, externals)
+            y = self.encoder.encode(x, lengths, rng, control, record)
             projected = self.scorer.project(fenceposts(y, lengths))
             return self.scorer.forward(span_vectors(projected, words))
 
@@ -121,17 +121,20 @@ class SpanParser:
                       rng=None, external=None):
         """HingeResult for one sentence against its binarized gold tree,
         its ``loss`` the differentiable hinge (a 0 tensor when the margin
-        holds): ``batch_loss`` of a batch of one."""
+        holds): ``batch_loss`` of a batch of one, given ``rng`` only if
+        ``train``.  ``train`` stays for ``perfbench/workload.py``, which
+        passes ``train=False``, until ROADMAP item 3 deletes this method."""
         (result,), loss = self.batch_loss([(sentence, gold_binary, external)],
-                                          train, rng)
+                                          rng if train else None)
         result.loss = ad.tensor(0.0) if loss is None else loss
         return result
 
-    def batch_loss(self, batch, train: bool = True, rng=None):
+    def batch_loss(self, batch, rng=None):
         """One packed pass over a mini-batch of (sentence, gold_binary,
-        external) triples: (each sentence's HingeResult, the batch's
-        summed loss tensor, or None when every margin holds)."""
-        scores = self.pack_scores([s for s, _, _ in batch], train, rng,
+        external) triples, dropout drawn from ``rng`` (None: no dropout):
+        (each sentence's HingeResult, the batch's summed loss tensor, or
+        None when every margin holds)."""
+        scores = self.pack_scores([s for s, _, _ in batch], rng,
                                   externals=[ext for _, _, ext in batch])
         results, offset = [], 0
         for sentence, gold, _ in batch:

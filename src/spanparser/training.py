@@ -38,6 +38,8 @@ class TrainConfig:
         if not 0.0 < self.base_lr < math.inf:
             raise ValueError("base_lr must be positive and finite, got %r"
                              % (self.base_lr,))
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
         return self
 
 
@@ -121,9 +123,14 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
         raise ValueError("training set is empty")
     if not dev and eval_fn is None:
         raise ValueError("dev set is empty")
-    data = [(tree.sentence(), model.gold_binary(tree),
-             None if train_external is None else train_external[k])
-            for k, tree in enumerate(treebank)]
+    data = []
+    for k, tree in enumerate(treebank):
+        try:
+            gold = model.gold_binary(tree)
+        except (KeyError, ValueError) as exc:
+            raise type(exc)("training tree %d: %s" % (k, exc.args[0])) from exc
+        data.append((tree.sentence(), gold,
+                     None if train_external is None else train_external[k]))
     if eval_fn is None:
         eval_fn = lambda m, d: default_eval_fn(m, d, dev_external)
 
@@ -188,7 +195,7 @@ def train(model, treebank, dev, config: TrainConfig, eval_fn=None,
                 batch = [data[k] for k in
                          order[start:start + config.batch_size]]
                 try:
-                    results, loss = model.batch_loss(batch, True, rng)
+                    results, loss = model.batch_loss(batch, rng)
                 except NonFiniteScoreError as exc:
                     raise RuntimeError(
                         "non-finite training loss (epoch %d, batch at "

@@ -81,18 +81,18 @@ class LabelInventory:
         chain) observed in the trees.
 
         Raw treebank labels must not contain the separator character, or the
-        collapsed entries would be ambiguous.
+        collapsed entries would be ambiguous: ValueError names the first
+        tree (counted from 0) with such a label.
         """
-        atomic = set()
-        for tree in trees:
-            _collect_labels(tree, atomic)
-        for label in atomic:
-            if separator in label:
-                raise ValueError(
-                    "treebank label %r contains the unary separator %r; "
-                    "configure a different separator" % (label, separator))
         labels = set()
-        for tree in trees:
+        for k, tree in enumerate(trees):
+            atomic = set()
+            _collect_labels(tree, atomic)
+            for label in sorted(atomic):
+                if separator in label:
+                    raise ValueError(
+                        "tree %d: label %r contains %r, the separator that "
+                        "joins a unary chain's labels" % (k, label, separator))
             _collect_labels(collapse_unary(tree, separator), labels)
         return cls(labels, separator)
 

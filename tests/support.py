@@ -147,11 +147,11 @@ def reference_layer_norm(x, gain, bias, summand=None, eps=1e-5):
     return ad._result(out, (x, gain, bias), grad_fn)
 
 
-def reference_dropout(x, p, rng, train):
+def reference_dropout(x, p, rng):
     """Dropout of the concatenation of column blocks."""
     if isinstance(x, (list, tuple)):
         x = ad.concat(x, axis=1)
-    return _dropout(x, p, rng, train)
+    return _dropout(x, p, rng)
 
 
 def reference_softmax(x):

@@ -184,8 +184,7 @@ def test_factored_head_matches_assembled_dense_head():
         positions = ad.take_rows(enc.position_table.tensor, np.arange(T))
         x = compose_input(content, positions, cfg.variant)
         layer = enc.layers[0]
-        out = layer.attn.head_outputs(x, positions, None, False, False,
-                                      False, None, 0.0)
+        out = layer.attn.head_outputs(x, positions, None, False, False)
 
         dense = assemble_block_sparse(layer, 0)
         xd = x.data
@@ -313,8 +312,7 @@ def test_char_concat_fills_512_wide_content_slot():
     model = SpanParser(enc, lex, Vocabulary.from_trees(trees),
                        LabelInventory.from_trees(trees), seed=0)
     sent = trees[0].sentence()
-    rows = model.lexical.content_vectors([sent], train=False, rng=None,
-                                         externals=None)
+    rows = model.lexical.content_vectors([sent], rng=None, externals=None)
     assert rows.data.shape == (len(sent) + 2, 512)
     out = model.parse(sent)
     assert out.sentence() == sent

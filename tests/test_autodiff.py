@@ -224,7 +224,7 @@ def test_layer_norm_of_a_sum_is_bitwise_the_reference_composition(kind,
         for t in leaves:
             t.data *= 1.0 + 1e3 * rng.random(t.shape)
         if summand is not None:
-            summand = drop(summand, dropout, np.random.default_rng(3), True)
+            summand = drop(summand, dropout, np.random.default_rng(3))
         w = tensor(rng.standard_normal((7, 300)))
         out = layer_norm(x, gain, bias, summand)
         backward(ad.sum_all(ad.mul(out, w)))
@@ -250,14 +250,14 @@ def test_layer_norm_rejects_a_summand_of_another_shape():
 def test_dropout_of_column_blocks_uses_one_mask_for_the_whole():
     rng = np.random.default_rng(19)
     blocks = [leaf(rng, 50, 3), leaf(rng, 50, 5)]
-    out = ad.dropout(blocks, 0.4, np.random.default_rng(2), train=True)
+    out = ad.dropout(blocks, 0.4, np.random.default_rng(2))
     whole = ad.dropout(ad.concat(blocks, axis=1), 0.4,
-                       np.random.default_rng(2), train=True)
+                       np.random.default_rng(2))
     assert np.array_equal(np.concatenate([o.data for o in out], axis=1),
                           whole.data)
-    assert ad.dropout(blocks, 0.4, rng, train=False) is blocks
+    assert ad.dropout(blocks, 0.4, None) is blocks
     check(lambda: ad.sum_all(ad.mul(*ad.dropout(
-        [blocks[0], blocks[0]], 0.4, np.random.default_rng(2), True))),
+        [blocks[0], blocks[0]], 0.4, np.random.default_rng(2)))),
           [blocks[0]])
 
 
@@ -319,9 +319,9 @@ def test_softmax_and_head_moves_are_bitwise_the_reference():
 def test_dropout_train_and_eval():
     rng = np.random.default_rng(10)
     x = tensor(rng.standard_normal((200, 8)), requires_grad=True)
-    out = ad.dropout(x, 0.25, np.random.default_rng(0), train=False)
+    out = ad.dropout(x, 0.25, None)
     assert out is x or np.array_equal(out.data, x.data)
-    out = ad.dropout(x, 0.25, np.random.default_rng(0), train=True)
+    out = ad.dropout(x, 0.25, np.random.default_rng(0))
     kept = out.data != 0.0
     assert abs(kept.mean() - 0.75) < 0.05
     # survivors are scaled up so the expectation is preserved
@@ -333,7 +333,7 @@ def test_dropout_train_and_eval():
 
 def test_row_dropout_zeroes_whole_rows():
     x = tensor(np.ones((300, 5)), requires_grad=True)
-    out = ad.row_dropout(x, 0.4, np.random.default_rng(1), train=True)
+    out = ad.row_dropout(x, 0.4, np.random.default_rng(1))
     rowsums = out.data.sum(axis=1)
     dropped = rowsums == 0.0
     assert 0.25 < dropped.mean() < 0.55

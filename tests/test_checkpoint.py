@@ -304,8 +304,7 @@ def train_one_step(model):
     for p in model.store:
         p.clear_grad()
     batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
-    _, loss = model.batch_loss(batch, train=True,
-                               rng=np.random.default_rng(3))
+    _, loss = model.batch_loss(batch, rng=np.random.default_rng(3))
     backward(loss)
     adam_step(model.store, lr=0.01)
 

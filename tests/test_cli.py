@@ -245,6 +245,20 @@ def test_usage_errors_exit_2(workdir, tmp_path, capsys):
                  str(workdir / "dev.txt"), "--config", str(bad_cfg),
                  "--out", str(tmp_path / "x.ckpt")]) == 2
     capsys.readouterr()
+    # values of the right type that a config section refuses
+    for item, problem in (
+            ("num_layers=-1", "num_layers must be >= 0"),
+            ("attention_dropout=1.5", "attention_dropout must be in [0, 1)"),
+            ("variant=bogus", "unknown encoder variant 'bogus'"),
+            ("max_sentence_length=2", "max_sentence_length must be >= 3"),
+            ("seed=-1", "seed must be >= 0, got -1")):
+        assert main(["train", str(workdir / "train.txt"),
+                     str(workdir / "dev.txt"),
+                     "--config", str(workdir / "model.cfg"),
+                     "--out", str(tmp_path / "x.ckpt"), "--quiet",
+                     "--set", item]) == 2, item
+        assert capsys.readouterr().err.startswith("error: " + problem)
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_bad_set_override_names_the_override(workdir, tmp_path, capsys):

@@ -210,8 +210,7 @@ def test_factored_head_equals_assembled_dense_head():
     positions = ad.take_rows(enc.position_table.tensor, np.arange(5))
     x = compose_input(content, positions, cfg.variant)
     layer = enc.layers[0]
-    out = layer.attn.head_outputs(x, positions, None, False, False, False,
-                                  None, 0.0)
+    out = layer.attn.head_outputs(x, positions, None, False, False)
 
     dense = assemble_block_sparse(layer, 0)
     xd = x.data
@@ -256,7 +255,7 @@ def test_eval_is_deterministic_and_train_applies_dropout():
     a = enc.encode(content).data
     b = enc.encode(content).data
     assert np.array_equal(a, b)
-    c = enc.encode(content, train=True, rng=np.random.default_rng(0)).data
+    c = enc.encode(content, rng=np.random.default_rng(0)).data
     assert not np.array_equal(a, c)
 
 

@@ -125,7 +125,7 @@ def test_grad_arena_is_bitwise_that_of_one_thread(
             for p in model.store:
                 p.clear_grad()
             rng = DrawRecorder(5)
-            _, loss = model.batch_loss(batch, train=train_mode, rng=rng)
+            _, loss = model.batch_loss(batch, rng if train_mode else None)
             assert loss is not None and all(rng.on_main)
             assert bool(rng.on_main) == train_mode
             backward(loss)

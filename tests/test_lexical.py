@@ -124,8 +124,8 @@ def test_words_differing_only_in_middle_get_distinct_features():
     assert np.array_equal(a, b)
     lstm_model, _, _ = make("char-lstm", char_embedding_dim=4,
                             char_lstm_hidden=6, use_word_embeddings=False)
-    va = lstm_model.chars.forward(["cat"], False, None).data
-    vb = lstm_model.chars.forward(["cot"], False, None).data
+    va = lstm_model.chars.forward(["cat"], None).data
+    vb = lstm_model.chars.forward(["cot"], None).data
     assert not np.allclose(va, vb)
 
 
@@ -135,9 +135,9 @@ def test_char_lstm_batching_matches_single_word_runs():
                        use_word_embeddings=False)
     lstm = model.chars
     words = ["a", "telescope", "cat", START, "the"]
-    batch = lstm.forward(words, False, None).data
+    batch = lstm.forward(words, None).data
     for k, w in enumerate(words):
-        single = lstm.forward([w], False, None).data
+        single = lstm.forward([w], None).data
         assert np.allclose(batch[k], single[0], atol=1e-12)
 
 
@@ -146,8 +146,8 @@ def test_char_lstm_final_state_ignores_padding_steps():
                        use_word_embeddings=False)
     lstm = model.chars
     # same word padded to different lengths by different batch companions
-    a = lstm.forward(["cat", "telescope"], False, None).data[0]
-    b = lstm.forward(["cat", "a"], False, None).data[0]
+    a = lstm.forward(["cat", "telescope"], None).data[0]
+    b = lstm.forward(["cat", "a"], None).data[0]
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -232,8 +232,8 @@ def test_word_dropout_zeroes_whole_token_rows():
     model, _, _ = make("tags", word_dropout=0.5, tag_dropout=0.0)
     rng = np.random.default_rng(2)
     sent = [("the", "DT")] * 200
-    out = model.content_vectors([sent], train=True, rng=rng).data
-    base = model.content_vectors([sent], train=False).data
+    out = model.content_vectors([sent], rng=rng).data
+    base = model.content_vectors([sent]).data
     word = model.word_emb.data[VOCAB.word_id("the")]
     # each row either lost its word part or kept it doubled (inverted scaling)
     dropped = kept = 0

@@ -268,7 +268,7 @@ def test_pack_of_one_is_the_sentence_path_and_packs_refuse_records():
 def test_batch_loss_results_match_sentence_losses():
     model = tiny_model(PACK_TREES, no_dropout=True)
     batch = [(t.sentence(), model.gold_binary(t), None) for t in PACK_TREES]
-    results, loss = model.batch_loss(batch, train=False)
+    results, loss = model.batch_loss(batch)
     own = [model.sentence_loss(s, g, train=False) for s, g, _ in batch]
     for packed, lone in zip(results, own):
         assert packed.value == pytest.approx(lone.value, abs=1e-10)
@@ -276,6 +276,38 @@ def test_batch_loss_results_match_sentence_losses():
         assert (packed.violator is None) == (lone.violator is None)
     assert float(loss.data) == pytest.approx(sum(r.value for r in own),
                                              abs=1e-10)
+
+
+def test_losses_without_a_generator_are_the_dropout_free_ones():
+    # the library's default dropout rates; no generator means no dropout
+    model = tiny_model(TREES)
+    assert model.encoder_config.attention_dropout > 0.0
+    assert model.lexical_config.word_dropout > 0.0
+    plain = tiny_model(TREES, no_dropout=True)
+    assert model.store.data.tobytes() == plain.store.data.tobytes()
+    violated = 0
+    for tree in TREES:
+        sentence, gold = tree.sentence(), model.gold_binary(tree)
+        want = model.sentence_loss(sentence, gold, train=False)
+        lone = model.sentence_loss(sentence, gold)
+        (packed,), loss = model.batch_loss([(sentence, gold, None)])
+        undropped = plain.sentence_loss(sentence, gold)
+        for got in (lone, packed, undropped):
+            assert got.value == want.value
+            assert got.delta == want.delta
+        assert lone.loss.data.tobytes() == want.loss.data.tobytes()
+        dropped = model.sentence_loss(sentence, gold,
+                                      rng=np.random.default_rng(0))
+        assert dropped.value != want.value
+        if loss is None:
+            continue
+        violated += 1
+        assert loss.data.tobytes() == want.loss.data.tobytes()
+        for p in model.store:
+            p.clear_grad()
+        backward(loss)
+        assert any(p.grad is not None and np.any(p.grad) for p in model.store)
+    assert violated >= 1
 
 
 # the OpenBLAS thread count after import, inside the encoder as

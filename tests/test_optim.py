@@ -578,8 +578,7 @@ def batch_grads(model, seed=5):
     for p in model.store:
         p.clear_grad()
     batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
-    _, loss = model.batch_loss(batch, train=True,
-                               rng=np.random.default_rng(seed))
+    _, loss = model.batch_loss(batch, rng=np.random.default_rng(seed))
     assert loss is not None
     backward(loss)
     return {name: None if p.grad is None else p.grad.copy()
@@ -653,8 +652,7 @@ def test_arena_gradients_are_bitwise_the_plain_leaf_gradients(
     for p in model.store:
         p.tensor = plain_leaf(p.data)
     batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
-    _, loss = model.batch_loss(batch, train=True,
-                               rng=np.random.default_rng(5))
+    _, loss = model.batch_loss(batch, rng=np.random.default_rng(5))
     reference_backward(loss)
     for size, grads in in_arena.items():
         for name, p in model.store.items():

@@ -80,6 +80,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("name, bad", [
     ("max_epochs", 0), ("warmup_batches", -3), ("patience_epochs", 0),
+    ("seed", -1),
 ])
 def test_bad_schedule_values_are_rejected(name, bad):
     with pytest.raises(ValueError, match=name):
@@ -388,6 +389,20 @@ def test_empty_treebank_rejected():
         train(model, [], TREES[:1], cfg())
 
 
+def test_an_unusable_training_tree_is_named():
+    model = fresh_model()
+    before = model.store.data.copy()
+    bare = parse_bracketed("(NN dog)")
+    with pytest.raises(ValueError, match=r"^training tree 2: cannot "
+                       r"binarize a bare leaf$"):
+        train(model, TREES[:2] + bare, TREES[:1], cfg())
+    with pytest.raises(KeyError, match="training tree 1: unknown "
+                       "constituent label 'FRAG'"):
+        train(model, TREES[:1] + parse_bracketed("(FRAG (NN dog))"),
+              TREES[:1], cfg())
+    assert np.array_equal(model.store.data, before)
+
+
 def test_empty_dev_set_rejected_without_an_eval_fn():
     model = fresh_model()
     before = model.store.data.copy()
@@ -442,7 +457,7 @@ def _grads(model):
 def test_batch_loss_gradients_are_the_sum_of_sentence_gradients():
     model = fresh_model(num_layers=2)
     batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
-    results, loss = model.batch_loss(batch, train=False)
+    results, loss = model.batch_loss(batch)
     assert sum(r.violator is not None for r in results) >= 2
     backward(loss)
     packed = _grads(model)
@@ -470,8 +485,7 @@ def test_batch_loss_finite_differences_with_dropout():
     batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES[:4]]
 
     def loss():
-        return model.batch_loss(batch, train=True,
-                                rng=np.random.default_rng(7))[1]
+        return model.batch_loss(batch, rng=np.random.default_rng(7))[1]
 
     assert loss() is not None
     err = gradcheck(loss, list(model.store), np.random.default_rng(2),

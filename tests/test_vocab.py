@@ -67,6 +67,11 @@ def test_label_inventory_rejects_separator_in_atomic_labels():
     trees = parse_bracketed("(A+B (X x) (Y y))")
     with pytest.raises(ValueError):
         LabelInventory.from_trees(trees)
+    # the error names the tree; the separator is no setting of any command
+    with pytest.raises(ValueError, match=r"^tree 2: label 'NP\+X' contains "
+                       r"'\+', the separator that joins a unary chain's"):
+        LabelInventory.from_trees(TREES + parse_bracketed(
+            "(S (NP+X (NN dog)) (VP (VB ran)))"))
 
 
 def test_label_inventory_dict_roundtrip():
