@@ -59,7 +59,7 @@ print("both terms disabled, row 0:", np.round(record[(0, 0)][0], 3))
 # the factored head equals a dense head whose weight matrices are block
 # sparse, with the 2^(1/4) rescaling folded in
 layer = enc.layers[0]
-positions = ad.take_rows(enc.position_table.tensor, np.arange(T))
+positions = ad.take_rows(enc.position_table, np.arange(T))
 x = compose_input(content, positions, cfg.variant)
 out = layer.attn.head_outputs(x, positions, None, False, False)
 dense = assemble_block_sparse(layer, 0)

@@ -86,6 +86,10 @@ class GradLeaf(Tensor):
         self.grad_view = (np.zeros(self.data.shape) if grad_view is None
                           else grad_view)
 
+    def clear_grad(self):
+        """Drop the gradient; the next backward overwrites the buffer."""
+        self.grad = None
+
 
 def tensor(data, requires_grad=False):
     """A constant, or with ``requires_grad`` a :class:`GradLeaf`."""

@@ -122,13 +122,12 @@ class SpanScorer:
 
     def project(self, rows: Tensor) -> Tensor:
         """[k, d_model] rows times M_1: [k, hidden]."""
-        return ad.matmul(rows, self.m1.tensor)
+        return ad.matmul(rows, self.m1)
 
     def forward(self, mv: Tensor) -> Tensor:
         """[S, num_labels-1] real-label scores from [S, hidden] rows M_1 v."""
-        h = ad.layer_norm(mv, self.ln_gain.tensor, self.ln_bias.tensor,
-                          self.c1.tensor)
-        return ad.affine(ad.relu(h), self.m2.tensor, self.c2.tensor)
+        h = ad.layer_norm(mv, self.ln_gain, self.ln_bias, self.c1)
+        return ad.affine(ad.relu(h), self.m2, self.c2)
 
 
 def build_chart(scores: np.ndarray, n: int) -> np.ndarray:

@@ -138,27 +138,34 @@ def _output(path):
             else open(path, "w", encoding="utf-8"))
 
 
-def _load_vectors(path, sentences, what, mode, flag):
+def _load_vectors(path, sentences, what, lexical, flag, lines=None):
     """The matrices of the vector file ``path``, given as ``flag``, one for
-    each of the ``sentences`` read from ``what``; None without a file.
-    External ``mode`` needs a file and the other modes read none: a
-    mismatch is a usage error."""
+    each of the ``sentences`` (lists of words) read from ``what``; None
+    without a file.  External mode needs a file of ``lexical.external_dim``
+    values a vector and one vector a word, and the other modes read none:
+    a mismatch is a usage error, naming a sentence by index (and ``lines``)."""
     if path is None:
-        if mode == "external":
+        if lexical.mode == "external":
             raise ConfigError("lexical mode 'external' needs %s" % flag)
         return None
-    if mode != "external":
+    if lexical.mode != "external":
         raise ConfigError("%s given, but lexical mode %r reads no vectors"
-                          % (flag, mode))
-    mats, _ = read_vector_file(path)
+                          % (flag, lexical.mode))
+    mats, dim = read_vector_file(path)
+    if dim != lexical.external_dim:
+        raise ConfigError("%s %s: the vectors are %d wide but the model's "
+                          "external_dim is %d" % (flag, path, dim,
+                                                  lexical.external_dim))
     if len(mats) != len(sentences):
         raise ValueError("%s holds %d sentences but %s has %d"
                          % (path, len(mats), what, len(sentences)))
+    for k, (mat, sentence) in enumerate(zip(mats, sentences)):
+        if len(mat) != len(sentence):
+            where = "" if lines is None else " (line index %d)" % lines[k]
+            raise ConfigError("%s %s: sentence %d%s of %s has %d words but "
+                              "%d vectors" % (flag, path, k, where, what,
+                                              len(sentence), len(mat)))
     return mats
-
-
-def _ext(vectors, k):
-    return vectors[k] if vectors is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +181,11 @@ def _cmd_train(args):
                         (args.dev_file, dev_trees)):
         if not trees:
             raise ConfigError("%s contains no trees" % path)
-    train_vecs = _load_vectors(args.train_vectors, train_trees,
-                               args.train_file, lexical_cfg.mode,
-                               "--train-vectors")
-    dev_vecs = _load_vectors(args.dev_vectors, dev_trees, args.dev_file,
-                             lexical_cfg.mode, "--dev-vectors")
+    train_vecs = _load_vectors(args.train_vectors,
+                               [t.leaves() for t in train_trees],
+                               args.train_file, lexical_cfg, "--train-vectors")
+    dev_vecs = _load_vectors(args.dev_vectors, [t.leaves() for t in dev_trees],
+                             args.dev_file, lexical_cfg, "--dev-vectors")
     # the checkpoint is written after training: find out now if it cannot be
     if os.path.isdir(args.out):
         raise ConfigError("cannot write %s: it is a directory" % args.out)
@@ -224,11 +231,11 @@ def _cmd_parse(args):
     model = ckpt.load_checkpoint(args.checkpoint)
     sentences, lines = load_tagged(args.input, line_indices=True)
     vectors = _load_vectors(args.vectors, sentences, args.input,
-                            model.lexical_config.mode, "--vectors")
+                            model.lexical_config, "--vectors", lines)
     with _output(args.out) as out:
         for k, sentence in enumerate(sentences):
             try:
-                tree = model.parse(sentence, external=_ext(vectors, k))
+                tree = model.parse(sentence, external=vectors and vectors[k])
             except ValueError as exc:
                 out.write("#PARSE-ERROR %d %s\n" % (lines[k], exc))
                 continue
@@ -266,8 +273,8 @@ def _sweep(args, header, controls):
     control."""
     model = ckpt.load_checkpoint(args.checkpoint)
     trees = load_trees(args.dev_file)
-    vectors = _load_vectors(args.vectors, trees, args.dev_file,
-                            model.lexical_config.mode, "--vectors")
+    vectors = _load_vectors(args.vectors, [t.leaves() for t in trees],
+                            args.dev_file, model.lexical_config, "--vectors")
     rows = list(controls(model))     # every usage error before any output
     for label, control in rows:
         try:
@@ -356,7 +363,7 @@ def _cmd_dump_attention(args):
     sentence = sentences[0]
     vectors = _load_vectors(args.vectors, sentences,
                             args.input or "the sentence",
-                            model.lexical_config.mode, "--vectors")
+                            model.lexical_config, "--vectors")
 
     control = None
     if args.window:
@@ -370,7 +377,7 @@ def _cmd_dump_attention(args):
 
     record = {}
     tree = model.parse(sentence, control=control,
-                       external=_ext(vectors, 0), record=record)
+                       external=vectors and vectors[0], record=record)
     with _output(args.out) as out:
         out.write("# tree %s\n" % tree.render())
         out.write("# tokens <start> %s <stop>\n"

@@ -113,15 +113,19 @@ def apply_overrides(raw: dict, overrides) -> dict:
 def build_configs(raw: dict):
     """Turn raw strings into validated (EncoderConfig, LexicalConfig,
     TrainConfig).  Unknown keys are errors, not warnings, and so is a value
-    a section's ``validate`` refuses: each raises ConfigError."""
+    a section's ``validate`` refuses, and a char-concat width that does not
+    fill the encoder's content slot: each raises ConfigError."""
     per_class = {cls: {} for cls in _SECTIONS}
     for key, text in raw.items():
         value = _parse_value(key, text)
         per_class[_FIELDS[key][0]][key] = value
     try:
-        return tuple(cls(**per_class[cls]).validate() for cls in _SECTIONS)
+        enc, lex, train = (cls(**per_class[cls]).validate()
+                           for cls in _SECTIONS)
+        lex.check_width(enc.content_dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return enc, lex, train
 
 
 def config_from_values(cls, values: dict):

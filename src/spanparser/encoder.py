@@ -281,7 +281,7 @@ class MultiHeadAttention:
         # w_o's row block h is head h's [d_v, d_out] output matrix
         return ad.concat(
             [ad.bmm(ad.bmm(probs, v),
-                    ad.reshape(stream["w_o"].tensor,
+                    ad.reshape(stream["w_o"],
                                (self.num_heads, v.shape[2], -1)))
              for v, stream in zip(values, self.streams)], axis=2)
 
@@ -316,13 +316,11 @@ class MultiHeadAttention:
         heads = self.num_heads
         term = None
         if on:
-            q = ad.split_heads(ad.matmul(source, stream["w_q"].tensor),
-                               heads, mask)
-            k = ad.split_heads(ad.matmul(source, stream["w_k"].tensor),
-                               heads, mask)
+            q = ad.split_heads(ad.matmul(source, stream["w_q"]), heads, mask)
+            k = ad.split_heads(ad.matmul(source, stream["w_k"]), heads, mask)
             term = ad.mul_const(ad.bmm(q, ad.transpose(k)),
                                 1.0 / math.sqrt(self.d_k))
-        return term, ad.split_heads(ad.matmul(inp, stream["w_v"].tensor),
+        return term, ad.split_heads(ad.matmul(inp, stream["w_v"]),
                                     heads, mask)
 
 
@@ -330,7 +328,7 @@ def _output(probs, mask, values, stream):
     """One stream's share of the attention output: its probability-weighted
     values, heads merged, times its output matrix."""
     return ad.matmul(ad.merge_heads(ad.bmm(probs, values), mask),
-                     stream["w_o"].tensor)
+                     stream["w_o"])
 
 
 class FeedForward:
@@ -365,7 +363,7 @@ class FeedForward:
 
 def _affine(weight, bias, x, stream):
     """x W + b with one stream's parameters named ``weight`` and ``bias``."""
-    return ad.affine(x, stream[weight].tensor, stream[bias].tensor)
+    return ad.affine(x, stream[weight], stream[bias])
 
 
 class EncoderLayer:
@@ -384,10 +382,10 @@ class EncoderLayer:
         attn = self.attn.forward(x, positions, mask, penalty, disable_content,
                                  disable_position, rng, record, worker)
         attn = ad.dropout(attn, self.residual_dropout, rng)
-        x = ad.layer_norm(x, self.ln1_gain.tensor, self.ln1_bias.tensor, attn)
+        x = ad.layer_norm(x, self.ln1_gain, self.ln1_bias, attn)
         ff = ad.dropout(self.ffn.forward(x, rng, worker),
                         self.residual_dropout, rng)
-        return ad.layer_norm(x, self.ln2_gain.tensor, self.ln2_bias.tensor, ff)
+        return ad.layer_norm(x, self.ln2_gain, self.ln2_bias, ff)
 
 
 class Encoder:
@@ -446,9 +444,8 @@ class Encoder:
         if control is not None:
             control.validate(cfg)
 
-        positions = ad.take_rows(self.position_table.tensor,
-                                 np.concatenate([np.arange(T)
-                                                 for T in lengths]))
+        positions = ad.take_rows(self.position_table, np.concatenate(
+            [np.arange(T) for T in lengths]))
         x = compose_input(x, positions, cfg.variant)
         mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
         penalty = self._penalty(lengths, control)

@@ -61,6 +61,17 @@ class LexicalConfig:
                 raise ValueError("%s must be in [0, 1)" % name)
         return self
 
+    def check_width(self, slot_dim: int):
+        """Raise ValueError unless char-concat fills ``slot_dim`` values."""
+        char_dim = self.resolved_char_dim()
+        width = (self.prefix_length + self.suffix_length) * char_dim
+        if self.mode == "char-concat" and width != slot_dim:
+            raise ValueError(
+                "char-concat produces (%d + %d) * %d = %d values per word "
+                "but the content slot is %d wide; adjust char_embedding_dim "
+                "or d_model" % (self.prefix_length, self.suffix_length,
+                                char_dim, width, slot_dim))
+
     def resolved_char_dim(self) -> int:
         if self.char_embedding_dim > 0:
             return self.char_embedding_dim
@@ -84,13 +95,6 @@ class CharConcat:
         self.suffix = config.suffix_length
         self.char_dim = config.resolved_char_dim()
         self.char_dropout = config.char_dropout
-        width = (self.prefix + self.suffix) * self.char_dim
-        if width != slot_dim:
-            raise ValueError(
-                "char-concat produces (%d + %d) * %d = %d values per word "
-                "but the content slot is %d wide; adjust char_embedding_dim "
-                "or d_model" % (self.prefix, self.suffix, self.char_dim,
-                                width, slot_dim))
         self.char_emb = store.add("lexical.char_emb",
                                   (len(vocab.chars), self.char_dim),
                                   embedding_init)
@@ -108,7 +112,7 @@ class CharConcat:
 
     def forward(self, words, rng) -> Tensor:
         ids = np.stack([self.positions(w) for w in words])
-        flat = ad.take_rows(self.char_emb.tensor, ids.ravel())
+        flat = ad.take_rows(self.char_emb, ids.ravel())
         flat = ad.dropout(flat, self.char_dropout, rng)
         return ad.reshape(flat, (len(words), ids.shape[1] * self.char_dim))
 
@@ -157,11 +161,11 @@ class CharLSTM:
         c = Tensor(np.zeros((W, H)))
         states = []
         for t in range(L):
-            x_t = ad.take_rows(self.char_emb.tensor, ids[:, t])
+            x_t = ad.take_rows(self.char_emb, ids[:, t])
             x_t = ad.dropout(x_t, self.char_dropout, rng)
-            gates = ad.add(ad.add(ad.matmul(x_t, weights["w_x"].tensor),
-                                  ad.matmul(h, weights["w_h"].tensor)),
-                           weights["b"].tensor)
+            gates = ad.add(ad.add(ad.matmul(x_t, weights["w_x"]),
+                                  ad.matmul(h, weights["w_h"])),
+                           weights["b"])
             gi, gf, gg, go = ad.split_cols(gates, 4)
             c = ad.add(ad.mul(ad.sigmoid(gf), c),
                        ad.mul(ad.sigmoid(gi), ad.tanh(gg)))
@@ -185,7 +189,7 @@ class CharLSTM:
         h_f = self._run_direction(fwd_ids, last, self.dirs["fwd"], rng)
         h_b = self._run_direction(bwd_ids, last, self.dirs["bwd"], rng)
         both = ad.concat([h_f, h_b], axis=1)
-        return ad.add(ad.matmul(both, self.proj.tensor), self.proj_bias.tensor)
+        return ad.add(ad.matmul(both, self.proj), self.proj_bias)
 
 
 class LexicalModel:
@@ -193,7 +197,7 @@ class LexicalModel:
 
     def __init__(self, store: ParameterStore, vocab: Vocabulary,
                  config: LexicalConfig, slot_dim: int):
-        config.validate()
+        config.validate().check_width(slot_dim)
         self.vocab = vocab
         self.config = config
         self.slot_dim = slot_dim
@@ -237,11 +241,11 @@ class LexicalModel:
         total = None
         if self.word_emb is not None:
             ids = [self.vocab.word_id(w) for w in words]
-            rows = ad.take_rows(self.word_emb.tensor, ids)
+            rows = ad.take_rows(self.word_emb, ids)
             total = ad.row_dropout(rows, cfg.word_dropout, rng)
         if cfg.mode == "tags":
             ids = [self.vocab.tag_id(t) for _, t in tokens]
-            rows = ad.take_rows(self.tag_emb.tensor, ids)
+            rows = ad.take_rows(self.tag_emb, ids)
             rows = ad.row_dropout(rows, cfg.tag_dropout, rng)
         else:
             rows = self.chars.forward(words, rng)
@@ -267,8 +271,8 @@ class LexicalModel:
             vectors[first + 1:first + n + 1] = ext
             ids[first], ids[first + n + 1] = 0, 1
             first += n + 2
-        projected = ad.matmul(Tensor(vectors), self.external_proj.tensor)
-        rows = ad.concat([self.external_boundaries.tensor, projected], axis=0)
+        projected = ad.matmul(Tensor(vectors), self.external_proj)
+        rows = ad.concat([self.external_boundaries, projected], axis=0)
         return ad.row_dropout(ad.take_rows(rows, ids),
                               self.config.word_dropout, rng)
 

@@ -150,7 +150,6 @@ def _modules(store, encoder_config, lexical_config, vocab, labels):
     if len(labels) < 2:
         raise ValueError("label inventory has no real labels")
     encoder_config.validate()
-    lexical_config.validate()
     return (LexicalModel(store, vocab, lexical_config,
                          encoder_config.content_dim),
             Encoder(store, encoder_config),

@@ -28,32 +28,23 @@ class OptimizerError(RuntimeError):
     """Raised when an update cannot be applied safely."""
 
 
-class Parameter:
-    """A named trainable tensor: values ``start:stop`` of its store's
-    arenas.  Once the store is allocated, ``tensor`` holds its view of the
-    data arena, and its gradient, if any, is its view of the grad arena."""
+class Parameter(GradLeaf):
+    """A named trainable leaf: values ``start:stop`` of its store's arenas,
+    filled by ``init`` (or left zero) when the store is allocated.  Until
+    then ``data`` and ``grad_view`` are None, after it its arena views.
+    Making one calls no numpy function, so a checkpoint loads quickly."""
 
-    __slots__ = ("name", "shape", "start", "stop", "tensor")
+    __slots__ = ("name", "shape", "start", "stop", "init")
 
-    def __init__(self, name: str, shape, start: int):
+    def __init__(self, name: str, shape, start: int, init=None):
         self.name = name
         self.shape = tuple(shape)
         self.start = start
         self.stop = start + math.prod(self.shape)
-        self.tensor = None
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    def clear_grad(self):
-        """Drop the gradient without zeroing it: the next backward
-        overwrites the grad view."""
-        self.tensor.grad = None
+        self.init = init
+        self.data = self.grad = self.grad_view = self._grad_fn = None
+        self.requires_grad = True
+        self._parents = ()
 
     def __repr__(self):
         return "Parameter(%r, shape=%s)" % (self.name, self.shape)
@@ -74,7 +65,6 @@ class ParameterStore:
 
     def __init__(self):
         self._params = {}
-        self._inits = []
         self.size = 0
         self.data = self.grad = self.m = self.v = None
         self.steps = 0
@@ -88,10 +78,9 @@ class ParameterStore:
                              "already allocated" % name)
         if name in self._params:
             raise ValueError("duplicate parameter name %r" % name)
-        p = Parameter(name, shape, self.size)
+        p = Parameter(name, shape, self.size, init)
         self.size = p.stop
         self._params[name] = p
-        self._inits.append(init)
         return p
 
     def allocate(self, data: np.ndarray = None, seed: int = 0) -> None:
@@ -114,27 +103,25 @@ class ParameterStore:
         self.grad, self.m, self.v = (np.zeros(self.size, dtype="<f8")
                                      for _ in range(3))
         for p in self:
-            p.tensor = GradLeaf(self.data[p.start:p.stop].reshape(p.shape),
-                                self.grad[p.start:p.stop].reshape(p.shape))
+            p.data = self.data[p.start:p.stop].reshape(p.shape)
+            p.grad_view = self.grad[p.start:p.stop].reshape(p.shape)
         if data is None:
-            _initialize(self, self._inits, seed)
-        self._inits = None
+            _initialize(self, seed)
 
     def check_views(self) -> None:
-        """Raise ValueError, naming the parameter, unless every tensor still
-        holds its views of the data and grad arenas (``p.data[...] = x``
-        keeps them, ``p.tensor.data = x`` does not) and its ``grad`` is
-        None or its grad view."""
+        """Raise ValueError, naming the parameter, unless every parameter
+        still holds its views of the data and grad arenas (``p.data[...] =
+        x`` keeps them, ``p.data = x`` does not) and its ``grad`` is None or
+        its grad view."""
         for p in self:
-            t = p.tensor
-            for a, arena, kind in ((t.data, self.data, "data"),
-                                   (t.grad_view, self.grad, "grad")):
+            for a, arena, kind in ((p.data, self.data, "data"),
+                                   (p.grad_view, self.grad, "grad")):
                 if (a.base is not arena or a.shape != p.shape
                         or a.ctypes.data != arena.ctypes.data + 8 * p.start
                         or not a.flags.c_contiguous):
                     raise ValueError("parameter %r no longer holds its view "
                                      "of the store's %s arena" % (p.name, kind))
-            if t.grad is not None and t.grad is not t.grad_view:
+            if p.grad is not None and p.grad is not p.grad_view:
                 raise ValueError("parameter %r has a gradient that is not "
                                  "its grad view" % p.name)
 
@@ -197,7 +184,7 @@ def _piece_bounds(size: int) -> list:
             for k in range(pieces + 1)]
 
 
-def _initialize(store: ParameterStore, inits, seed: int) -> None:
+def _initialize(store: ParameterStore, seed: int) -> None:
     """Call each parameter's ``init(rng, out)`` on its view, ``rng`` its
     own generator: child ``k`` of ``SeedSequence(seed)`` for the parameter
     at insertion index ``k``.  A parameter's values thus depend only on
@@ -205,16 +192,14 @@ def _initialize(store: ParameterStore, inits, seed: int) -> None:
     as :func:`_piece_bounds` splits the data arena into, each parameter by
     the thread whose piece holds its first value, with the same bits."""
     seeds = np.random.SeedSequence(seed).spawn(len(store))
-    work = [(p, init, child) for p, init, child in zip(store, inits, seeds)
-            if init is not None]
-    _on_pieces(_piece_bounds(store.size), _init_piece, work)
+    _on_pieces(_piece_bounds(store.size), _init_piece, list(zip(store, seeds)))
 
 
 def _init_piece(work, start, stop):
     """The inits of the parameters whose first value is in ``start:stop``."""
-    for p, init, child in work:
-        if start <= p.start < stop:
-            init(np.random.default_rng(child), p.data)
+    for p, child in work:
+        if p.init is not None and start <= p.start < stop:
+            p.init(np.random.default_rng(child), p.data)
 
 
 def adam_step(store: ParameterStore, lr: float) -> float:
@@ -266,7 +251,7 @@ def adam_step(store: ParameterStore, lr: float) -> float:
     store.check_views()
     for p in store:
         if p.grad is None:
-            p.tensor.grad_view.fill(0.0)
+            p.grad_view.fill(0.0)
     bounds = _piece_bounds(store.size)
     squares = np.empty(-(-store.size // DOT))
     _on_pieces(bounds, _square_blocks, store.grad, squares)

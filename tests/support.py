@@ -61,27 +61,8 @@ def gradcheck(loss_fn, params, rng, coords=6, h=1e-5, floor=1e-3):
     return worst
 
 
-class _LeafBox:
-    """Adapts a bare Tensor to the Parameter interface gradcheck expects."""
-
-    def __init__(self, t):
-        self.t = t
-
-    @property
-    def data(self):
-        return self.t.data
-
-    @property
-    def grad(self):
-        return self.t.grad
-
-    def clear_grad(self):
-        self.t.grad = None
-
-
 def leaf_gradcheck(build, leaves, seed=0, tol=1e-6, coords=8):
-    boxes = [_LeafBox(t) for t in leaves]
-    err = gradcheck(build, boxes, np.random.default_rng(seed), coords=coords)
+    err = gradcheck(build, leaves, np.random.default_rng(seed), coords=coords)
     assert err < tol, "finite differences disagree: %g" % err
 
 
@@ -212,8 +193,8 @@ REFERENCE_OPS = {
 def set_grad(p, g):
     """Give parameter ``p`` the gradient ``g``, written into its grad view
     as backward would."""
-    np.copyto(p.tensor.grad_view, g)
-    p.tensor.grad = p.tensor.grad_view
+    np.copyto(p.grad_view, g)
+    p.grad = p.grad_view
 
 
 def random_chart(rng, n, num_labels):

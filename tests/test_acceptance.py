@@ -181,7 +181,7 @@ def test_factored_head_matches_assembled_dense_head():
                                    d_model=d_model, num_heads=1, d_k=d_k,
                                    d_v=d_v, d_ff=8, max_len=16)
         content = ad.tensor(rng.standard_normal((T, cfg.content_dim)))
-        positions = ad.take_rows(enc.position_table.tensor, np.arange(T))
+        positions = ad.take_rows(enc.position_table, np.arange(T))
         x = compose_input(content, positions, cfg.variant)
         layer = enc.layers[0]
         out = layer.attn.head_outputs(x, positions, None, False, False)

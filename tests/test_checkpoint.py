@@ -204,7 +204,7 @@ def test_failed_save_leaves_previous_file(tmp_path, monkeypatch):
 def test_save_rejects_a_rebound_parameter(tmp_path):
     model = trained_like_model()
     p = model.store["scorer.m1"]
-    p.tensor.data = p.data.copy()
+    p.data = p.data.copy()
     with pytest.raises(ValueError) as e:
         save_checkpoint(model, tmp_path / "m.ckpt")
     assert "'scorer.m1'" in str(e.value)

@@ -11,7 +11,8 @@ from spanparser.config import ConfigError
 from spanparser.lexical import write_vector_file
 from spanparser.model import SpanParser
 from spanparser.toydata import toy_treebank
-from spanparser.trees import load_trees, parse_bracketed, save_trees
+from spanparser.trees import (load_tagged, load_trees, parse_bracketed,
+                               save_trees)
 
 from support import no_openblas, openblas_threads, recording_pins
 
@@ -170,7 +171,7 @@ def test_parse_writes_one_record_per_input_line(workdir, tmp_path):
 
 def test_parse_records_non_finite_scores_as_failures(workdir, tmp_path):
     model = load_checkpoint(workdir / "model.ckpt")
-    model.store["scorer.c2"].tensor.data[0] = np.nan
+    model.store["scorer.c2"].data[0] = np.nan
     save_checkpoint(model, tmp_path / "nan.ckpt")
     out_path = tmp_path / "out.txt"
     code = main(["parse", str(tmp_path / "nan.ckpt"),
@@ -234,7 +235,7 @@ def test_eval_count_mismatch_is_runtime_error(workdir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2(workdir, tmp_path, capsys):
+def test_usage_errors_exit_2(workdir, external, tmp_path, capsys):
     assert main(["parse", str(tmp_path / "missing.ckpt"),
                  str(workdir / "dev.tagged")]) == 2
     assert main(["bogus-command"]) == 2
@@ -258,6 +259,57 @@ def test_usage_errors_exit_2(workdir, tmp_path, capsys):
                      "--out", str(tmp_path / "x.ckpt"), "--quiet",
                      "--set", item]) == 2, item
         assert capsys.readouterr().err.startswith("error: " + problem)
+    # a char-concat width that does not fill the content slot, found
+    # before any tree is read
+    assert main(["train", str(tmp_path / "no-trees.txt"),
+                 str(tmp_path / "no-trees.txt"),
+                 "--config", str(workdir / "model.cfg"),
+                 "--out", str(tmp_path / "x.ckpt"), "--quiet",
+                 "--set", "mode=char-concat",
+                 "--set", "char_embedding_dim=3"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: char-concat produces (8 + 8) * 3 = 48 values per word but "
+        "the content slot is 8 wide")
+    assert not (tmp_path / "x.ckpt").exists()
+    # a vector file that does not fit the external model: three values a
+    # vector, or a sentence one vector short, found before a model is
+    # built or an output opened
+    rng = np.random.default_rng(2)
+    sentences = load_tagged(external / "dev.tagged")
+    train_words = [len(t.sentence()) for t in load_trees(external /
+                                                         "train.txt")]
+    write_vector_file(tmp_path / "narrow.vec",
+                      [rng.standard_normal((len(s), 3)) for s in sentences])
+    write_vector_file(tmp_path / "short.vec",
+                      [rng.standard_normal((len(s) - k, 5))
+                       for k, s in enumerate(sentences)])
+    write_vector_file(tmp_path / "train3.vec",
+                      [rng.standard_normal((n, 3)) for n in train_words])
+    out = tmp_path / "pred.txt"
+    for vectors, problem in (
+            ("narrow.vec", "the vectors are 3 wide but the model's "
+                           "external_dim is 5"),
+            ("short.vec", "sentence 1 (line index 1) of %s has %d words "
+                          "but %d vectors" % (external / "dev.tagged",
+                                              len(sentences[1]),
+                                              len(sentences[1]) - 1))):
+        assert main(["parse", str(external / "m.ckpt"),
+                     str(external / "dev.tagged"), "--out", str(out),
+                     "--vectors", str(tmp_path / vectors)]) == 2, vectors
+        assert capsys.readouterr().err == "error: --vectors %s: %s\n" % (
+            tmp_path / vectors, problem)
+        assert not out.exists()
+    # without --quiet, the header line printed once the model is built
+    assert main(["train", str(external / "train.txt"),
+                 str(external / "dev.txt"),
+                 "--config", str(external / "model.cfg"),
+                 "--out", str(tmp_path / "x.ckpt"),
+                 "--train-vectors", str(tmp_path / "train3.vec"),
+                 "--dev-vectors", str(external / "dev.vec")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --train-vectors %s: the vectors "
+                                   "are 3 wide" % (tmp_path / "train3.vec"))
+    assert captured.out == ""
     assert not (tmp_path / "x.ckpt").exists()
 
 

@@ -207,7 +207,7 @@ def test_factored_head_equals_assembled_dense_head():
     enc, _, cfg = tiny_encoder("factored", seed=3)
     rng = np.random.default_rng(10)
     content = rand_content(rng, 5, cfg)
-    positions = ad.take_rows(enc.position_table.tensor, np.arange(5))
+    positions = ad.take_rows(enc.position_table, np.arange(5))
     x = compose_input(content, positions, cfg.variant)
     layer = enc.layers[0]
     out = layer.attn.head_outputs(x, positions, None, False, False)

@@ -211,7 +211,7 @@ def test_pack_rows_are_each_sentences_own_rows(mode):
 def test_packed_word_table_gradient_is_the_sum_of_sentence_gradients(mode):
     model, _, _ = make(mode, **MODES[mode])
     slot = model.slot_dim
-    table = model.word_emb.tensor
+    table = model.word_emb
     rng = np.random.default_rng(4)
     # SENT's words come back in the third sentence, and every sentence
     # has the start and stop rows

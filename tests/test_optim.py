@@ -24,7 +24,7 @@ from spanparser.optim import (
 from spanparser.toydata import toy_treebank
 from spanparser.vocab import LabelInventory, Vocabulary
 
-from support import plain_leaf, reference_backward, set_grad, tiny_model
+from support import reference_backward, set_grad, tiny_model
 
 TREES = toy_treebank(6, seed=4)
 
@@ -236,9 +236,9 @@ store.add("g", (40, 32768))
 store.allocate()
 rng = np.random.default_rng(12)
 p = store["g"]
-p.tensor.grad_view[...] = rng.standard_normal(p.shape) * np.exp(
+p.grad_view[...] = rng.standard_normal(p.shape) * np.exp(
     rng.uniform(-20.0, 20.0, p.shape))
-p.tensor.grad = p.tensor.grad_view
+p.grad = p.grad_view
 print(float(adam_step(store, lr=0.1)).hex())
 """
 
@@ -382,7 +382,7 @@ def test_nonfinite_gradient_aborts_without_mutation():
     # a NaN deep in a later block of a large parameter
     set_grad(bad, np.ones(2))
     set_grad(big, np.ones(2 * BLOCK + 5))
-    big.tensor.grad[BLOCK + 7] = np.nan
+    big.grad[BLOCK + 7] = np.nan
     with pytest.raises(OptimizerError) as e:
         adam_step(store, lr=0.1)
     assert "'c'" in str(e.value)
@@ -391,8 +391,8 @@ def test_nonfinite_gradient_aborts_without_mutation():
 
     # finite gradients whose squares overflow would make v infinite and
     # freeze their coordinates, so they are rejected too
-    big.tensor.grad[BLOCK + 7] = 1e160
-    big.tensor.grad[0] = -1e160
+    big.grad[BLOCK + 7] = 1e160
+    big.grad[0] = -1e160
     with pytest.raises(OptimizerError) as e:
         adam_step(store, lr=0.1)
     assert "'c'" in str(e.value)
@@ -431,7 +431,7 @@ def test_gradient_outside_the_grad_arena_is_rejected_before_any_update(
     # either would leave the arena's own, stale values to the update
     store = store_of(a=np.ones(3), b=np.ones((4, 3)))
     set_grad(store["a"], np.ones(3))
-    b = store["b"].tensor
+    b = store["b"]
     if fault == "foreign gradient":
         b.grad = np.ones((4, 3))
     else:
@@ -454,13 +454,13 @@ def test_rebound_parameter_is_rejected_before_any_update():
     for rebound in (np.ones((4, 3)), np.ones((3, 4)).T,
                     store.data[3:15].reshape(3, 4),
                     store.data[4:16].reshape(4, 3)):
-        b.tensor.data = rebound
+        b.data = rebound
         with pytest.raises(ValueError) as e:
             adam_step(store, lr=0.1)
         assert "'b'" in str(e.value)
         assert np.all(store.data == 1.0) and store.steps == 0
     # a fresh view at the parameter's own offsets is its view
-    b.tensor.data = store.data[3:15].reshape(4, 3)
+    b.data = store.data[3:15].reshape(4, 3)
     adam_step(store, lr=0.1)
     assert store.steps == 1
 
@@ -560,16 +560,44 @@ def test_glorot_and_embedding_init_scales():
     assert 0.8 < norms.mean() < 1.2
 
 
-def test_parameter_wraps_requires_grad_tensor():
+def test_a_parameter_is_the_leaf_the_model_computes_with():
     store = ParameterStore()
-    p = store.add("x", (2, 2))
-    assert p.tensor is None
+    p = store.add("x", (2, 3), ones)
+    assert p.data is None and p.grad_view is None and p.shape == (2, 3)
     store.allocate()
-    assert p.tensor.requires_grad
-    assert p.grad is None
-    set_grad(p, np.ones((2, 2)))
+    assert p.data.base is store.data and np.all(p.data == 1.0)
+    assert p.grad_view.base is store.grad and p.grad is None
+    set_grad(p, np.ones((2, 3)))
     p.clear_grad()
     assert p.grad is None
+
+    # the modules hold the store's own objects
+    model = tiny_model(TREES, mode="char-lstm")
+    store = model.store
+    assert model.scorer.m1 is store["scorer.m1"]
+    streams = [stream for layer in model.encoder.layers
+               for stream in layer.attn.streams + layer.ffn.streams]
+    assert streams
+    for stream in streams:
+        for p in stream.values():
+            assert p is store[p.name]
+
+    # so backward gives a gradient to store parameters only, in their views
+    batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
+    _, loss = model.batch_loss(batch, rng=np.random.default_rng(5))
+    backward(loss)
+    with_grad = [t for t in ad._toposort(loss) if t.grad is not None]
+    assert with_grad
+    for t in with_grad:
+        assert isinstance(t, optim.Parameter) and store[t.name] is t
+        assert t.grad is t.grad_view
+
+    # a plain leaf clears its gradient the same way
+    x = ad.tensor(np.ones(3), requires_grad=True)
+    backward(ad.sum_all(ad.mul(x, x)))
+    assert x.grad is x.grad_view and np.all(x.grad == 2.0)
+    x.clear_grad()
+    assert x.grad is None and np.all(x.grad_view == 2.0)
 
 
 def batch_grads(model, seed=5):
@@ -589,7 +617,7 @@ def assert_grads_are_arena_views(store):
     grads = [p for p in store if p.grad is not None]
     assert grads
     for p in grads:
-        assert p.grad is p.tensor.grad_view
+        assert p.grad is p.grad_view
         assert p.grad.base is store.grad and p.grad.shape == p.shape
         assert p.grad.ctypes.data == store.grad.ctypes.data + 8 * p.start
         assert np.array_equal(p.grad.ravel(), store.grad[p.start:p.stop])
@@ -613,10 +641,10 @@ def test_backward_fills_the_grad_arena_of_fresh_and_loaded_models(tmp_path):
     p = again.store["scorer.m1"]
     before = p.grad.copy()
     p.clear_grad()
-    assert p.grad is None and np.array_equal(p.tensor.grad_view, before)
-    p.tensor.grad_view.fill(np.nan)
+    assert p.grad is None and np.array_equal(p.grad_view, before)
+    p.grad_view.fill(np.nan)
     assert np.array_equal(batch_grads(again)["scorer.m1"], before)
-    assert p.grad is p.tensor.grad_view
+    assert p.grad is p.grad_view
     # training's own steps drop each gradient, and keep the views
     adam_step(again.store, lr=1e-3)
     assert all(p.grad is None for p in again.store)
@@ -628,8 +656,8 @@ def test_backward_fills_the_grad_arena_of_fresh_and_loaded_models(tmp_path):
 @pytest.mark.parametrize("mode", ["tags", "char-lstm"])
 def test_arena_gradients_are_bitwise_the_plain_leaf_gradients(
         variant, mode, monkeypatch, short_switch_interval):
-    # the same batch with every parameter a plain leaf, through the
-    # reference accumulation that keeps every node's gradient; the arena
+    # the same batch with every parameter's grad view dropped, through the
+    # reference accumulation that gives each leaf a new array; the arena
     # gradients are taken as training takes them, where the toy leaves are
     # all below backward's worker size, and with every leaf's
     # contributions applied on the worker thread
@@ -650,7 +678,7 @@ def test_arena_gradients_are_bitwise_the_plain_leaf_gradients(
         assert on_worker and set(on_worker) == {size == 0}, size
         on_worker.clear()
     for p in model.store:
-        p.tensor = plain_leaf(p.data)
+        p.grad, p.grad_view = None, None
     batch = [(t.sentence(), model.gold_binary(t), None) for t in TREES]
     _, loss = model.batch_loss(batch, rng=np.random.default_rng(5))
     reference_backward(loss)

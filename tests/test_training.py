@@ -415,7 +415,7 @@ def test_empty_dev_set_rejected_without_an_eval_fn():
 
 def test_nonfinite_loss_aborts_with_context():
     model = fresh_model()
-    model.store["lexical.word_emb"].tensor.data[:] = np.inf
+    model.store["lexical.word_emb"].data[:] = np.inf
     with np.errstate(invalid="ignore"):
         with pytest.raises(RuntimeError) as e:
             train(model, TREES, TREES[:2], cfg(max_epochs=1),
